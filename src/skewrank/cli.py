@@ -28,7 +28,7 @@ from .decomposition import (
     verify_theorem_A,
     verify_theorem_C,
 )
-from .errors import SkewrankError
+from .errors import InvalidArgument, SkewrankError
 from .fields import ExtensionContext
 from .galois import two_adic_shape
 
@@ -87,8 +87,15 @@ def _validate_instance(p: int, n: int) -> None:
 
 
 def _validate_common(args) -> None:
-    if getattr(args, "sample_cap", 1) < 1:
-        raise SkewrankError("sample-cap must be >= 1")
+    if args.seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {args.seed}")
+    if args.sample_cap < 1:
+        raise InvalidArgument("sample-cap must be >= 1")
+    # section6 with no grid point or no sample would pass having checked nothing
+    for name in ("grid", "samples"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {value}")
 
 
 def _config_dict(args) -> dict:

@@ -14,13 +14,21 @@ import numpy as np
 
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
-from .forms import GramMatrix, gram, gram_entries, is_degenerate_by_norm
+from .forms import (
+    GramMatrix,
+    gram,
+    gram_entries,
+    gram_stack,
+    is_degenerate_by_norm,
+    is_degenerate_by_norm_stack,
+)
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
-from .linalg import rank_mod
+from .linalg import rank_mod, rank_mod_batch
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
 FULL_FIELD_CEILING = 2**24  # cap for whole-field oracle enumeration
 RNG_NAME = "PCG64"
+STACK_BYTES = 2**17  # elements are evaluated in blocks whose (B, n, n) Gram stack fits this
 
 
 @dataclass
@@ -110,6 +118,35 @@ def _coefficient_rows_sampled(p: int, dim: int, count: int, rng: np.random.Gener
         rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim), dtype=np.int64)
 
 
+def _blocks(vectors: np.ndarray, n: int):
+    """Consecutive row blocks sized so one (B, n, n) stack of int64 fits STACK_BYTES."""
+    size = max(1, STACK_BYTES // (8 * n * n))
+    for start in range(0, len(vectors), size):
+        yield vectors[start : start + size]
+
+
+def _block_ranks(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray:
+    """Gram ranks of a block of coefficient rows by the stacked kernels.
+
+    The block's first row is recomputed by the scalar path; a different
+    Gram or rank raises InternalCheckError.
+    """
+    grams = gram_stack(ctx, block, i)
+    ranks = rank_mod_batch(grams, ctx.p)
+    scalar = gram_entries(ctx, block[0], i)
+    if not np.array_equal(scalar, grams[0]) or rank_mod(scalar, ctx.p) != ranks[0]:
+        raise InternalCheckError(
+            f"stacked Gram rank disagrees with the scalar path for b={ctx.element(block[0])}, i={i}"
+        )
+    return ranks
+
+
+def _tally(histogram: dict[int, int], ranks: np.ndarray) -> None:
+    for r, count in enumerate(np.bincount(ranks).tolist()):
+        if count:
+            histogram[r] = histogram.get(r, 0) + count
+
+
 def rank_spectrum_check(
     ctx: ExtensionContext,
     i: int,
@@ -141,9 +178,8 @@ def rank_spectrum_check(
         mode = "sampled"
     vectors = (rows.astype(ctx._dtype) @ basis_matrix) % ctx.p
     spectrum: dict[int, int] = {}
-    for vec in vectors:
-        r = rank_mod(gram_entries(ctx, vec, i), ctx.p)
-        spectrum[r] = spectrum.get(r, 0) + 1
+    for block in _blocks(vectors, ctx.n):
+        _tally(spectrum, _block_ranks(ctx, block, i))
     if expected_rank is not None:
         ok = set(spectrum) == {expected_rank}
     elif allowed_ranks is not None:
@@ -586,19 +622,25 @@ def oracle_survey(
     degenerate_counts = {i: 0 for i in range(1, n)}
     predicate_checked = 0
     predicate_disagreements = 0
-    for vec in rows:
-        b = None
+    predicate_powers = {i for i in range(1, n) if order_of(ctx, i) > 2}
+    for block in _blocks(rows.astype(ctx._dtype, copy=False), n):
+        # one inverse per element, shared by every i
+        inverses = ctx.inverse_stack(block) if predicate_powers else None
         for i in range(1, n):
-            r = rank_mod(gram_entries(ctx, vec, i), p)
-            histograms[i][r] = histograms[i].get(r, 0) + 1
-            if r < n:
-                degenerate_counts[i] += 1
-            if order_of(ctx, i) > 2:
-                if b is None:
-                    b = ctx.element(vec)
-                predicate_checked += 1
-                if is_degenerate_by_norm(ctx, b, i) != (r < n):
-                    predicate_disagreements += 1
+            ranks = _block_ranks(ctx, block, i)
+            _tally(histograms[i], ranks)
+            degenerate = ranks < n
+            degenerate_counts[i] += int(degenerate.sum())
+            if i not in predicate_powers:
+                continue
+            predicate = is_degenerate_by_norm_stack(ctx, block, i, inverses)
+            if is_degenerate_by_norm(ctx, ctx.element(block[0]), i) != predicate[0]:
+                raise InternalCheckError(
+                    f"stacked norm predicate disagrees with the scalar path for "
+                    f"b={ctx.element(block[0])}, i={i}"
+                )
+            predicate_checked += len(block)
+            predicate_disagreements += int((predicate != degenerate).sum())
     support_ok = True
     for i in range(1, n):
         o = order_of(ctx, i)

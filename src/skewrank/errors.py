@@ -5,6 +5,10 @@ class SkewrankError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgument(SkewrankError):
+    """A command-line option is outside its accepted range."""
+
+
 class InvalidPrime(SkewrankError):
     """The base field characteristic is not an odd prime below 2**31."""
 

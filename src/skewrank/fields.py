@@ -24,6 +24,7 @@ import sympy
 from .errors import (
     ContextMismatch,
     DivisionByZero,
+    InternalCheckError,
     InvalidDegree,
     InvalidModulus,
     InvalidPrime,
@@ -337,6 +338,7 @@ class ExtensionContext:
         self._generator: FieldElement | None = None
         self._unit_factorization: dict[int, int] | None = None
         self._nondegenerate_cache: dict[int, FieldElement] = {}
+        self._basis_grams: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -442,6 +444,59 @@ class ExtensionContext:
             base = self._vmul(base, base)
             e >>= 1
         return result
+
+    # -- stacked arithmetic: (B, n) arrays, one element per row ----------------
+
+    def mul_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise products: outer products scatter-added into (B, 2n-1)
+        convolutions, then the reduction matrix."""
+        p, n = self.p, self.n
+        dt = dtype_for(p, n)
+        a, b = a.astype(dt, copy=False), b.astype(dt, copy=False)
+        conv = np.zeros((a.shape[0], 2 * n - 1), dtype=dt)
+        for k in range(n):
+            conv[:, k : k + n] += a[:, k, None] * b
+        return matmul_mod(conv % p, self._reduce_matrix.T, p)
+
+    def pow_stack(self, a: np.ndarray, e: int) -> np.ndarray:
+        """Row-wise a^e for e >= 0 by square-and-multiply."""
+        result = np.zeros(a.shape, dtype=self._dtype)
+        result[:, 0] = 1
+        base = a % self.p
+        while e:
+            if e & 1:
+                result = self.mul_stack(result, base)
+            base = self.mul_stack(base, base)
+            e >>= 1
+        return result
+
+    def inverse_stack(self, a: np.ndarray) -> np.ndarray:
+        """Row-wise inverses a^(q-2), each certified by a * a^-1 = 1."""
+        if not (a % self.p != 0).any(axis=1).all():
+            raise DivisionByZero("inverse of zero")
+        inv = self.pow_stack(a, self.order - 2)
+        bad = ~self.is_one_stack(self.mul_stack(a, inv))
+        if bad.any():
+            row = self._wrap(a[bad.argmax()])
+            raise InternalCheckError(f"stacked inverse of {row} is wrong")
+        return inv
+
+    def frobenius_stack(self, a: np.ndarray, i: int) -> np.ndarray:
+        """Row-wise sigma^i: the rows times the transposed Frobenius power."""
+        return matmul_mod(a, self.sigma_power_matrix(i).T, self.p)
+
+    def norm_stack(self, a: np.ndarray, sub: int = 1) -> np.ndarray:
+        """Row-wise norms down to GF(p^sub): products of the conjugates."""
+        self._check_sub(sub)
+        acc = cur = a
+        for _ in range(self.n // sub - 1):
+            cur = self.frobenius_stack(cur, sub)
+            acc = self.mul_stack(acc, cur)
+        return acc
+
+    def is_one_stack(self, a: np.ndarray) -> np.ndarray:
+        """Boolean per row: the row is the unit element."""
+        return (a[:, 0] == 1) & ~(a[:, 1:] != 0).any(axis=1)
 
     def _wrap(self, vec: np.ndarray) -> FieldElement:
         return FieldElement(self, tuple(int(c) for c in vec))

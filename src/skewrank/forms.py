@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import ExtensionContext, FieldElement
 from .galois import order_of, two_adic_shape
-from .linalg import matmul_mod, rank_mod
+from .linalg import dtype_for, matmul_mod, rank_mod
 
 
 @dataclass
@@ -77,6 +77,23 @@ def gram_entries(ctx: ExtensionContext, bvec: np.ndarray, i: int) -> np.ndarray:
     return (g - g.T) % p
 
 
+def gram_stack(ctx: ExtensionContext, vecs: np.ndarray, i: int) -> np.ndarray:
+    """Gram matrices of a (B, n) stack of coefficient rows, as (B, n, n).
+
+    b -> gram(b, i) is K-linear, so the stack is one contraction of the
+    rows with the Grams of the power basis (cached per context and i).
+    """
+    p, n = ctx.p, ctx.n
+    basis = ctx._basis_grams.get(i)
+    if basis is None:
+        basis = np.stack([gram_entries(ctx, e, i) for e in np.eye(n, dtype=ctx._dtype)])
+        ctx._basis_grams[i] = basis
+    dt = dtype_for(p, n)
+    grams = np.tensordot(vecs.astype(dt, copy=False), basis.astype(dt, copy=False), axes=1)
+    grams %= p
+    return grams
+
+
 def gram(ctx: ExtensionContext, b: FieldElement, i: int) -> GramMatrix:
     """Gram matrix of the skew-form attached to (b, sigma^i) in the power basis."""
     if not 1 <= i < ctx.n:
@@ -123,6 +140,35 @@ def is_degenerate_by_norm(ctx: ExtensionContext, b: FieldElement, i: int) -> boo
         # the invariant norm lies in the prime field exactly when degenerate
         if full_norm.in_prime_field() != form2:
             raise InternalCheckError(f"prime-field membership disagrees for b={b}")
+    return form1
+
+
+def is_degenerate_by_norm_stack(
+    ctx: ExtensionContext, vecs: np.ndarray, i: int, inverses: np.ndarray
+) -> np.ndarray:
+    """is_degenerate_by_norm for every row of a (B, n) stack of nonzero
+    elements, with the same cross-checks.  `inverses` holds the rows'
+    inverses (ExtensionContext.inverse_stack), computed once for all i.
+    """
+    p, n = ctx.p, ctx.n
+    if not (vecs % p != 0).any(axis=1).all():
+        raise ZeroElement("the norm criterion needs b != 0")
+    im = i % n
+    o = order_of(ctx, im) if im else 1
+    if o <= 2:
+        raise InvolutionNotSupported(f"sigma^{i} has order {o}; the criterion needs order > 2")
+    sub = math.gcd(n, 2 * im)
+    quotient = ctx.mul_stack(ctx.frobenius_stack(vecs, im), inverses)
+    form1 = ctx.is_one_stack(ctx.norm_stack(quotient, sub))
+    full_norm = ctx.norm_stack(vecs, sub)
+    form2 = (ctx.frobenius_stack(full_norm, im) == full_norm).all(axis=1)
+    bad = form1 != form2
+    if im == 1:
+        # the invariant norm lies in the prime field exactly when degenerate
+        bad |= (full_norm[:, 1:] != 0).any(axis=1) == form2
+    if bad.any():
+        b = ctx.element(vecs[bad.argmax()])
+        raise InternalCheckError(f"stacked norm criteria disagree for b={b}, i={i}")
     return form1
 
 

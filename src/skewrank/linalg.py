@@ -27,19 +27,40 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a.astype(dt, copy=False) @ b.astype(dt, copy=False)) % p
 
 
-def matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """Exact matrix power a**e mod p, e >= 0."""
-    if e < 0:
-        raise ValueError("negative matrix power not supported")
-    n = a.shape[0]
-    result = np.eye(n, dtype=a.dtype)
-    base = a % p
-    while e:
-        if e & 1:
-            result = matmul_mod(result, base, p)
-        base = matmul_mod(base, base, p)
-        e >>= 1
-    return result
+def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
+    """Row ranks over GF(p) of every matrix in a (B, R, C) stack.
+
+    Fraction-free elimination, one column c at a time across the whole
+    stack: each matrix takes as pivot its first not-yet-used row with a
+    nonzero entry in c, and every row r becomes pivot * r - r[c] *
+    pivot_row.  Both products are residues, so a step needs headroom for
+    two of them and no modular inverse.  Pivot rows and columns up to c
+    are never read again, so the step runs in place on the columns
+    right of c, and matrices without a pivot in c scale by 1 instead.
+    Stops once every matrix has a full set of pivots.
+    """
+    m = np.array(stack, dtype=dtype_for(p, 2))
+    m %= p
+    count, rows, cols = m.shape
+    full = min(rows, cols)
+    used = np.zeros((count, rows), dtype=bool)
+    ranks = np.zeros(count, dtype=np.int64)
+    every = np.arange(count)
+    for c in range(cols):
+        if (ranks == full).all():
+            break
+        col = m[:, :, c]
+        cand = (col != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        prow = m[every, piv, c:]
+        used[every[has], piv[has]] = True
+        ranks += has
+        rest = m[:, :, c + 1 :]
+        rest *= np.where(has, prow[:, 0], 1)[:, None, None]
+        rest -= col[:, :, None] * prow[:, None, 1:]
+        rest %= p
+    return ranks
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:

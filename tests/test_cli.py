@@ -44,6 +44,25 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1 and "sample-cap" in err
 
 
+def test_negative_seed_exits_one(capsys):
+    code, out, err = run_cli(capsys, "verify", "--theorem", "direct-sum", "--p", "5", "--n", "6",
+                             "--seed", "-1")
+    assert code == 1 and out == ""
+    assert "seed must be >= 0" in err and "Traceback" not in err
+
+
+def test_section6_rejects_empty_grid_and_samples(capsys):
+    for argv, condition in (
+        (("--grid", "-1", "--samples", "0"), "grid must be >= 1"),
+        (("--grid", "0"), "grid must be >= 1"),
+        (("--samples", "0"), "samples must be >= 1"),
+    ):
+        code, out, err = run_cli(capsys, "section6", *argv)
+        assert code == 1 and out == "" and condition in err
+    code, _, err = run_cli(capsys, "report-all", "--p", "3", "--n", "4", "--samples", "0")
+    assert code == 1 and "samples must be >= 1" in err
+
+
 def test_oracle_report(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--p", "3", "--n", "4")
     assert code == 0
