@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from .errors import NotSquareFree
+from .errors import InternalCheckError, InvalidArgument, NotSquareFree
+from .linalg import STACK_BYTES, dtype_for_bound
 
 _MINPOLY_FOLD = (-1, -1, -1, -1)  # eta^4 = -1 - eta - eta^2 - eta^3
 
@@ -358,8 +359,161 @@ def subspace_element(c1, c2, c3) -> CycloElement:
     return b
 
 
+def parametrized_value(c1, c2, c3) -> Fraction:
+    """The quadratic form PARAMETRIZED_FORM at (c1, c2, c3)."""
+    vec = (Fraction(c1), Fraction(c2), Fraction(c3))
+    return sum(vec[i] * PARAMETRIZED_FORM[i][j] * vec[j] for i in range(3) for j in range(3))
+
+
 def _pfaffian4(g) -> Fraction:
     return g[0][1] * g[2][3] - g[0][2] * g[1][3] + g[0][3] * g[1][2]
+
+
+# ---------------------------------------------------------------------------
+# integer kernels over blocks of rows
+# ---------------------------------------------------------------------------
+#
+# A block of rational rows is first scaled row by row by a common
+# denominator D.  That changes neither whether a Pfaffian vanishes nor
+# whether a homogeneous degree-2 identity holds (both sides scale by D^2).
+# Each accumulation takes its dtype from a bound on its actual inputs, so
+# it falls back to Python integers where int64 could overflow.
+
+def _integer_matrix(rows) -> np.ndarray:
+    return np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
+
+
+_SUBSPACE_COORDS = _integer_matrix(v.coords for v in SUBSPACE_BASIS)
+# row k holds the coordinates of sigma(eta^k); rows act on the right
+_SIGMA_MATRIX = _integer_matrix(u.coords for u in _SIGMA_IMAGES)
+_SIGMA2_MATRIX = _SIGMA_MATRIX @ _SIGMA_MATRIX
+# folds the degree <= 6 coefficients of a product by eta^4 and eta^5 = 1, eta^6 = eta
+_FOLD = np.vstack([np.eye(4, dtype=np.int64), _MINPOLY_FOLD, np.eye(2, 4, dtype=np.int64)])
+# x^T U x with U upper triangular: the degeneracy coefficient, and PARAMETRIZED_FORM
+_DEGENERACY_UPPER = np.array(
+    [[0, -1, 1, 1], [0, 0, -1, 1], [0, 0, 0, -1], [0, 0, 0, 0]], dtype=np.int64
+)
+_PARAMETRIZED_UPPER = _integer_matrix(
+    [(2 if j > i else int(j == i)) * PARAMETRIZED_FORM[i][j] for j in range(3)] for i in range(3)
+)
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _linear_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    dt = dtype_for_bound(max(_max_abs(rows), _max_abs(mat)), mat.shape[0])
+    return rows.astype(dt, copy=False) @ mat.astype(dt)
+
+
+def _quadratic_rows(rows: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """x^T upper x for every row x."""
+    dt = dtype_for_bound(_max_abs(rows), int(np.abs(upper).sum()))
+    x = rows.astype(dt, copy=False)
+    return ((x @ upper.astype(dt)) * x).sum(axis=1)
+
+
+def _clear_denominators(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Integer rows D * nums / dens, D the lcm of the row's denominators, and each D."""
+    scale = [math.lcm(*row) for row in dens.tolist()]
+    rows = [[s * n // d for n, d in zip(nr, dr)] for s, nr, dr in zip(scale, nums.tolist(), dens.tolist())]
+    return np.array(rows, dtype=object).reshape(nums.shape), scale
+
+
+def subspace_basis_grams() -> np.ndarray:
+    """The (3, 4, 4) integer Grams of SUBSPACE_BASIS, by gram_rational."""
+    grams = np.array([gram_rational(v)[0] for v in SUBSPACE_BASIS], dtype=object)
+    if any(e.denominator != 1 for e in grams.flat):
+        raise InternalCheckError("the Grams of SUBSPACE_BASIS are not integral")
+    return grams.astype(np.int64)
+
+
+def combined_gram_stack(rows: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
+    """(B, 4, 4) Grams of the integer combinations, one per row of a
+    (B, k) block, of the k elements whose Grams are basis_grams.  The
+    Gram is linear in b, so this is one contraction with the basis
+    Grams; the dtype leaves room for the three products of a Pfaffian."""
+    bound = _max_abs(rows) * _max_abs(np.abs(basis_grams).sum(axis=0))
+    dt = dtype_for_bound(bound, 3)
+    return np.tensordot(rows.astype(dt, copy=False), basis_grams.astype(dt), axes=1)
+
+
+def pfaffian_stack(grams: np.ndarray) -> np.ndarray:
+    """Pfaffians of a (B, 4, 4) stack of alternating matrices.  A 4x4
+    alternating matrix has rank 4 exactly when its Pfaffian is nonzero."""
+    return _pfaffian4(grams.transpose(1, 2, 0))
+
+
+def norm_to_quadratic_subfield_stack(rows: np.ndarray) -> np.ndarray:
+    """b * sigma^2(b) in Z[eta] for every integer coordinate row b."""
+    conj = _linear_rows(rows, _SIGMA2_MATRIX)
+    # an output coordinate sums at most 16 of the products a_i * conj_j
+    dt = dtype_for_bound(max(_max_abs(rows), _max_abs(conj)), 16)
+    a, conj = rows.astype(dt, copy=False), conj.astype(dt, copy=False)
+    conv = np.zeros((len(a), 7), dtype=dt)
+    for k in range(4):
+        conv[:, k : k + 4] += a[:, k, None] * conj
+    return conv @ _FOLD.astype(dt)
+
+
+def _grid_rows(bound: int, size: int):
+    """Nonzero points of [-bound, bound]^3, c3 fastest, in blocks of at most size rows."""
+    side = 2 * bound + 1
+    total = side**3
+    for start in range(0, total, size):
+        flat = np.arange(start, min(start + size, total), dtype=np.int64)
+        rows = np.stack([flat // side**2, flat // side % side, flat % side], axis=1) - bound
+        rows = rows[rows.any(axis=1)]
+        if len(rows):
+            yield rows
+
+
+def _coefficient_block(rows: np.ndarray, spot: tuple, spot_scale: int) -> tuple[int, bool]:
+    """Coefficient-identity failures over a block of integer rows b, and
+    the sign convention at the block's first row.  That row is `spot`
+    scaled by `spot_scale`; the Fraction path recomputes it and any
+    disagreement raises InternalCheckError."""
+    norms = norm_to_quadratic_subfield_stack(rows)
+    outside = (norms[:, 1] != 0) | (norms[:, 2] != norms[:, 3])
+    if outside.any():
+        raise InternalCheckError(
+            f"b * sigma^2(b) is outside the quadratic subfield for scaled b = {rows[outside.argmax()]}"
+        )
+    coeffs = _quadratic_rows(rows, _DEGENERACY_UPPER)
+    reference = norm_to_quadratic_subfield(CycloElement(spot))
+    square = spot_scale**2
+    if (
+        any(c * square != v for c, v in zip(reference.coords, norms[0]))
+        or degeneracy_coefficient(*spot) * square != coeffs[0]
+    ):
+        raise InternalCheckError(f"integer norm kernel disagrees with the Fraction path at b = {spot}")
+    sign_ok = isotropy_form(*spot) == -degeneracy_coefficient(*spot)
+    return int((norms[:, 2] != coeffs).sum()), sign_ok
+
+
+def _subspace_block(
+    rows: np.ndarray, basis_grams: np.ndarray, spot: tuple, spot_scale: int
+) -> tuple[int, bool]:
+    """Rank-4 count and whether the parametrization identity holds over a
+    block of integer coefficient rows.  The first row is `spot` scaled by
+    `spot_scale`; the Fraction path recomputes it and any disagreement
+    raises InternalCheckError."""
+    grams = combined_gram_stack(rows, basis_grams)
+    pfaffians = pfaffian_stack(grams)
+    coords = _linear_rows(rows, _SUBSPACE_COORDS)
+    holds = _quadratic_rows(coords, _DEGENERACY_UPPER) == -_quadratic_rows(rows, _PARAMETRIZED_UPPER)
+    b = subspace_element(*spot)
+    entries, rank = gram_rational(b)
+    square = spot_scale**2
+    if (
+        not (np.array(entries, dtype=object) * spot_scale == grams[0]).all()
+        or _pfaffian4(entries) * square != pfaffians[0]
+        or (rank == 4) != (pfaffians[0] != 0)
+        or (degeneracy_coefficient(*b.coords) == -parametrized_value(*spot)) != holds[0]
+    ):
+        raise InternalCheckError(f"integer Gram kernels disagree with the Fraction path at c = {spot}")
+    return int((pfaffians != 0).sum()), bool(holds.all())
 
 
 @dataclass
@@ -431,7 +585,7 @@ def verify_section6(
     1. The closed-form degeneracy coefficient equals the coordinate
        extracted from b * sigma^2(b), on `samples` random rational
        tuples (exact equality), and is the exact negative of the
-       isotropy form.
+       isotropy form (checked on the first tuple of every block).
     2. Restricted to the certified basis, the coefficient equals the
        negative of the quadratic form encoded by PARAMETRIZED_FORM.
     3. That form diagonalizes by an exact congruence to <1, 1, -3/2>,
@@ -443,68 +597,64 @@ def verify_section6(
 
     form_override replaces the certified ternary form in step 3 (a
     testing hook for exercising the failure path).
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
 
-    def random_fraction() -> Fraction:
-        return Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 21)))
+    Steps 1 and 4 run on integer arrays, in blocks of rows sized from
+    linalg.STACK_BYTES.  In every block the first row is recomputed by
+    the Fraction path (gram_rational, norm_to_quadratic_subfield and
+    degeneracy_coefficient); a disagreement raises InternalCheckError.
+    """
+    if grid < 1:
+        raise InvalidArgument(f"grid must be >= 1, got {grid}")
+    if samples < 1:
+        raise InvalidArgument(f"samples must be >= 1, got {samples}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    size = max(1, STACK_BYTES // (8 * 4 * 4))
+
+    def random_blocks(width: int, nonzero: bool):
+        """`samples` random rows of `width` fractions, drawn one fraction
+        at a time, numerator first, in blocks of at most `size` rows.
+        Yields each block scaled to integers, with its first row as
+        fractions and that row's scale; `nonzero` drops zero rows."""
+        for start in range(0, samples, size):
+            count = min(size, samples - start)
+            draws = [(int(rng.integers(-99, 100)), int(rng.integers(1, 21))) for _ in range(count * width)]
+            pairs = np.array(draws, dtype=np.int64).reshape(count, width, 2)
+            if nonzero:
+                pairs = pairs[pairs[..., 0].any(axis=1)]
+            if len(pairs):
+                rows, scale = _clear_denominators(pairs[..., 0], pairs[..., 1])
+                yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
 
     coefficient_failures = 0
     sign_ok = True
-    for _ in range(samples):
-        tup = tuple(random_fraction() for _ in range(4))
-        b = CycloElement(tup)
-        norm = norm_to_quadratic_subfield(b)
-        _, second = quadratic_subfield_coordinates(norm)
-        coeff = degeneracy_coefficient(*tup)
-        if coeff != second:
-            coefficient_failures += 1
-        if isotropy_form(*tup) != -coeff:
-            sign_ok = False
+    for rows, spot, scale in random_blocks(4, nonzero=False):
+        failures, spot_sign_ok = _coefficient_block(rows, spot, scale)
+        coefficient_failures += failures
+        sign_ok = sign_ok and spot_sign_ok
 
-    parametrization_ok = True
-    param = PARAMETRIZED_FORM
-
-    def param_value(c1, c2, c3) -> Fraction:
-        vec = (Fraction(c1), Fraction(c2), Fraction(c3))
-        return sum(vec[i] * param[i][j] * vec[j] for i in range(3) for j in range(3))
-
-    diag = diagonalize_ternary(param)
-    congruence_ok = _congruence_holds(param, diag)
+    diag = diagonalize_ternary(PARAMETRIZED_FORM)
+    congruence_ok = _congruence_holds(PARAMETRIZED_FORM, diag)
     certified = form_override if form_override is not None else diag.squarefree_form
     conditions = legendre_certificate(tuple(certified))
     anisotropic = not all(conditions.values())
 
     # grid + random sampling; Gram is linear in b, so combine basis Grams
-    basis_grams = [np.array(gram_rational(v)[0], dtype=object) for v in SUBSPACE_BASIS]
+    basis_grams = subspace_basis_grams()
+    parametrization_ok = True
     grid_checked = 0
     grid_rank4 = 0
-    for c1 in range(-grid, grid + 1):
-        for c2 in range(-grid, grid + 1):
-            for c3 in range(-grid, grid + 1):
-                if c1 == 0 and c2 == 0 and c3 == 0:
-                    continue
-                grid_checked += 1
-                g = c1 * basis_grams[0] + c2 * basis_grams[1] + c3 * basis_grams[2]
-                if _pfaffian4(g) != 0:
-                    grid_rank4 += 1
-                # integer coordinates of the combination: fast exact identity check
-                x, y, z, w = -c2 + c3, c1 + c3, c1, c2
-                coeff = -x * y + x * z + x * w - y * z + y * w - z * w
-                if coeff != -(c1 * c1 + c2 * c2 + c3 * c3 + c1 * c3 - 3 * c2 * c3):
-                    parametrization_ok = False
+    for rows in _grid_rows(grid, size):
+        rank4, holds = _subspace_block(rows, basis_grams, tuple(int(c) for c in rows[0]), 1)
+        grid_checked += len(rows)
+        grid_rank4 += rank4
+        parametrization_ok = parametrization_ok and holds
     random_checked = 0
     random_rank4 = 0
-    for _ in range(samples):
-        c = tuple(random_fraction() for _ in range(3))
-        if not any(c):
-            continue
-        random_checked += 1
-        _, r = gram_rational(subspace_element(*c))
-        if r == 4:
-            random_rank4 += 1
-        if degeneracy_coefficient(*subspace_element(*c).coords) != -param_value(*c):
-            parametrization_ok = False
+    for rows, spot, scale in random_blocks(3, nonzero=True):
+        rank4, holds = _subspace_block(rows, basis_grams, spot, scale)
+        random_checked += len(rows)
+        random_rank4 += rank4
+        parametrization_ok = parametrization_ok and holds
     return Section6Report(
         coefficient_checked=samples,
         coefficient_failures=coefficient_failures,

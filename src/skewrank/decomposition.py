@@ -23,12 +23,11 @@ from .forms import (
     is_degenerate_by_norm_stack,
 )
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
-from .linalg import rank_mod, rank_mod_batch
+from .linalg import STACK_BYTES, rank_mod, rank_mod_batch
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
 FULL_FIELD_CEILING = 2**24  # cap for whole-field oracle enumeration
 RNG_NAME = "PCG64"
-STACK_BYTES = 2**17  # elements are evaluated in blocks whose (B, n, n) Gram stack fits this
 
 
 @dataclass

@@ -135,6 +135,15 @@ def _poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
     return h == [0, 1]
 
 
+def _has_root(f: tuple[int, ...], p: int) -> bool:
+    """Does f have a root in GF(p)?  The roots are those of
+    gcd(x^p - x, f), so this is O(n^2 log p) rather than O(p)."""
+    fl = list(f)
+    h = _ppow_mod([0, 1], p, fl, p) + [0, 0]
+    h[1] = (h[1] - 1) % p
+    return len(_pgcd(fl, h, p)) != 1
+
+
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
@@ -159,21 +168,10 @@ def _lex_irreducible(p: int, n: int) -> tuple[int, ...]:
     # candidate with c0 = 0 is divisible by x, so the scan starts at c0 = 1.
     lower = [0] * n
     lower[0] = 1
-    residues = list(range(p))
     while True:
-        # cheap root filter before the full irreducibility test
-        has_root = False
-        for r in residues:
-            acc = 1
-            for c in reversed(lower):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                has_root = True
-                break
-        if not has_root:
-            cand = tuple(lower) + (1,)
-            if _poly_is_irreducible(cand, p):
-                return cand
+        cand = tuple(lower) + (1,)
+        if not _has_root(cand, p) and _poly_is_irreducible(cand, p):
+            return cand
         i = n - 1
         while i >= 1 and lower[i] == p - 1:
             lower[i] = 0

@@ -11,13 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 _INT64_LIMIT = 2**63
+STACK_BYTES = 2**17  # batched kernels take rows in blocks whose int64 matrix stack fits this
+
+
+def dtype_for_bound(bound: int, max_terms: int):
+    """Dtype whose accumulators hold `max_terms` products of integers of
+    absolute value at most `bound`."""
+    if max_terms * bound**2 < _INT64_LIMIT:
+        return np.int64
+    return object
 
 
 def dtype_for(p: int, max_terms: int):
     """Dtype whose accumulators hold `max_terms` products of residues mod p."""
-    if max_terms * (p - 1) ** 2 < _INT64_LIMIT:
-        return np.int64
-    return object
+    return dtype_for_bound(p - 1, max_terms)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 """CLI contract: flags, exit codes, JSON schema, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import skewrank
 from skewrank.cli import main
 
 
@@ -61,6 +64,16 @@ def test_section6_rejects_empty_grid_and_samples(capsys):
         assert code == 1 and out == "" and condition in err
     code, _, err = run_cli(capsys, "report-all", "--p", "3", "--n", "4", "--samples", "0")
     assert code == 1 and "samples must be >= 1" in err
+
+
+def test_largest_accepted_prime_runs(capsys):
+    # the modulus search used to scan all p residues per candidate
+    for theorem, n in (("TC", "4"), ("direct-sum", "3")):
+        code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--p", "2147483647",
+                                 "--n", n, "--sample-cap", "50")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["pass"] is True and doc["instance"]["p"] == 2147483647
 
 
 def test_oracle_report(capsys):
@@ -133,9 +146,12 @@ def test_report_all_small_instance(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child finds the package where this process found it, whatever PYTHONPATH says
+    src = str(Path(skewrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "skewrank", "verify", "--theorem", "TC", "--p", "3", "--n", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True

@@ -6,10 +6,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skewrank import cyclotomic as cy
-from skewrank.errors import NotSquareFree
+from skewrank.errors import InternalCheckError, InvalidArgument, NotSquareFree
 
 ETA_C = cmath.exp(2j * cmath.pi / 5)
 
@@ -256,3 +259,100 @@ def test_section6_report_is_deterministic():
     a = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
     b = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
     assert a == b
+
+
+def test_verify_section6_rejects_empty_grid_and_samples():
+    # either would pass having checked nothing
+    with pytest.raises(InvalidArgument, match="grid must be >= 1"):
+        cy.verify_section6(grid=0, samples=10)
+    with pytest.raises(InvalidArgument, match="samples must be >= 1"):
+        cy.verify_section6(grid=1, samples=0)
+
+
+# --- integer kernels against the Fraction path -------------------------------
+
+SMALL_NUMERATORS = st.integers(-99, 99)
+# products overflow int64 silently from ~2**30 on; rows themselves from 2**63 on
+LARGE_NUMERATORS = st.one_of(st.integers(-(2**40), 2**40), st.integers(-(2**70), 2**70))
+DENOMINATORS = st.integers(1, 20)
+
+
+def rational_rows(width, numerators):
+    row = st.lists(st.tuples(numerators, DENOMINATORS), min_size=width, max_size=width)
+    return st.lists(row, min_size=1, max_size=12)
+
+
+def split(rows):
+    pairs = np.array(rows, dtype=object)
+    return pairs[..., 0], pairs[..., 1]
+
+
+def fractions_of(row):
+    return tuple(Fraction(int(n), int(d)) for n, d in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_rows(3, st.one_of(SMALL_NUMERATORS, LARGE_NUMERATORS)))
+def test_subspace_pfaffian_rank_matches_gram_rational(rows):
+    nums, dens = split(rows)
+    scaled, scale = cy._clear_denominators(nums, dens)
+    grams = cy.combined_gram_stack(scaled, cy.subspace_basis_grams())
+    pfaffians = cy.pfaffian_stack(grams)
+    if max(abs(int(n)) for n in nums.flat) > 2**40:
+        assert grams.dtype == object
+    for row, d, gram, pf in zip(rows, scale, grams, pfaffians):
+        entries, rank = cy.gram_rational(cy.subspace_element(*fractions_of(row)))
+        assert (np.array(entries, dtype=object) * d == gram).all()
+        assert (pf != 0) == (rank == 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_rows(4, st.one_of(st.integers(-3, 3), SMALL_NUMERATORS, LARGE_NUMERATORS)))
+@example([[(1, 1), (0, 1), (0, 1), (0, 1)], [(1, 1)] * 4, [(0, 1)] * 4])  # 1 and -eta^4: rank 2; 0
+def test_pfaffian_rank_matches_gram_rational_on_all_of_q_eta(rows):
+    # the whole field has degenerate elements (rank 2 and 0), unlike the subspace
+    nums, dens = split(rows)
+    scaled, scale = cy._clear_denominators(nums, dens)
+    basis = np.array([cy.gram_rational(e)[0] for e in cy._BASIS], dtype=object).astype(np.int64)
+    pfaffians = cy.pfaffian_stack(cy.combined_gram_stack(scaled, basis))
+    for row, d, pf in zip(rows, scale, pfaffians):
+        entries, rank = cy.gram_rational(cy.CycloElement(fractions_of(row)))
+        assert pf == cy._pfaffian4(entries) * d * d
+        assert (pf != 0) == (rank == 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_rows(4, st.one_of(SMALL_NUMERATORS, LARGE_NUMERATORS)))
+def test_norm_stack_matches_norm_to_quadratic_subfield(rows):
+    nums, dens = split(rows)
+    scaled, scale = cy._clear_denominators(nums, dens)
+    norms = cy.norm_to_quadratic_subfield_stack(scaled)
+    coeffs = cy._quadratic_rows(scaled, cy._DEGENERACY_UPPER)
+    for row, d, norm, coeff in zip(rows, scale, norms, coeffs):
+        tup = fractions_of(row)
+        reference = cy.norm_to_quadratic_subfield(cy.CycloElement(tup))
+        assert [c * d * d for c in reference.coords] == list(norm)
+        assert cy.degeneracy_coefficient(*tup) * d * d == coeff
+
+
+def test_grid_rows_cover_the_nonzero_grid_in_counting_order():
+    rows = np.concatenate(list(cy._grid_rows(2, 7)))
+    expected = [c for c in itertools.product(range(-2, 3), repeat=3) if any(c)]
+    assert [tuple(r) for r in rows.tolist()] == expected
+
+
+def test_section6_report_is_independent_of_block_size(monkeypatch):
+    default = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
+    monkeypatch.setattr(cy, "STACK_BYTES", 1)  # one row per block
+    assert cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict() == default
+
+
+@pytest.mark.parametrize("kernel,tampered", [
+    ("pfaffian_stack", lambda grams: np.zeros(len(grams), dtype=np.int64)),
+    ("combined_gram_stack", lambda rows, basis: 2 * np.tensordot(rows, basis, axes=1)),
+    ("norm_to_quadratic_subfield_stack", lambda rows: 0 * rows),
+])
+def test_spot_check_catches_a_tampered_kernel(monkeypatch, kernel, tampered):
+    monkeypatch.setattr(cy, kernel, tampered)
+    with pytest.raises(InternalCheckError):
+        cy.verify_section6(grid=1, samples=5, seed=0)

@@ -3,6 +3,9 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewrank.errors import (
     ContextMismatch,
@@ -12,7 +15,7 @@ from skewrank.errors import (
     InvalidPrime,
     InvalidSubfield,
 )
-from skewrank.fields import ExtensionContext, find_irreducible
+from skewrank.fields import ExtensionContext, _has_root, find_irreducible
 
 
 def brute_first_irreducible(p, n):
@@ -275,3 +278,20 @@ def test_element_repr_and_hash(ctx):
     assert hash(c.one()) == hash(c.scalar(1))
     seen = {b for b in c.elements(include_zero=True)}
     assert len(seen) == c.order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=7))))
+def test_gcd_root_filter_matches_brute_force(case):
+    p, lower = case
+    f = tuple(lower) + (1,)  # monic, constant term first
+    brute = any(sum(c * pow(r, k, p) for k, c in enumerate(f)) % p == 0 for r in range(p))
+    assert _has_root(f, p) == brute
+
+
+def test_find_irreducible_at_the_largest_accepted_prime():
+    p = 2**31 - 1
+    f = find_irreducible(p, 4)
+    x = sympy.Symbol("x")
+    assert sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
