@@ -15,7 +15,6 @@ from .cyclotomic import (
 )
 from .decomposition import (
     ComponentCheck,
-    ComponentReport,
     OracleReport,
     TheoremReport,
     build_component,
@@ -23,7 +22,6 @@ from .decomposition import (
     oracle_survey,
     remark_C_check,
     theorem_A_subspaces,
-    verify_corollary_odd_order,
     verify_direct_sum,
     verify_theorem_A,
     verify_theorem_C,
@@ -37,13 +35,11 @@ from .forms import (
     gram,
     is_degenerate_by_norm,
     predicted_rank,
-    rank,
 )
-from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, sigma_matrix
+from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of
 
 __all__ = [
     "ComponentCheck",
-    "ComponentReport",
     "CycloElement",
     "DegeneracyWitness",
     "ExtensionContext",
@@ -71,11 +67,8 @@ __all__ = [
     "oracle_survey",
     "order_of",
     "predicted_rank",
-    "rank",
     "remark_C_check",
-    "sigma_matrix",
     "theorem_A_subspaces",
-    "verify_corollary_odd_order",
     "verify_direct_sum",
     "verify_section6",
     "verify_theorem_A",

@@ -21,6 +21,7 @@ import sympy
 from . import __version__
 from .cyclotomic import verify_section6
 from .decomposition import (
+    EXHAUSTIVE_CEILING,
     FULL_FIELD_CEILING,
     oracle_survey,
     remark_C_check,
@@ -89,8 +90,8 @@ def _validate_instance(p: int, n: int) -> None:
 def _validate_common(args) -> None:
     if args.seed < 0:
         raise InvalidArgument(f"seed must be >= 0, got {args.seed}")
-    if args.sample_cap < 1:
-        raise InvalidArgument("sample-cap must be >= 1")
+    if not 1 <= args.sample_cap <= EXHAUSTIVE_CEILING:
+        raise InvalidArgument(f"sample-cap must be in [1, {EXHAUSTIVE_CEILING}], got {args.sample_cap}")
     # section6 with no grid point or no sample would pass having checked nothing
     for name in ("grid", "samples"):
         value = getattr(args, name, 1)

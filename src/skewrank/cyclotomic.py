@@ -19,7 +19,7 @@ import numpy as np
 import sympy
 
 from .errors import InternalCheckError, InvalidArgument, NotSquareFree
-from .linalg import STACK_BYTES, dtype_for_bound
+from .linalg import STACK_BYTES, dtype_for_bound, rref
 
 _MINPOLY_FOLD = (-1, -1, -1, -1)  # eta^4 = -1 - eta - eta^2 - eta^3
 
@@ -135,31 +135,6 @@ def isotropy_form(x, y, z, w) -> Fraction:
     return -degeneracy_coefficient(x, y, z, w)
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][c]
-        m[rank] = [v / lead for v in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def gram_rational(b: CycloElement) -> tuple[tuple[tuple[Fraction, ...], ...], int]:
     """Gram matrix of the skew-form of b in the basis {1, eta, eta^2,
     eta^3}, with its exact rank.  Rank 4 iff the degeneracy coefficient
@@ -172,7 +147,8 @@ def gram_rational(b: CycloElement) -> tuple[tuple[tuple[Fraction, ...], ...], in
             val = b * (br * cyclo_sigma(bs) - cyclo_sigma(br) * bs)
             row.append(val.rational_trace())
         entries.append(row)
-    return tuple(tuple(row) for row in entries), _rational_rank(entries)
+    _, pivots = rref(np.array(entries, dtype=object), lambda x: 1 / Fraction(x), lambda m: m)
+    return tuple(tuple(row) for row in entries), len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -86,17 +86,6 @@ class TheoremReport:
         }
 
 
-@dataclass
-class ComponentReport:
-    """Image of b -> gram(b, i) on the power basis of L."""
-
-    i: int
-    dimension: int
-    basis_grams: list[GramMatrix]
-    order: int
-    classification: str  # "involution" | "odd_order" | "even_order"
-
-
 # ---------------------------------------------------------------------------
 # enumeration helpers
 # ---------------------------------------------------------------------------
@@ -220,8 +209,8 @@ def _spec_check(
 # components of the full space of skew-forms
 # ---------------------------------------------------------------------------
 
-def build_component(ctx: ExtensionContext, i: int) -> ComponentReport:
-    """Image of the power basis under b -> gram(b, i).
+def build_component(ctx: ExtensionContext, i: int) -> list[GramMatrix]:
+    """Basis of the image of the power basis under b -> gram(b, i).
 
     Non-involutions give n independent images (the map is injective);
     the involution's image has dimension exactly n/2 and the returned
@@ -231,16 +220,9 @@ def build_component(ctx: ExtensionContext, i: int) -> ComponentReport:
     if not 1 <= i < ctx.n:
         raise ValueError(f"component index must be in [1, {ctx.n}), got {i}")
     n, p = ctx.n, ctx.p
-    o = order_of(ctx, i)
-    if o == 2:
-        classification = "involution"
-    elif o % 2 == 1:
-        classification = "odd_order"
-    else:
-        classification = "even_order"
     grams = [gram(ctx, b, i) for b in ctx.power_basis()]
     vectors = np.array([g.upper_vector() for g in grams], dtype=ctx._dtype)
-    if classification == "involution":
+    if order_of(ctx, i) == 2:
         kept: list[GramMatrix] = []
         kept_rows: list[np.ndarray] = []
         for g, row in zip(grams, vectors):
@@ -252,12 +234,10 @@ def build_component(ctx: ExtensionContext, i: int) -> ComponentReport:
             raise InternalCheckError(
                 f"involution component has dimension {len(kept)} != n/2 = {n // 2}"
             )
-        return ComponentReport(i=i, dimension=len(kept), basis_grams=kept,
-                               order=o, classification=classification)
+        return kept
     if rank_mod(vectors, p) != n:
         raise InternalCheckError(f"component {i} images are dependent for a non-involution")
-    return ComponentReport(i=i, dimension=n, basis_grams=grams,
-                           order=o, classification=classification)
+    return grams
 
 
 def component_representatives(n: int) -> list[int]:
@@ -292,24 +272,23 @@ def verify_direct_sum(
     components: list[ComponentCheck] = []
     full = np.eye(n, dtype=ctx._dtype)  # all of L, in the power basis
     for i in reps:
-        comp = build_component(ctx, i)
-        stacked.extend(g.upper_vector() for g in comp.basis_grams)
-        expected_dim = n // 2 if comp.classification == "involution" else n
-        if comp.dimension != expected_dim:
-            raise InternalCheckError(f"component {i} has dimension {comp.dimension}")
-        if comp.classification == "involution":
-            expected, allowed = None, {0, n}
+        grams = build_component(ctx, i)  # checks the dimension: n/2 or n
+        stacked.extend(g.upper_vector() for g in grams)
+        o = order_of(ctx, i)
+        if o == 2:
+            label, expected, allowed = "B^1", None, {0, n}
         else:
-            expected, allowed = _allowed_ranks(n, comp.order)
+            label = f"A^{i}"
+            expected, allowed = _allowed_ranks(n, o)
         check = rank_spectrum_check(
             ctx, i, full,
-            label=f"A^{i}" if comp.classification != "involution" else "B^1",
+            label=label,
             expected_rank=expected,
             allowed_ranks=allowed,
             sample_cap=sample_cap,
             rng=rng,
         )
-        check.dimension = comp.dimension  # of the form space, not the parameter space
+        check.dimension = len(grams)  # of the form space, not the parameter space
         components.append(check)
     total = n * (n - 1) // 2
     mat = np.array(stacked, dtype=ctx._dtype)
@@ -527,31 +506,6 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
         theorem_id="RemarkC", p=p, n=n,
         components=components,
         direct_sum_ok=membership_ok,
-        seed=seed,
-    )
-
-
-def verify_corollary_odd_order(
-    ctx: ExtensionContext, i: int, seed: int = 0, sample_cap: int = 10_000
-) -> TheoremReport:
-    """Constant rank n - n/ord on the whole component when ord(sigma^i) is odd."""
-    o = order_of(ctx, i)
-    if o % 2 == 0 or o == 1:
-        raise WrongShape(f"sigma^{i} has order {o}; need odd order > 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = ctx.n
-    check = rank_spectrum_check(
-        ctx, i, np.eye(n, dtype=ctx._dtype),
-        label=f"A^{i}",
-        expected_rank=n - n // o,
-        sample_cap=sample_cap,
-        rng=rng,
-    )
-    return TheoremReport(
-        theorem_id="T1" if n % 2 else "T2",
-        p=ctx.p, n=n,
-        components=[check],
-        direct_sum_ok=None,
         seed=seed,
     )
 

@@ -31,7 +31,7 @@ from .errors import (
     InvalidSubfield,
     ZeroElement,
 )
-from .linalg import dtype_for, matmul_mod
+from .linalg import dtype_for, matmul_mod, rref_mod
 
 _MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
 
@@ -75,30 +75,6 @@ def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
     while g:
         f, g = g, _pmod(f, g, p)
     return f
-
-
-def _pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    rem = _ptrim(list(f))
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    q = [0] * max(len(rem) - dg, 0)
-    while rem and len(rem) - 1 >= dg:
-        shift = len(rem) - 1 - dg
-        coef = (rem[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, c in enumerate(g):
-            rem[shift + i] = (rem[shift + i] - coef * c) % p
-        _ptrim(rem)
-    return _ptrim(q), rem
-
-
-def _psub(f: list[int], g: list[int], p: int) -> list[int]:
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return _ptrim(out)
 
 
 def _ppow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
@@ -317,12 +293,13 @@ class ExtensionContext:
         self.n = n
         self.order = p**n
         if modulus is None:
-            modulus = _lex_irreducible(p, n)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise InvalidModulus(f"modulus must be monic of degree {n}")
-        if not _poly_is_irreducible(modulus, p):
-            raise InvalidModulus(f"modulus {modulus} is reducible over GF({p})")
+            modulus = _lex_irreducible(p, n)  # irreducible by construction
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise InvalidModulus(f"modulus must be monic of degree {n}")
+            if not _poly_is_irreducible(modulus, p):
+                raise InvalidModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 
         # 2n-1 terms feed reduction; 3n-2 feed the trace-of-power table.
@@ -400,34 +377,26 @@ class ExtensionContext:
 
     # -- vector-level arithmetic (internal fast path) -------------------------
 
-    def _convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.convolve(a, b)
-
     def _vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.n == 1:
             return (a * b) % self.p
-        conv = self._convolve(a, b) % self.p
+        conv = np.convolve(a, b) % self.p
         return matmul_mod(self._reduce_matrix, conv, self.p)
 
     def _vinv(self, a: np.ndarray) -> np.ndarray:
-        p, n = self.p, self.n
-        if n == 1:
-            out = np.zeros(1, dtype=self._dtype)
-            out[0] = pow(int(a[0]), -1, p)
-            return out
-        # extended Euclid in GF(p)[x]; s tracks the coefficient of a.
-        r0, r1 = list(self.modulus), _ptrim([int(c) for c in a])
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _pdivmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        # r0 = gcd, constant since the modulus is irreducible; s0*a = r0 mod modulus
-        scale = pow(r0[0], -1, p)
-        inv = _pmod([(c * scale) % p for c in s0], list(self.modulus), p)
-        out = np.zeros(n, dtype=self._dtype)
-        out[: len(inv)] = inv
-        return out
+        """Solve a * x = 1 as the linear system M_a x = e_0, M_a being the
+        reduction matrix times the Toeplitz (multiply-by-a) matrix."""
+        n = self.n
+        toeplitz = np.zeros((2 * n - 1, n), dtype=self._dtype)
+        for j in range(n):
+            toeplitz[j : j + n, j] = a % self.p
+        system = np.zeros((n, n + 1), dtype=self._dtype)
+        system[:, :n] = matmul_mod(self._reduce_matrix, toeplitz, self.p)
+        system[0, n] = 1
+        m, pivots = rref_mod(system, self.p)
+        if pivots != list(range(n)):
+            raise DivisionByZero("inverse of zero")
+        return m[:, n]
 
     def _vpow(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:

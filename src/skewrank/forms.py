@@ -102,15 +102,6 @@ def gram(ctx: ExtensionContext, b: FieldElement, i: int) -> GramMatrix:
     return GramMatrix(entries=gram_entries(ctx, b.vector(), i), source_b=b, power_i=i)
 
 
-def rank(g: GramMatrix | np.ndarray, p: int | None = None) -> int:
-    """Exact rank over GF(p); even for alternating input."""
-    if isinstance(g, GramMatrix):
-        return g.rank()
-    if p is None:
-        raise ValueError("p is required for a bare matrix")
-    return rank_mod(g, p)
-
-
 def is_degenerate_by_norm(ctx: ExtensionContext, b: FieldElement, i: int) -> bool:
     """Norm criterion: the form of (b, sigma^i) is degenerate iff the
     norm of sigma^i(b)/b down to the fixed field of sigma^(2i) is 1.

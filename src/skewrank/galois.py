@@ -52,13 +52,6 @@ def order_of(ctx: ExtensionContext, i: int) -> int:
     return ctx.n // math.gcd(ctx.n, i)
 
 
-def sigma_matrix(ctx: ExtensionContext, i: int) -> np.ndarray:
-    """Matrix of sigma^i in the power basis (column j = sigma^i(theta^j))."""
-    if not 0 <= i <= ctx.n:
-        raise ValueError(f"automorphism power must be in [0, {ctx.n}], got {i}")
-    return ctx.sigma_power_matrix(i).copy()
-
-
 def eigenspace(
     ctx: ExtensionContext,
     t: int,

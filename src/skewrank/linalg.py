@@ -70,61 +70,45 @@ def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
     return ranks
 
 
-def rank_mod(a: np.ndarray, p: int) -> int:
-    """Row rank over GF(p) by Gaussian elimination.
+def rref(m: np.ndarray, inverse, reduce) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot column list over an exact field.
 
-    Pivots are chosen as the first nonzero entry in column-major scan
-    order, so the elimination path is deterministic.
+    Gauss-Jordan elimination, vectorised one column at a time.  The field
+    enters through `inverse` (of one nonzero entry) and `reduce` (of an
+    array): x -> pow(x, -1, p) and a % p for GF(p); x -> 1 / Fraction(x)
+    and the identity for Q on object arrays of Fractions.  Each pivot is
+    the first nonzero entry at or below the current row, so the
+    elimination path is deterministic (the RREF itself is unique).
     """
-    m = np.array(a, copy=True) % p
+    m = reduce(np.array(m, copy=True))
     rows, cols = m.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1 :, c] != 0
-        if below.any():
-            m[r + 1 :][below] = (m[r + 1 :][below] - np.outer(m[r + 1 :, c][below], m[r])) % p
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return r
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
+            continue
+        piv = r + nonzero[0]
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        m[r] = reduce(m[r] * inverse(m[r, c]))
+        col = m[:, c].copy()
+        col[r] = 0
+        m = reduce(m - np.outer(col, m[r]))
+        pivots.append(c)
+    return m, pivots
 
 
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p) and the pivot column list."""
-    m = np.array(a, copy=True) % p
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    return rref(a, lambda x: pow(int(x), -1, p), lambda m: m % p)
+
+
+def rank_mod(a: np.ndarray, p: int) -> int:
+    """Row rank over GF(p): the number of RREF pivots."""
+    return len(rref_mod(a, p)[1])
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:

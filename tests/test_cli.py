@@ -54,6 +54,18 @@ def test_negative_seed_exits_one(capsys):
     assert "seed must be >= 0" in err and "Traceback" not in err
 
 
+def test_sample_cap_above_the_exhaustive_ceiling_exits_one(capsys):
+    # the sampled rows were allocated at once: 10**11 of them ended in a numpy MemoryError
+    for argv in (("verify", "--theorem", "direct-sum"), ("oracle",)):
+        code, out, err = run_cli(capsys, *argv, "--p", "1000003", "--n", "3",
+                                 "--sample-cap", "100000000000")
+        assert code == 1 and out == ""
+        assert "sample-cap must be in [1, 1048576]" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "direct-sum", "--p", "3", "--n", "4",
+                           "--sample-cap", str(2**20))
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_section6_rejects_empty_grid_and_samples(capsys):
     for argv, condition in (
         (("--grid", "-1", "--samples", "0"), "grid must be >= 1"),

@@ -10,21 +10,21 @@ from skewrank.errors import HypothesisViolation, WrongShape
 
 def test_build_component_dimensions(ctx):
     c = ctx(3, 4)
-    assert dec.build_component(c, 1).dimension == 4
-    assert dec.build_component(c, 2).dimension == 2
-    assert dec.build_component(c, 2).classification == "involution"
+    assert len(dec.build_component(c, 1)) == 4
+    assert len(dec.build_component(c, 2)) == 2
+    assert galois.order_of(c, 2) == 2  # the involution component
     c6 = ctx(3, 6)
-    assert dec.build_component(c6, 2).classification == "odd_order"
-    assert dec.build_component(c6, 1).classification == "even_order"
+    assert galois.order_of(c6, 2) == 3  # odd order
+    assert galois.order_of(c6, 1) == 6  # even order
     with pytest.raises(ValueError):
         dec.build_component(c, 0)
 
 
 def test_build_component_grams_are_independent(ctx):
     c = ctx(3, 6)
-    comp = dec.build_component(c, 1)
-    rows = np.array([g.upper_vector() for g in comp.basis_grams], dtype=np.int64)
-    assert dec.rank_mod(rows, 3) == comp.dimension
+    grams = dec.build_component(c, 1)
+    rows = np.array([g.upper_vector() for g in grams], dtype=np.int64)
+    assert dec.rank_mod(rows, 3) == len(grams)
 
 
 def test_component_representatives():
@@ -120,13 +120,15 @@ def test_remark_c_hypothesis_gates(ctx):
 
 
 def test_corollary_odd_order(ctx):
+    # corollary: constant rank n - n/ord on the whole component of odd order
     c = ctx(3, 6)
-    for i in (2, 4):
-        report = dec.verify_corollary_odd_order(c, i)
-        assert report.passed
-        assert report.components[0].rank_spectrum == {4: 728}
-    with pytest.raises(WrongShape):
-        dec.verify_corollary_odd_order(c, 3)
+    by_label = {comp.label: comp for comp in dec.verify_direct_sum(c).components}
+    assert by_label["A^2"].passed
+    assert by_label["A^2"].rank_spectrum == {4: 728}
+    # sigma^4 = sigma^-2 has the same odd order 3
+    a4 = dec.rank_spectrum_check(c, 4, np.eye(6, dtype=np.int64), "A^4", expected_rank=4)
+    assert a4.passed and a4.rank_spectrum == {4: 728}
+    assert galois.order_of(c, 3) == 2  # sigma^3 is the involution, not an odd-order component
 
 
 def test_oracle_survey_at_3_4(ctx):

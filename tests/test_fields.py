@@ -1,6 +1,7 @@
 """Field tower arithmetic: oracles first, then invariants."""
 
 import random
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -295,3 +296,48 @@ def test_find_irreducible_at_the_largest_accepted_prime():
     f = find_irreducible(p, 4)
     x = sympy.Symbol("x")
     assert sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
+
+
+BIG_P = 2**31 - 1
+
+
+@lru_cache(maxsize=None)
+def big_cubic():
+    c = ExtensionContext(BIG_P, 3, modulus=(3, 1, 1, 1))
+    assert c._dtype is object  # residue products overflow int64 here
+    return c
+
+
+@pytest.mark.parametrize("p", [3, 7, 1000003, BIG_P])
+def test_inverse_in_the_prime_field(p):
+    c = ExtensionContext(p, 1)
+    for v in (1, 2, p - 1):
+        assert c.scalar(v).inverse() == c.scalar(pow(v, -1, p))
+    with pytest.raises(DivisionByZero):
+        c.zero().inverse()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, BIG_P - 1), min_size=3, max_size=3).filter(any))
+def test_inverse_in_object_dtype(coeffs):
+    c = big_cubic()
+    b = c.element(coeffs)
+    inv = b.inverse()
+    assert b * inv == c.one()
+    assert inv == b ** (c.order - 2)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 4), (BIG_P, 3)])
+def test_negative_powers_invert(ctx, p, n):
+    c = big_cubic() if p == BIG_P else ctx(p, n)
+    rng = random.Random(5)
+    for _ in range(10):
+        b = c.element([rng.randrange(p) for _ in range(n)])
+        if not b:
+            continue
+        for e in (1, 2, 7):
+            negative = c._wrap(c._vpow(b.vector(), -e))
+            assert negative * b**e == c.one()
+            assert negative == (b**e).inverse()
+    with pytest.raises(DivisionByZero):
+        c._vpow(c.zero().vector(), -1)

@@ -9,11 +9,11 @@ from skewrank.linalg import matmul_mod, rank_mod
 
 def test_sigma_matrix_identity_and_group_law(ctx):
     c = ctx(3, 4)
-    assert np.array_equal(galois.sigma_matrix(c, 0), np.eye(4, dtype=np.int64))
+    assert np.array_equal(c.sigma_power_matrix(0), np.eye(4, dtype=np.int64))
     for i in range(4):
         for j in range(4):
-            lhs = matmul_mod(galois.sigma_matrix(c, i), galois.sigma_matrix(c, j), 3)
-            rhs = galois.sigma_matrix(c, (i + j) % 4)
+            lhs = matmul_mod(c.sigma_power_matrix(i), c.sigma_power_matrix(j), 3)
+            rhs = c.sigma_power_matrix((i + j) % 4)
             assert np.array_equal(lhs, rhs)
 
 
@@ -21,14 +21,14 @@ def test_sigma_matrix_columns_are_frobenius_images(ctx):
     c = ctx(5, 3)
     basis = c.power_basis()
     for i in range(1, 3):
-        mat = galois.sigma_matrix(c, i)
+        mat = c.sigma_power_matrix(i)
         for j, b in enumerate(basis):
             assert tuple(int(x) for x in mat[:, j]) == c.frobenius_power(b, i).coeffs
 
 
 def test_sigma_matrix_det_is_root_of_unity(ctx):
     c = ctx(3, 4)
-    mat = galois.sigma_matrix(c, 1)
+    mat = c.sigma_power_matrix(1)
     det = int(round(np.linalg.det(mat.astype(float))))  # exact for these sizes
     assert pow(det % 3, 4, 3) == 1
 
