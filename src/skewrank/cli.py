@@ -145,8 +145,11 @@ def _emit(args, doc: dict) -> int:
     else:
         text = _format_text(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SkewrankError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_PASS if doc["pass"] else EXIT_FAILED

@@ -135,24 +135,27 @@ def _tally(histogram: dict[int, int], ranks: np.ndarray) -> None:
             histogram[r] = histogram.get(r, 0) + count
 
 
+def _spectrum_ok(spectrum: dict[int, int], allowed: set[int], mode: str) -> bool:
+    """The pass rule of every rank spectrum: its support lies inside
+    `allowed`, and an exhaustive run attains all of `allowed`."""
+    return set(spectrum) <= allowed and (mode != "exhaustive" or set(spectrum) == allowed)
+
+
 def rank_spectrum_check(
     ctx: ExtensionContext,
     i: int,
     basis_matrix: np.ndarray,
     label: str,
-    expected_rank: int | None,
-    allowed_ranks: set[int] | None = None,
+    allowed: set[int],
     sample_cap: int = 10_000,
     rng: np.random.Generator | None = None,
-    require_attained: bool = True,
 ) -> ComponentCheck:
     """Rank histogram of gram(b, i) over the span of basis_matrix rows.
 
     Exhaustive when the subspace has at most sample_cap nonzero
     elements (hard ceiling 2**20), otherwise sample_cap seeded samples.
-    With an expected_rank, passing means every checked element hits it
-    exactly; with allowed_ranks, the support must stay inside the set
-    and (for exhaustive runs) attain all of it.
+    Passing is _spectrum_ok against the `allowed` ranks; the report's
+    expected_rank is the rank when `allowed` has one element.
     """
     dim = basis_matrix.shape[0]
     size = ctx.p**dim - 1
@@ -168,22 +171,14 @@ def rank_spectrum_check(
     spectrum: dict[int, int] = {}
     for block in _blocks(vectors, ctx.n):
         _tally(spectrum, _block_ranks(ctx, block, i))
-    if expected_rank is not None:
-        ok = set(spectrum) == {expected_rank}
-    elif allowed_ranks is not None:
-        ok = set(spectrum) <= allowed_ranks
-        if require_attained and mode == "exhaustive":
-            ok = ok and set(spectrum) == allowed_ranks
-    else:
-        ok = True
     return ComponentCheck(
         label=label,
         dimension=dim,
-        expected_rank=expected_rank,
+        expected_rank=min(allowed) if len(allowed) == 1 else None,
         checked=len(vectors),
         mode=mode,
         rank_spectrum=spectrum,
-        passed=ok,
+        passed=_spectrum_ok(spectrum, allowed, mode),
     )
 
 
@@ -199,7 +194,7 @@ def _spec_check(
         i,
         spec.basis_matrix(),
         label=spec.label,
-        expected_rank=spec.expected_rank,
+        allowed={spec.expected_rank},
         sample_cap=sample_cap,
         rng=rng,
     )
@@ -248,11 +243,12 @@ def component_representatives(n: int) -> list[int]:
     return reps
 
 
-def _allowed_ranks(n: int, o: int) -> tuple[int | None, set[int] | None]:
-    """(expected constant rank, allowed dichotomy support) for order o."""
+def _allowed_ranks(n: int, o: int) -> set[int]:
+    """Ranks allowed for order o: the constant rank n - n/o when o is
+    odd, the dichotomy support {n, n - 2n/o} when o is even."""
     if o % 2 == 1:
-        return n - n // o, None
-    return None, {n, n - 2 * n // o}
+        return {n - n // o}
+    return {n, n - 2 * n // o}
 
 
 def verify_direct_sum(
@@ -275,16 +271,11 @@ def verify_direct_sum(
         grams = build_component(ctx, i)  # checks the dimension: n/2 or n
         stacked.extend(g.upper_vector() for g in grams)
         o = order_of(ctx, i)
-        if o == 2:
-            label, expected, allowed = "B^1", None, {0, n}
-        else:
-            label = f"A^{i}"
-            expected, allowed = _allowed_ranks(n, o)
+        label = "B^1" if o == 2 else f"A^{i}"
         check = rank_spectrum_check(
             ctx, i, full,
             label=label,
-            expected_rank=expected,
-            allowed_ranks=allowed,
+            allowed=_allowed_ranks(n, o),
             sample_cap=sample_cap,
             rng=rng,
         )
@@ -490,7 +481,7 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
             checked=counts[True],
             mode="exhaustive",
             rank_spectrum=spectra[True],
-            passed=pattern_ok and set(spectra[True]) == {n - 2},
+            passed=pattern_ok and _spectrum_ok(spectra[True], {n - 2}, "exhaustive"),
         ),
         ComponentCheck(
             label=f"E{i_index} slice: odd exponents not divisible by {l}",
@@ -499,7 +490,7 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
             checked=counts[False],
             mode="exhaustive",
             rank_spectrum=spectra[False],
-            passed=pattern_ok and set(spectra[False]) == {n},
+            passed=pattern_ok and _spectrum_ok(spectra[False], {n}, "exhaustive"),
         ),
     ]
     return TheoremReport(
@@ -594,19 +585,8 @@ def oracle_survey(
                 )
             predicate_checked += len(block)
             predicate_disagreements += int((predicate != degenerate).sum())
-    support_ok = True
-    for i in range(1, n):
-        o = order_of(ctx, i)
-        expected, allowed = _allowed_ranks(n, o)
-        support = set(histograms[i])
-        if expected is not None:
-            if support != {expected}:
-                support_ok = False
-        else:
-            if not support <= allowed:
-                support_ok = False
-            if mode == "exhaustive" and support != allowed:
-                support_ok = False
+    support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)
+                     for i in range(1, n))
     return OracleReport(
         p=p, n=n, mode=mode, checked=len(rows),
         histograms=histograms,

@@ -4,7 +4,9 @@ Elements live in L = GF(p)[x]/(modulus) and are stored as length-n
 coefficient vectors in the power basis {1, theta, ..., theta^(n-1)},
 theta a root of the monic irreducible modulus.  The map x -> x^p is
 cached as an n x n matrix over GF(p), so automorphism powers, traces
-and norms reduce to exact matrix-vector work.
+and norms reduce to exact matrix-vector work.  Every modulus, supplied
+or found by the search, must pass Rabin's irreducibility test on that
+matrix, in the same arithmetic.
 
 Determinism contract: the modulus defaults to the lexicographically
 smallest monic irreducible polynomial (coefficients compared from the
@@ -36,100 +38,15 @@ from .linalg import dtype_for, matmul_mod, rref_mod
 _MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over GF(p): tuples of ints, constant term first
-# ---------------------------------------------------------------------------
-
-def _ptrim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pmod(f: list[int], m: list[int], p: int) -> list[int]:
-    f = _ptrim(list(f))
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(f) - 1 >= dm:
-        coef = (f[-1] * inv_lead) % p
-        shift = len(f) - 1 - dm
-        for i, c in enumerate(m):
-            f[shift + i] = (f[shift + i] - coef * c) % p
-        _ptrim(f)
-    return f
-
-
-def _pgcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _ptrim(list(f)), _ptrim(list(g))
-    while g:
-        f, g = g, _pmod(f, g, p)
-    return f
-
-
-def _ppow_mod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^n) = x mod f and gcd(x^(p^(n/r)) - x, f) = 1."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    fl = list(f)
-    if n == 1:
-        return True
-    checkpoints = {n // r for r in sympy.primefactors(n)}
-    h = [0, 1]
-    for j in range(1, n + 1):
-        h = _ppow_mod(h, p, fl, p)
-        if j in checkpoints:
-            diff = list(h)
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            g = _pgcd(fl, diff, p)
-            if len(g) != 1:
-                return False
-    return h == [0, 1]
-
-
-def _has_root(f: tuple[int, ...], p: int) -> bool:
-    """Does f have a root in GF(p)?  The roots are those of
-    gcd(x^p - x, f), so this is O(n^2 log p) rather than O(p)."""
-    fl = list(f)
-    h = _ppow_mod([0, 1], p, fl, p) + [0, 0]
-    h[1] = (h[1] - 1) % p
-    return len(_pgcd(fl, h, p)) != 1
-
-
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
     Candidate lower coefficient tuples (c0, ..., c_{n-1}) are compared
-    from the constant term up.  Raises InvalidPrime / InvalidDegree on
-    bad input; n >= 2 is required (degree-1 moduli are handled
-    internally by ExtensionContext for the prime field itself).
+    from the constant term up; the first one that ExtensionContext
+    accepts is returned.  Raises InvalidDegree for n < 2 (degree-1 moduli
+    are handled internally by ExtensionContext for the prime field
+    itself) and InvalidPrime for a p that ExtensionContext rejects.
     """
-    if not sympy.isprime(p):
-        raise InvalidPrime(f"{p} is not prime")
     if n < 2:
         raise InvalidDegree(f"extension degree must be >= 2, got {n}")
     return _lex_irreducible(p, n)
@@ -146,8 +63,11 @@ def _lex_irreducible(p: int, n: int) -> tuple[int, ...]:
     lower[0] = 1
     while True:
         cand = tuple(lower) + (1,)
-        if not _has_root(cand, p) and _poly_is_irreducible(cand, p):
+        try:
+            ExtensionContext(p, n, cand)
             return cand
+        except InvalidModulus:
+            pass
         i = n - 1
         while i >= 1 and lower[i] == p - 1:
             lower[i] = 0
@@ -221,19 +141,7 @@ class FieldElement:
             raise DivisionByZero("inverse of zero")
         return self.ctx._wrap(self.ctx._vinv(self.vector()))
 
-    # -- Galois machinery ----------------------------------------------------
-
-    def frobenius(self, i: int = 1) -> "FieldElement":
-        return self.ctx.frobenius_power(self, i)
-
-    def trace(self, sub: int = 1) -> "FieldElement":
-        return self.ctx.trace(self, sub)
-
-    def norm(self, sub: int = 1) -> "FieldElement":
-        return self.ctx.norm(self, sub)
-
-    def order(self) -> int:
-        return self.ctx.element_order(self)
+    # -- prime field ---------------------------------------------------------
 
     def in_prime_field(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -293,13 +201,11 @@ class ExtensionContext:
         self.n = n
         self.order = p**n
         if modulus is None:
-            modulus = _lex_irreducible(p, n)  # irreducible by construction
+            modulus = _lex_irreducible(p, n)
         else:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InvalidModulus(f"modulus must be monic of degree {n}")
-            if not _poly_is_irreducible(modulus, p):
-                raise InvalidModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
 
         # 2n-1 terms feed reduction; 3n-2 feed the trace-of-power table.
@@ -307,7 +213,7 @@ class ExtensionContext:
         self._build_tables()
         self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=self._dtype)}
         self._frob_powers[1] = self._build_frobenius()
-        self._check_frobenius_order()
+        self._check_irreducible()
         self._trace_maps: dict[int, np.ndarray] = {}
         self._tp_table: np.ndarray | None = None
         self._generator: FieldElement | None = None
@@ -336,27 +242,47 @@ class ExtensionContext:
         self._reduce_matrix = pows[: 2 * n - 1].T.copy()
 
     def _build_frobenius(self) -> np.ndarray:
+        """Matrix F of y -> y^p on R = GF(p)[x]/(modulus).
+
+        This is a GF(p)-linear ring endomorphism of R for any monic
+        modulus, irreducible or not.  Before the other columns are built,
+        x^p - x must be a unit of R: otherwise the modulus has a root in
+        GF(p) and is reducible (for n >= 2).
+        """
         n = self.n
-        theta = np.zeros(n, dtype=self._dtype)
         if n == 1:
             return np.eye(1, dtype=self._dtype)
-        theta[1] = 1
+        theta = self._theta_pows[1]
         fp = self._vpow(theta, self.p)  # theta^p
+        self._require_unit(fp - theta, f"it has a root in GF({self.p})")
         cols = [np.zeros(n, dtype=self._dtype)]
         cols[0][0] = 1
         for _ in range(1, n):
             cols.append(self._vmul(cols[-1], fp))
         return np.stack(cols, axis=1)
 
-    def _check_frobenius_order(self) -> None:
-        n = self.n
-        ident = np.eye(n, dtype=self._dtype)
-        nth = matmul_mod(self.sigma_power_matrix(n - 1), self._frob_powers[1], self.p)
-        if not np.array_equal(nth % self.p, ident):
-            raise InvalidModulus("Frobenius matrix does not have order dividing n")
+    def _check_irreducible(self) -> None:
+        """Rabin's test (Rabin 1980) on F: for n >= 2 the modulus is
+        irreducible iff F^n = I and F^(n/r) x - x is a unit of R for
+        every prime r | n.  Raises InvalidModulus naming the modulus."""
+        p, n = self.p, self.n
+        if n == 1:
+            return
+        nth = matmul_mod(self.sigma_power_matrix(n - 1), self._frob_powers[1], p)
+        if not np.array_equal(nth, np.eye(n, dtype=self._dtype)):
+            raise self._reducible(f"x^({p}^{n}) != x")
+        theta = self._theta_pows[1]
         for r in sympy.primefactors(n):
-            if np.array_equal(self.sigma_power_matrix(n // r), ident):
-                raise InvalidModulus("Frobenius matrix has order smaller than n")
+            conjugate = self.sigma_power_matrix(n // r)[:, 1]  # x^(p^(n/r))
+            self._require_unit(conjugate - theta, f"it shares a factor with x^({p}^{n // r}) - x")
+
+    def _reducible(self, why: str) -> InvalidModulus:
+        return InvalidModulus(f"modulus {self.modulus} is reducible over GF({self.p}): {why}")
+
+    def _require_unit(self, a: np.ndarray, why: str) -> None:
+        """Raise InvalidModulus unless a is a unit of R, i.e. M_a has rank n."""
+        if len(rref_mod(self._mul_matrix(a), self.p)[1]) < self.n:
+            raise self._reducible(why)
 
     # -- identity -----------------------------------------------------------
 
@@ -371,10 +297,6 @@ class ExtensionContext:
     def __repr__(self):
         return f"ExtensionContext(p={self.p}, n={self.n}, modulus={self.modulus})"
 
-    @property
-    def frobenius_matrix(self) -> np.ndarray:
-        return self._frob_powers[1]
-
     # -- vector-level arithmetic (internal fast path) -------------------------
 
     def _vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -383,15 +305,20 @@ class ExtensionContext:
         conv = np.convolve(a, b) % self.p
         return matmul_mod(self._reduce_matrix, conv, self.p)
 
-    def _vinv(self, a: np.ndarray) -> np.ndarray:
-        """Solve a * x = 1 as the linear system M_a x = e_0, M_a being the
-        reduction matrix times the Toeplitz (multiply-by-a) matrix."""
+    def _mul_matrix(self, a: np.ndarray) -> np.ndarray:
+        """M_a, the matrix of y -> a * y: the reduction matrix times the
+        Toeplitz (multiply-by-a) matrix.  a is a unit iff M_a has rank n."""
         n = self.n
         toeplitz = np.zeros((2 * n - 1, n), dtype=self._dtype)
         for j in range(n):
             toeplitz[j : j + n, j] = a % self.p
+        return matmul_mod(self._reduce_matrix, toeplitz, self.p)
+
+    def _vinv(self, a: np.ndarray) -> np.ndarray:
+        """Solve a * x = 1 as the linear system M_a x = e_0."""
+        n = self.n
         system = np.zeros((n, n + 1), dtype=self._dtype)
-        system[:, :n] = matmul_mod(self._reduce_matrix, toeplitz, self.p)
+        system[:, :n] = self._mul_matrix(a)
         system[0, n] = 1
         m, pivots = rref_mod(system, self.p)
         if pivots != list(range(n)):

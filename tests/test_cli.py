@@ -146,6 +146,15 @@ def test_output_file_and_text_format(tmp_path, capsys):
     assert "PASS" in out and "E1" in out
 
 
+def test_unwritable_output_exits_one_naming_the_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "verify", "--theorem", "TC", "--p", "3", "--n", "4",
+                             "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_report_all_small_instance(capsys):
     code, out, _ = run_cli(capsys, "report-all", "--p", "3", "--n", "4",
                            "--grid", "2", "--samples", "10")

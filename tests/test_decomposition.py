@@ -126,8 +126,8 @@ def test_corollary_odd_order(ctx):
     assert by_label["A^2"].passed
     assert by_label["A^2"].rank_spectrum == {4: 728}
     # sigma^4 = sigma^-2 has the same odd order 3
-    a4 = dec.rank_spectrum_check(c, 4, np.eye(6, dtype=np.int64), "A^4", expected_rank=4)
-    assert a4.passed and a4.rank_spectrum == {4: 728}
+    a4 = dec.rank_spectrum_check(c, 4, np.eye(6, dtype=np.int64), "A^4", allowed={4})
+    assert a4.passed and a4.rank_spectrum == {4: 728} and a4.expected_rank == 4
     assert galois.order_of(c, 3) == 2  # sigma^3 is the involution, not an odd-order component
 
 
@@ -154,11 +154,26 @@ def test_oracle_degenerate_set_is_the_small_power_torsion(ctx):
 
 def test_sampled_mode_is_reproducible(ctx):
     c = ctx(3, 4)
-    a = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L", None,
-                                allowed_ranks={2, 4}, sample_cap=50)
-    b = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L", None,
-                                allowed_ranks={2, 4}, sample_cap=50)
+    a = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L",
+                                allowed={2, 4}, sample_cap=50)
+    b = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L",
+                                allowed={2, 4}, sample_cap=50)
     assert a.mode == "sampled" and a.rank_spectrum == b.rank_spectrum
+    assert a.expected_rank is None
+
+
+def test_spectrum_pass_rule(ctx):
+    # support inside the allowed set; an exhaustive run must attain all of it
+    c = ctx(3, 4)
+    full = np.eye(4, dtype=np.int64)
+    exact = dec.rank_spectrum_check(c, 1, full, "L", allowed={2, 4})
+    assert exact.mode == "exhaustive" and exact.passed
+    assert exact.rank_spectrum == {2: 20, 4: 60}
+    assert not dec.rank_spectrum_check(c, 1, full, "L", allowed={0, 2, 4}).passed
+    assert not dec.rank_spectrum_check(c, 1, full, "L", allowed={4}).passed
+    assert dec._spectrum_ok({4: 5}, {2, 4}, "sampled")
+    assert not dec._spectrum_ok({4: 5}, {2, 4}, "exhaustive")
+    assert not dec._spectrum_ok({}, {4}, "exhaustive")
 
 
 def test_report_json_shape(ctx):

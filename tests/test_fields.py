@@ -1,6 +1,7 @@
 """Field tower arithmetic: oracles first, then invariants."""
 
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -16,7 +17,7 @@ from skewrank.errors import (
     InvalidPrime,
     InvalidSubfield,
 )
-from skewrank.fields import ExtensionContext, _has_root, find_irreducible
+from skewrank.fields import ExtensionContext, find_irreducible
 
 
 def brute_first_irreducible(p, n):
@@ -285,10 +286,61 @@ def test_element_repr_and_hash(ctx):
 @given(st.sampled_from([3, 5, 7, 11, 13]).flatmap(
     lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=7))))
 def test_gcd_root_filter_matches_brute_force(case):
+    # the root filter is the unit test of x^p - x on a supplied modulus
     p, lower = case
     f = tuple(lower) + (1,)  # monic, constant term first
     brute = any(sum(c * pow(r, k, p) for k, c in enumerate(f)) % p == 0 for r in range(p))
-    assert _has_root(f, p) == brute
+    try:
+        ExtensionContext(p, len(lower), modulus=f)
+        error = ""
+    except InvalidModulus as exc:
+        error = str(exc)
+        assert str(f) in error
+    if len(lower) == 1:
+        assert error == ""  # degree 1 is irreducible
+    else:
+        assert ("has a root" in error) == brute
+
+
+def sympy_irreducible(f, p):
+    return sympy.Poly(list(reversed(f)), sympy.Symbol("x"), modulus=p).is_irreducible
+
+
+def builds(p, f):
+    try:
+        ExtensionContext(p, len(f) - 1, modulus=f)
+        return True
+    except InvalidModulus:
+        return False
+
+
+@pytest.mark.parametrize("p,degrees", [(3, (2, 3, 4, 5)), (5, (2, 3))])
+def test_modulus_test_matches_sympy_on_every_monic(p, degrees):
+    import itertools
+
+    for n in degrees:
+        for lower in itertools.product(range(p), repeat=n):
+            f = lower + (1,)
+            assert builds(p, f) == sympy_irreducible(f, p), f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1000003, 2**31 - 1]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=2, max_size=4))))
+def test_modulus_test_matches_sympy_at_large_p(case):
+    p, lower = case
+    f = tuple(lower) + (1,)
+    assert builds(p, f) == sympy_irreducible(f, p)
+
+
+@pytest.mark.parametrize("f,why", [
+    ((1, 0, 2, 0, 1), "x^(3^4) != x"),  # (x^2 + 1)^2: fails F^n = I
+    ((1, 2, 1, 0, 0, 1), "x^(3^5) != x"),  # (x^2 + 1)(x^3 + 2x + 1): fails only F^n = I
+    ((2, 1, 0, 1, 1), "factor with x^(3^2) - x"),  # (x^2 + 1)(x^2 + x + 2): fails only the gcd step
+])
+def test_each_branch_of_the_modulus_test_rejects(f, why):
+    with pytest.raises(InvalidModulus, match=re.escape(why)):
+        ExtensionContext(3, len(f) - 1, modulus=f)
 
 
 def test_find_irreducible_at_the_largest_accepted_prime():
