@@ -30,7 +30,6 @@ from .errors import SkewrankError
 from .fields import ExtensionContext, FieldElement, find_irreducible
 from .forms import (
     DegeneracyWitness,
-    GramMatrix,
     degeneracy_witness,
     gram,
     is_degenerate_by_norm,
@@ -44,7 +43,6 @@ __all__ = [
     "DegeneracyWitness",
     "ExtensionContext",
     "FieldElement",
-    "GramMatrix",
     "OracleReport",
     "Section6Report",
     "SkewrankError",

@@ -35,6 +35,16 @@ from .galois import two_adic_shape
 
 THEOREMS = ("T1", "T2", "TA", "TC", "RemarkC", "direct-sum")
 
+# verifier(ctx, seed=, sample_cap=) per theorem id; report-all runs
+# direct-sum, TA and TC, and RemarkC takes an eigenspace index instead
+VERIFIERS = {
+    "T1": verify_direct_sum,
+    "T2": verify_direct_sum,
+    "direct-sum": verify_direct_sum,
+    "TA": verify_theorem_A,
+    "TC": verify_theorem_C,
+}
+
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
@@ -163,18 +173,14 @@ def _run_verify(args) -> int:
         raise SkewrankError("n must be odd for T1")
     if theorem == "T2" and args.n % 2 == 1:
         raise SkewrankError("n must be even for T2")
-    if theorem in ("T1", "T2", "direct-sum"):
-        report = verify_direct_sum(ctx, seed=args.seed, sample_cap=args.sample_cap)
-    elif theorem == "TA":
-        report = verify_theorem_A(ctx, seed=args.seed, sample_cap=args.sample_cap)
-    elif theorem == "TC":
-        report = verify_theorem_C(ctx, seed=args.seed, sample_cap=args.sample_cap)
-    else:  # RemarkC
+    if theorem == "RemarkC":
         i_index = args.i
         if i_index is None:
             a, _ = two_adic_shape(args.p + 1)
             i_index = a + 1
         report = remark_C_check(ctx, i_index, seed=args.seed)
+    else:
+        report = VERIFIERS[theorem](ctx, seed=args.seed, sample_cap=args.sample_cap)
     return _emit(args, _wrap(args, report.to_json_dict()))
 
 
@@ -212,9 +218,8 @@ def _run_report_all(args) -> int:
         except SkewrankError as exc:
             skipped.append({"check": name, "reason": str(exc)})
 
-    attempt("direct-sum", lambda: verify_direct_sum(ctx, seed=args.seed, sample_cap=args.sample_cap))
-    attempt("TA", lambda: verify_theorem_A(ctx, seed=args.seed, sample_cap=args.sample_cap))
-    attempt("TC", lambda: verify_theorem_C(ctx, seed=args.seed, sample_cap=args.sample_cap))
+    for name in ("direct-sum", "TA", "TC"):
+        attempt(name, lambda fn=VERIFIERS[name]: fn(ctx, seed=args.seed, sample_cap=args.sample_cap))
     alpha, _ = two_adic_shape(args.n)
     a, l = two_adic_shape(args.p + 1)
     if l > 1 and alpha > a + 1:

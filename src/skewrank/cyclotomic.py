@@ -131,8 +131,10 @@ def degeneracy_coefficient(x, y, z, w) -> Fraction:
 
 def isotropy_form(x, y, z, w) -> Fraction:
     """xy - xz - xw + yz - yw + zw; the exact negative of
-    degeneracy_coefficient, with the same zero set."""
-    return -degeneracy_coefficient(x, y, z, w)
+    degeneracy_coefficient, with the same zero set.  Written out on its
+    own so the sign convention check compares two polynomials."""
+    x, y, z, w = Fraction(x), Fraction(y), Fraction(z), Fraction(w)
+    return x * y - x * z - x * w + y * z - y * w + z * w
 
 
 def gram_rational(b: CycloElement) -> tuple[tuple[tuple[Fraction, ...], ...], int]:

@@ -15,15 +15,13 @@ import numpy as np
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
 from .forms import (
-    GramMatrix,
-    gram,
     gram_entries,
     gram_stack,
     is_degenerate_by_norm,
     is_degenerate_by_norm_stack,
 )
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
-from .linalg import STACK_BYTES, rank_mod, rank_mod_batch
+from .linalg import STACK_BYTES, rank_mod, rank_mod_batch, rref_mod
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
 FULL_FIELD_CEILING = 2**24  # cap for whole-field oracle enumeration
@@ -90,25 +88,37 @@ class TheoremReport:
 # enumeration helpers
 # ---------------------------------------------------------------------------
 
-def _coefficient_rows_exhaustive(p: int, dim: int) -> np.ndarray:
-    """All nonzero coefficient tuples of GF(p)^dim, counting order."""
-    grid = np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1]
-    return grid[1:]  # drop the zero row
+def _coefficient_rows(
+    p: int, dim: int, limit: int, count: int, rng: np.random.Generator | int
+) -> tuple[np.ndarray, str]:
+    """Coefficient rows of GF(p)^dim to evaluate, and the mode.
 
-
-def _coefficient_rows_sampled(p: int, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    Every nonzero tuple in counting order when there are at most `limit`
+    of them ("exhaustive"), else `count` draws from `rng` with any
+    all-zero draw redrawn ("sampled").  An int `rng` seeds a PCG64 only
+    when sampling, so an exhaustive run never loads numpy.random (~6 MB).
+    """
+    if p**dim - 1 <= limit:
+        grid = np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1]
+        return grid[1:], "exhaustive"  # drop the zero row
+    if isinstance(rng, int):
+        rng = np.random.Generator(np.random.PCG64(rng))
     rows = rng.integers(0, p, size=(count, dim), dtype=np.int64)
-    # resample any all-zero draws
     while True:
         zero = ~rows.any(axis=1)
         if not zero.any():
-            return rows
+            return rows, "sampled"
         rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim), dtype=np.int64)
 
 
+def _block_size(n: int) -> int:
+    """Rows per block: one (B, n, n) stack of int64 Grams fits STACK_BYTES."""
+    return max(1, STACK_BYTES // (8 * n * n))
+
+
 def _blocks(vectors: np.ndarray, n: int):
-    """Consecutive row blocks sized so one (B, n, n) stack of int64 fits STACK_BYTES."""
-    size = max(1, STACK_BYTES // (8 * n * n))
+    """Consecutive row blocks of _block_size(n) rows."""
+    size = _block_size(n)
     for start in range(0, len(vectors), size):
         yield vectors[start : start + size]
 
@@ -127,6 +137,24 @@ def _block_ranks(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray
             f"stacked Gram rank disagrees with the scalar path for b={ctx.element(block[0])}, i={i}"
         )
     return ranks
+
+
+def _block_predicate(
+    ctx: ExtensionContext, block: np.ndarray, i: int, inverses: np.ndarray
+) -> np.ndarray:
+    """Norm predicate of a block of nonzero rows by the stacked kernel.
+
+    `inverses` holds the rows' inverses.  The block's first row is
+    recomputed by the scalar path; a different answer raises
+    InternalCheckError.
+    """
+    predicate = is_degenerate_by_norm_stack(ctx, block, i, inverses)
+    if is_degenerate_by_norm(ctx, ctx.element(block[0]), i) != predicate[0]:
+        raise InternalCheckError(
+            f"stacked norm predicate disagrees with the scalar path for "
+            f"b={ctx.element(block[0])}, i={i}"
+        )
+    return predicate
 
 
 def _tally(histogram: dict[int, int], ranks: np.ndarray) -> None:
@@ -158,15 +186,8 @@ def rank_spectrum_check(
     expected_rank is the rank when `allowed` has one element.
     """
     dim = basis_matrix.shape[0]
-    size = ctx.p**dim - 1
-    if size <= min(sample_cap, EXHAUSTIVE_CEILING):
-        rows = _coefficient_rows_exhaustive(ctx.p, dim)
-        mode = "exhaustive"
-    else:
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(0))
-        rows = _coefficient_rows_sampled(ctx.p, dim, sample_cap, rng)
-        mode = "sampled"
+    limit = min(sample_cap, EXHAUSTIVE_CEILING)
+    rows, mode = _coefficient_rows(ctx.p, dim, limit, sample_cap, 0 if rng is None else rng)
     vectors = (rows.astype(ctx._dtype) @ basis_matrix) % ctx.p
     spectrum: dict[int, int] = {}
     for block in _blocks(vectors, ctx.n):
@@ -182,57 +203,30 @@ def rank_spectrum_check(
     )
 
 
-def _spec_check(
-    ctx: ExtensionContext,
-    i: int,
-    spec: SubspaceSpec,
-    sample_cap: int,
-    rng: np.random.Generator,
-) -> ComponentCheck:
-    return rank_spectrum_check(
-        ctx,
-        i,
-        spec.basis_matrix(),
-        label=spec.label,
-        allowed={spec.expected_rank},
-        sample_cap=sample_cap,
-        rng=rng,
-    )
-
-
 # ---------------------------------------------------------------------------
 # components of the full space of skew-forms
 # ---------------------------------------------------------------------------
 
-def build_component(ctx: ExtensionContext, i: int) -> list[GramMatrix]:
-    """Basis of the image of the power basis under b -> gram(b, i).
+def build_component(ctx: ExtensionContext, i: int) -> np.ndarray:
+    """Basis of the image of the power basis under b -> gram(b, i), one
+    row of strictly upper triangular Gram entries (row-major) per element.
 
     Non-involutions give n independent images (the map is injective);
     the involution's image has dimension exactly n/2 and the returned
-    basis is the greedy maximal independent subset in basis order.
-    Violations of either fact raise InternalCheckError.
+    basis is the greedy maximal independent subset in basis order, read
+    off as the pivot columns of one RREF.  Violations of either fact
+    raise InternalCheckError.
     """
     if not 1 <= i < ctx.n:
         raise ValueError(f"component index must be in [1, {ctx.n}), got {i}")
     n, p = ctx.n, ctx.p
-    grams = [gram(ctx, b, i) for b in ctx.power_basis()]
-    vectors = np.array([g.upper_vector() for g in grams], dtype=ctx._dtype)
-    if order_of(ctx, i) == 2:
-        kept: list[GramMatrix] = []
-        kept_rows: list[np.ndarray] = []
-        for g, row in zip(grams, vectors):
-            cand = np.array(kept_rows + [row], dtype=ctx._dtype)
-            if rank_mod(cand, p) == len(kept_rows) + 1:
-                kept.append(g)
-                kept_rows.append(row)
-        if len(kept) != n // 2:
-            raise InternalCheckError(
-                f"involution component has dimension {len(kept)} != n/2 = {n // 2}"
-            )
-        return kept
-    if rank_mod(vectors, p) != n:
-        raise InternalCheckError(f"component {i} images are dependent for a non-involution")
-    return grams
+    upper = np.triu_indices(n, k=1)
+    vectors = gram_stack(ctx, np.eye(n, dtype=ctx._dtype), i)[:, upper[0], upper[1]]
+    _, pivots = rref_mod(vectors.T, p)
+    expected = n // 2 if order_of(ctx, i) == 2 else n
+    if len(pivots) != expected:
+        raise InternalCheckError(f"component {i} has dimension {len(pivots)} != {expected}")
+    return vectors[pivots]
 
 
 def component_representatives(n: int) -> list[int]:
@@ -262,14 +256,15 @@ def verify_direct_sum(
     odd order, support inside {n - 2n/ord, n} for even order.
     """
     n, p = ctx.n, ctx.p
+    if n < 2:
+        raise WrongShape(f"n must be >= 2, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    reps = component_representatives(n)
     stacked: list[np.ndarray] = []
     components: list[ComponentCheck] = []
     full = np.eye(n, dtype=ctx._dtype)  # all of L, in the power basis
-    for i in reps:
-        grams = build_component(ctx, i)  # checks the dimension: n/2 or n
-        stacked.extend(g.upper_vector() for g in grams)
+    for i in component_representatives(n):
+        rows = build_component(ctx, i)  # checks the dimension: n/2 or n
+        stacked.append(rows)
         o = order_of(ctx, i)
         label = "B^1" if o == 2 else f"A^{i}"
         check = rank_spectrum_check(
@@ -279,11 +274,11 @@ def verify_direct_sum(
             sample_cap=sample_cap,
             rng=rng,
         )
-        check.dimension = len(grams)  # of the form space, not the parameter space
+        check.dimension = len(rows)  # of the form space, not the parameter space
         components.append(check)
     total = n * (n - 1) // 2
-    mat = np.array(stacked, dtype=ctx._dtype)
-    direct_sum_ok = len(stacked) == total and rank_mod(mat, p) == total
+    mat = np.vstack(stacked)
+    direct_sum_ok = len(mat) == total and rank_mod(mat, p) == total
     return TheoremReport(
         theorem_id="T1" if n % 2 else "T2",
         p=p, n=n,
@@ -330,15 +325,35 @@ def theorem_A_subspaces(ctx: ExtensionContext) -> tuple[SubspaceSpec, SubspaceSp
             "k = 1 leaves only the involution component; no rank-(n-2) part exists"
         )
     v_space = fixed_field_basis(ctx, n // 2)
-    v_space.label, v_space.expected_rank, v_space.provenance = "V", n - 2, "TA"
+    v_space.label, v_space.expected_rank = "V", n - 2
     j = find_nondegenerate_b(ctx, 1)
-    u_space = SubspaceSpec(
-        label="U",
-        basis=[j * v for v in v_space.basis],
-        expected_rank=n,
-        provenance="TA",
-    )
+    u_space = SubspaceSpec(label="U", basis=[j * v for v in v_space.basis], expected_rank=n)
     return u_space, v_space
+
+
+def _split_report(
+    ctx: ExtensionContext, theorem_id: str, spaces: list[SubspaceSpec], seed: int, sample_cap: int
+) -> TheoremReport:
+    """Certificate of a split of the i=1 component: every space keeps
+    its expected constant rank, and together the spaces span L."""
+    n, p = ctx.n, ctx.p
+    rng = np.random.Generator(np.random.PCG64(seed))
+    combined = np.vstack([s.basis_matrix() for s in spaces])
+    direct_sum_ok = combined.shape[0] == n and rank_mod(combined, p) == n
+    components = [
+        rank_spectrum_check(
+            ctx, 1, s.basis_matrix(),
+            label=s.label,
+            allowed={s.expected_rank},
+            sample_cap=sample_cap,
+            rng=rng,
+        )
+        for s in spaces
+    ]
+    return TheoremReport(
+        theorem_id=theorem_id, p=p, n=n,
+        components=components, direct_sum_ok=direct_sum_ok, seed=seed,
+    )
 
 
 def verify_theorem_A(
@@ -350,34 +365,7 @@ def verify_theorem_A(
     U = jV for the first non-degenerate j (all nonzero forms rank n);
     together they span L.
     """
-    n = ctx.n
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u_space, v_space = theorem_A_subspaces(ctx)
-    combined = np.vstack([u_space.basis_matrix(), v_space.basis_matrix()])
-    direct_sum_ok = combined.shape[0] == n and rank_mod(combined, ctx.p) == n
-    components = [
-        _spec_check(ctx, 1, u_space, sample_cap, rng),
-        _spec_check(ctx, 1, v_space, sample_cap, rng),
-    ]
-    return TheoremReport(
-        theorem_id="TA", p=ctx.p, n=n,
-        components=components, direct_sum_ok=direct_sum_ok, seed=seed,
-    )
-
-
-def eigen_decomposition_subspaces(ctx: ExtensionContext) -> list[SubspaceSpec]:
-    """V1, V2 and the -1 eigenspaces E_1..E_{alpha-1} for n = 2^alpha * k."""
-    n = ctx.n
-    alpha, k = two_adic_shape(n)
-    if alpha < 2:
-        raise WrongShape("n must be divisible by 4")
-    spaces = [
-        eigenspace(ctx, k, 1, label="V1"),
-        eigenspace(ctx, k, -1, label="V2"),
-    ]
-    for idx in range(1, alpha):
-        spaces.append(eigenspace(ctx, n >> idx, -1, label=f"E{idx}"))
-    return spaces
+    return _split_report(ctx, "TA", list(theorem_A_subspaces(ctx)), seed, sample_cap)
 
 
 def verify_theorem_C(
@@ -404,26 +392,19 @@ def verify_theorem_C(
             "use the cyclic-slice check instead"
         )
     theorem_id = "TC1" if alpha <= a + 1 else "TC2"
-    rng = np.random.Generator(np.random.PCG64(seed))
-    spaces = eigen_decomposition_subspaces(ctx)
-    for spec in spaces:
-        if spec.label in ("V1", "V2"):
-            spec.expected_rank = n - 2
-            expected_dim = k
-        else:
-            idx = int(spec.label[1:])
-            spec.expected_rank = n if (theorem_id == "TC1" or idx <= a) else n - 2
-            expected_dim = n >> idx
-        spec.provenance = theorem_id
-        if spec.dimension != expected_dim:
-            raise InternalCheckError(f"{spec.label} has dimension {spec.dimension} != {expected_dim}")
-    combined = np.vstack([s.basis_matrix() for s in spaces])
-    direct_sum_ok = combined.shape[0] == n and rank_mod(combined, p) == n
-    components = [_spec_check(ctx, 1, s, sample_cap, rng) for s in spaces]
-    return TheoremReport(
-        theorem_id=theorem_id, p=p, n=n,
-        components=components, direct_sum_ok=direct_sum_ok, seed=seed,
-    )
+    # (label, t, eigenvalue of sigma^t, constant rank); each space has dimension t
+    pieces = [("V1", k, 1, n - 2), ("V2", k, -1, n - 2)] + [
+        (f"E{idx}", n >> idx, -1, n if theorem_id == "TC1" or idx <= a else n - 2)
+        for idx in range(1, alpha)
+    ]
+    spaces = []
+    for label, t, lam, rank in pieces:
+        spec = eigenspace(ctx, t, lam, label=label)
+        if spec.dimension != t:
+            raise InternalCheckError(f"{label} has dimension {spec.dimension} != {t}")
+        spec.expected_rank = rank
+        spaces.append(spec)
+    return _split_report(ctx, theorem_id, spaces, seed, sample_cap)
 
 
 def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> TheoremReport:
@@ -433,7 +414,9 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
     C = {b : b^(2(q^t - 1)) = 1} with t = n/2^i_index is cyclic with a
     deterministic generator u; u^s lies in E_{i_index} exactly for odd
     s, and the form of u^s is degenerate exactly when l divides s.
-    Both the norm predicate and the actual rank are checked.
+    Both the norm predicate and the actual rank are checked, on blocks of
+    exponents by the stacked kernels with the scalar path recomputing the
+    first odd exponent of each block.
     """
     p, n = ctx.p, ctx.n
     alpha, _ = two_adic_shape(n)
@@ -452,46 +435,44 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
     u = g ** ((p**n - 1) // csize)
     if ctx.element_order(u) != csize:
         raise InternalCheckError("slice generator has the wrong order")
-    sigma_t = ctx.sigma_power_matrix(t)
+    # u^0 .. u^(B-1) as rows, doubled by one stacked product per step;
+    # the block of exponents s0 .. s0+B-1 is then this table times u^s0
+    size = min(_block_size(n), csize)
+    table = ctx.one().vector()[None, :]
+    step = u.vector()[None, :]
+    while len(table) < size:
+        table = np.vstack([table, ctx.mul_stack(table, np.broadcast_to(step, table.shape))])
+        step = ctx.mul_stack(step, step)
+    table, shift, start = table[:size], u**size, ctx.one()
     spectra: dict[bool, dict[int, int]] = {True: {}, False: {}}
-    counts = {True: 0, False: 0}
-    membership_ok = True
-    pattern_ok = True
-    x = ctx.one()
-    for s in range(csize):
-        if s:
-            x = x * u
-        in_eigenspace = ctx.frobenius_power(x, t) == -x
-        if in_eigenspace != (s % 2 == 1):
-            membership_ok = False
-        if s % 2 == 0:
+    membership_ok = pattern_ok = True
+    for s0 in range(0, csize, size):
+        rows = table[: csize - s0]
+        block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
+        start = start * shift
+        s = np.arange(s0, s0 + len(block))
+        odd = s % 2 == 1
+        in_eigenspace = (ctx.frobenius_stack(block, t) == (-block) % p).all(axis=1)
+        membership_ok &= np.array_equal(in_eigenspace, odd)
+        if not odd.any():
             continue
-        expect_degenerate = s % l == 0
-        degenerate = is_degenerate_by_norm(ctx, x, 1)
-        r = rank_mod(gram_entries(ctx, x.vector(), 1), p)
-        if degenerate != expect_degenerate or (r < n) != degenerate:
-            pattern_ok = False
-        counts[expect_degenerate] += 1
-        spectra[expect_degenerate][r] = spectra[expect_degenerate].get(r, 0) + 1
+        odd_rows, expect = block[odd], s[odd] % l == 0
+        ranks = _block_ranks(ctx, odd_rows, 1)
+        degenerate = _block_predicate(ctx, odd_rows, 1, ctx.inverse_stack(odd_rows))
+        pattern_ok &= np.array_equal(degenerate, expect) and np.array_equal(ranks < n, degenerate)
+        _tally(spectra[True], ranks[expect])
+        _tally(spectra[False], ranks[~expect])
     components = [
         ComponentCheck(
-            label=f"E{i_index} slice: odd exponents divisible by {l}",
+            label=f"E{i_index} slice: odd exponents {qualifier}divisible by {l}",
             dimension=0,
-            expected_rank=n - 2,
-            checked=counts[True],
+            expected_rank=rank,
+            checked=sum(spectra[divisible].values()),
             mode="exhaustive",
-            rank_spectrum=spectra[True],
-            passed=pattern_ok and _spectrum_ok(spectra[True], {n - 2}, "exhaustive"),
-        ),
-        ComponentCheck(
-            label=f"E{i_index} slice: odd exponents not divisible by {l}",
-            dimension=0,
-            expected_rank=n,
-            checked=counts[False],
-            mode="exhaustive",
-            rank_spectrum=spectra[False],
-            passed=pattern_ok and _spectrum_ok(spectra[False], {n}, "exhaustive"),
-        ),
+            rank_spectrum=spectra[divisible],
+            passed=pattern_ok and _spectrum_ok(spectra[divisible], {rank}, "exhaustive"),
+        )
+        for divisible, rank, qualifier in ((True, n - 2, ""), (False, n, "not "))
     ]
     return TheoremReport(
         theorem_id="RemarkC", p=p, n=n,
@@ -553,14 +534,11 @@ def oracle_survey(
     validating the norm predicate against the rank wherever it applies.
     """
     p, n = ctx.p, ctx.n
+    if n < 2:
+        raise WrongShape(f"n must be >= 2, got {n}")
+    rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, seed)
     warning = None
-    if ctx.order <= FULL_FIELD_CEILING:
-        rows = _coefficient_rows_exhaustive(p, n)
-        mode = "exhaustive"
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rows = _coefficient_rows_sampled(p, n, sample_cap, rng)
-        mode = "sampled"
+    if mode == "sampled":
         warning = f"field size {ctx.order} exceeds {FULL_FIELD_CEILING}; sampled {sample_cap}"
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     degenerate_counts = {i: 0 for i in range(1, n)}
@@ -577,12 +555,7 @@ def oracle_survey(
             degenerate_counts[i] += int(degenerate.sum())
             if i not in predicate_powers:
                 continue
-            predicate = is_degenerate_by_norm_stack(ctx, block, i, inverses)
-            if is_degenerate_by_norm(ctx, ctx.element(block[0]), i) != predicate[0]:
-                raise InternalCheckError(
-                    f"stacked norm predicate disagrees with the scalar path for "
-                    f"b={ctx.element(block[0])}, i={i}"
-                )
+            predicate = _block_predicate(ctx, block, i, inverses)
             predicate_checked += len(block)
             predicate_disagreements += int((predicate != degenerate).sum())
     support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)

@@ -24,35 +24,8 @@ from .errors import (
 )
 from .fields import ExtensionContext, FieldElement
 from .galois import order_of, two_adic_shape
-from .linalg import dtype_for, matmul_mod, rank_mod
-
-
-@dataclass
-class GramMatrix:
-    """Alternating n x n matrix over GF(p) of one skew-form."""
-
-    entries: np.ndarray
-    source_b: FieldElement
-    power_i: int
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def is_alternating(self) -> bool:
-        p = self.source_b.ctx.p
-        return (
-            np.array_equal((self.entries + self.entries.T) % p, np.zeros_like(self.entries))
-            and not self.entries.diagonal().any()
-        )
-
-    def upper_vector(self) -> np.ndarray:
-        """Strictly upper triangular entries, row-major; length n(n-1)/2."""
-        iu = np.triu_indices(self.n, k=1)
-        return self.entries[iu]
-
-    def rank(self) -> int:
-        return rank_mod(self.entries, self.source_b.ctx.p)
+# rank_mod ranks gram()'s output; perfbench/selftest.py checks this binding
+from .linalg import dtype_for, matmul_mod, rank_mod  # noqa: F401
 
 
 @dataclass
@@ -94,12 +67,13 @@ def gram_stack(ctx: ExtensionContext, vecs: np.ndarray, i: int) -> np.ndarray:
     return grams
 
 
-def gram(ctx: ExtensionContext, b: FieldElement, i: int) -> GramMatrix:
-    """Gram matrix of the skew-form attached to (b, sigma^i) in the power basis."""
+def gram(ctx: ExtensionContext, b: FieldElement, i: int) -> np.ndarray:
+    """Alternating n x n Gram matrix over GF(p) of the skew-form attached
+    to (b, sigma^i) in the power basis; rank it with rank_mod."""
     if not 1 <= i < ctx.n:
         raise ValueError(f"automorphism power must be in [1, {ctx.n}), got {i}")
     ctx._own(b)
-    return GramMatrix(entries=gram_entries(ctx, b.vector(), i), source_b=b, power_i=i)
+    return gram_entries(ctx, b.vector(), i)
 
 
 def is_degenerate_by_norm(ctx: ExtensionContext, b: FieldElement, i: int) -> bool:

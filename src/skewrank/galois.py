@@ -25,7 +25,6 @@ class SubspaceSpec:
     label: str
     basis: list[FieldElement]
     expected_rank: int | None = None
-    provenance: str = ""
 
     @property
     def dimension(self) -> int:
@@ -57,8 +56,6 @@ def eigenspace(
     t: int,
     lam: int,
     label: str = "Custom",
-    expected_rank: int | None = None,
-    provenance: str = "",
 ) -> SubspaceSpec:
     """Basis of {b in L : sigma^t(b) = lam * b} for lam in {+1, -1}.
 
@@ -71,13 +68,11 @@ def eigenspace(
         raise ValueError(f"automorphism power must be in [1, {ctx.n}], got {t}")
     mat = (ctx.sigma_power_matrix(t) - lam * np.eye(ctx.n, dtype=ctx._dtype)) % ctx.p
     basis = [ctx.element(row) for row in nullspace_mod(mat, ctx.p)]
-    return SubspaceSpec(label=label, basis=basis, expected_rank=expected_rank, provenance=provenance)
+    return SubspaceSpec(label=label, basis=basis)
 
 
 def fixed_field_basis(ctx: ExtensionContext, i: int) -> SubspaceSpec:
     """Basis of the fixed field of sigma^i; its dimension is gcd(n, i)."""
-    if not 1 <= i <= ctx.n:
-        raise ValueError(f"automorphism power must be in [1, {ctx.n}], got {i}")
     return eigenspace(ctx, i, 1, label=f"L_{i}")
 
 

@@ -207,11 +207,21 @@ def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):
     assert report_bytes(decomposition.verify_direct_sum(c, seed=3, sample_cap=150)) == direct
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_remark_c_report_is_independent_of_block_size(ctx, monkeypatch, rows_per_block):
+    c = ctx(11, 16)
+    default = report_bytes(decomposition.remark_C_check(c, 3))
+    monkeypatch.setattr(decomposition, "STACK_BYTES", 8 * 16 * 16 * rows_per_block)
+    assert report_bytes(decomposition.remark_C_check(c, 3)) == default
+
+
 def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch):
     c = ctx(3, 4)
     monkeypatch.setattr(decomposition, "rank_mod_batch", lambda stack, p: np.zeros(len(stack), dtype=int))
     with pytest.raises(InternalCheckError, match="scalar path"):
         decomposition.oracle_survey(c)
+    with pytest.raises(InternalCheckError, match="scalar path"):
+        decomposition.remark_C_check(ctx(11, 16), 3)
 
 
 def test_scalar_spot_check_catches_a_wrong_stacked_predicate(ctx, monkeypatch):
@@ -221,3 +231,5 @@ def test_scalar_spot_check_catches_a_wrong_stacked_predicate(ctx, monkeypatch):
                         lambda *args: ~real(*args))
     with pytest.raises(InternalCheckError, match="scalar path"):
         decomposition.oracle_survey(c)
+    with pytest.raises(InternalCheckError, match="scalar path"):
+        decomposition.remark_C_check(ctx(11, 16), 3)

@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, JSON schema, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -123,6 +124,15 @@ def test_remark_c_verify(capsys):
     assert doc["theorem"] == "RemarkC"
     degenerate = next(c for c in doc["components"] if c["expected_rank"] == 14)
     assert degenerate["checked"] == 40
+
+
+def test_reports_match_the_recorded_benchmark_references(capsys):
+    # the benchmark's reference reports, by SHA-256 of stdout at seed 0
+    references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    for key, ref in json.loads(references.read_text(encoding="utf-8")).items():
+        code, out, _ = run_cli(capsys, *key.split(), "--seed", "0")
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"], key
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

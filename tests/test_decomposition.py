@@ -22,9 +22,30 @@ def test_build_component_dimensions(ctx):
 
 def test_build_component_grams_are_independent(ctx):
     c = ctx(3, 6)
-    grams = dec.build_component(c, 1)
-    rows = np.array([g.upper_vector() for g in grams], dtype=np.int64)
-    assert dec.rank_mod(rows, 3) == len(grams)
+    rows = dec.build_component(c, 1)
+    assert rows.shape == (6, 15)
+    assert dec.rank_mod(rows, 3) == len(rows)
+
+
+def greedy_component(c, i):
+    """The per-row selection build_component replaced: keep each
+    power-basis Gram whose upper triangle raises the rank of those kept."""
+    upper = np.triu_indices(c.n, k=1)
+    kept = []
+    for b in c.power_basis():
+        row = forms.gram(c, b, i)[upper]
+        if dec.rank_mod(np.array(kept + [row]), c.p) == len(kept) + 1:
+            kept.append(row)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (5, 6), (3, 8), (7, 4)])
+def test_build_component_matches_the_greedy_selection(ctx, p, n):
+    c = ctx(p, n)
+    for i in range(1, n):
+        rows = dec.build_component(c, i)
+        assert len(rows) == (n // 2 if galois.order_of(c, i) == 2 else n)
+        assert np.array_equal(rows, greedy_component(c, i))
 
 
 def test_component_representatives():
@@ -54,13 +75,13 @@ def test_direct_sum_spectra_at_3_4(ctx):
 def test_find_nondegenerate_b(ctx):
     c = ctx(3, 4)
     b = dec.find_nondegenerate_b(c, 1)
-    assert forms.gram(c, b, 1).rank() == 4
+    assert dec.rank_mod(forms.gram(c, b, 1), 3) == 4
     assert not b.in_prime_field()
     assert dec.find_nondegenerate_b(c, 1) == b  # idempotent
     with pytest.raises(WrongShape):
         dec.find_nondegenerate_b(ctx(3, 6), 2)  # odd order
     inv = dec.find_nondegenerate_b(c, 2)  # involution path
-    assert forms.gram(c, inv, 2).rank() == 4
+    assert dec.rank_mod(forms.gram(c, inv, 2), 3) == 4
 
 
 def test_theorem_a_shapes_at_3_6(ctx):
@@ -119,6 +140,45 @@ def test_remark_c_hypothesis_gates(ctx):
         dec.remark_C_check(ctx(11, 16), 1)  # i below the window
 
 
+def scalar_remark_c(c, i_index):
+    """The element-by-element walk remark_C_check replaced: the rank
+    spectra of odd exponents s keyed by l | s, and the membership and
+    pattern flags."""
+    p, n = c.p, c.n
+    _, l = galois.two_adic_shape(p + 1)
+    t = n >> i_index
+    csize = 2 * (p**t - 1)
+    u = c.multiplicative_generator() ** ((p**n - 1) // csize)
+    spectra = {True: {}, False: {}}
+    membership_ok = pattern_ok = True
+    x = c.one()
+    for s in range(csize):
+        if s:
+            x = x * u
+        if (c.frobenius_power(x, t) == -x) != (s % 2 == 1):
+            membership_ok = False
+        if s % 2 == 0:
+            continue
+        expect = s % l == 0
+        degenerate = forms.is_degenerate_by_norm(c, x, 1)
+        r = dec.rank_mod(forms.gram(c, x, 1), p)
+        if degenerate != expect or (r < n) != degenerate:
+            pattern_ok = False
+        spectra[expect][r] = spectra[expect].get(r, 0) + 1
+    return spectra, membership_ok, pattern_ok
+
+
+@pytest.mark.parametrize("p,n,i_index", [(11, 16, 3), (5, 16, 2), (19, 16, 3)])
+def test_remark_c_matches_the_scalar_walk(ctx, p, n, i_index):
+    report = dec.remark_C_check(ctx(p, n), i_index)
+    spectra, membership_ok, pattern_ok = scalar_remark_c(ctx(p, n), i_index)
+    assert membership_ok and pattern_ok
+    assert report.passed and report.direct_sum_ok
+    divisible, other = report.components
+    assert divisible.rank_spectrum == spectra[True] == {n - 2: divisible.checked}
+    assert other.rank_spectrum == spectra[False] == {n: other.checked}
+
+
 def test_corollary_odd_order(ctx):
     # corollary: constant rank n - n/ord on the whole component of odd order
     c = ctx(3, 6)
@@ -141,6 +201,17 @@ def test_oracle_survey_at_3_4(ctx):
     # frozen regression constant, cross-checked against the b**20 = 1 census
     assert report.degenerate_counts[1] == 20
     assert report.predicate_disagreements == 0
+
+
+def test_oracle_survey_rejects_n_1(ctx):
+    # GF(p) has no automorphism power 1..n-1, so the census would rank nothing
+    with pytest.raises(WrongShape):
+        dec.oracle_survey(ctx(3, 1))
+
+
+def test_verify_direct_sum_rejects_n_1(ctx):
+    with pytest.raises(WrongShape):
+        dec.verify_direct_sum(ctx(3, 1))
 
 
 def test_oracle_degenerate_set_is_the_small_power_torsion(ctx):

@@ -57,18 +57,18 @@ def test_gram_matches_direct_formula(ctx):
             b = c.from_index(rng.randrange(c.order))
             for i in range(1, n):
                 fast = forms.gram(c, b, i)
-                assert np.array_equal(fast.entries, gram_reference(c, b, i) % p)
+                assert np.array_equal(fast, gram_reference(c, b, i) % p)
 
 
 def test_gram_zero_and_linearity(ctx):
     c = ctx(3, 4)
-    assert not forms.gram(c, c.zero(), 1).entries.any()
+    assert not forms.gram(c, c.zero(), 1).any()
     rng = random.Random(9)
     for _ in range(20):
         a = c.from_index(rng.randrange(c.order))
         b = c.from_index(rng.randrange(c.order))
-        lhs = forms.gram(c, a + b, 1).entries
-        rhs = (forms.gram(c, a, 1).entries + forms.gram(c, b, 1).entries) % 3
+        lhs = forms.gram(c, a + b, 1)
+        rhs = (forms.gram(c, a, 1) + forms.gram(c, b, 1)) % 3
         assert np.array_equal(lhs, rhs)
 
 
@@ -79,12 +79,12 @@ def test_gram_is_alternating_everywhere(ctx):
         b = c.from_index(rng.randrange(c.order))
         i = rng.randrange(1, 6)
         g = forms.gram(c, b, i)
-        assert g.is_alternating()
+        assert not ((g + g.T) % 3).any() and not g.diagonal().any()
 
 
 def test_gram_of_one_has_rank_two_at_3_4(ctx):
     g = forms.gram(ctx(3, 4), ctx(3, 4).one(), 1)
-    assert g.rank() == 2
+    assert rank_mod(g, 3) == 2
 
 
 def test_rank_against_domain_matrix_oracle(ctx):
@@ -94,9 +94,9 @@ def test_rank_against_domain_matrix_oracle(ctx):
         b = c.from_index(rng.randrange(1, c.order))
         i = rng.randrange(1, 4)
         g = forms.gram(c, b, i)
-        assert g.rank() == rank_oracle(g.entries, 3)
+        assert rank_mod(g, 3) == rank_oracle(g, 3)
     zero = forms.gram(c, c.zero(), 1)
-    assert zero.rank() == 0
+    assert rank_mod(zero, 3) == 0
 
 
 def test_rank_parity_and_transpose_invariance(ctx):
@@ -105,9 +105,9 @@ def test_rank_parity_and_transpose_invariance(ctx):
     for _ in range(30):
         b = c.from_index(rng.randrange(1, c.order))
         g = forms.gram(c, b, 1)
-        r = g.rank()
+        r = rank_mod(g, 5)
         assert r % 2 == 0
-        assert rank_mod(g.entries.T, 5) == r
+        assert rank_mod(g.T, 5) == r
 
 
 def test_rank_is_congruence_invariant(ctx):
@@ -119,7 +119,7 @@ def test_rank_is_congruence_invariant(ctx):
         b = c.from_index(rng.randrange(1, c.order))
         scale = c.from_index(rng.randrange(1, c.order))
         mult = np.array([(scale * e).coeffs for e in basis], dtype=np.int64).T
-        g = forms.gram(c, b, 1).entries
+        g = forms.gram(c, b, 1)
         conj = (mult.T @ g @ mult) % 3
         assert rank_mod(conj, 3) == rank_mod(g, 3)
 
@@ -128,7 +128,7 @@ def test_eigenspace_e1_gives_full_rank(ctx):
     c = ctx(3, 4)
     e1 = galois.eigenspace(c, 2, -1)
     for b in subspace_elements(e1):
-        assert forms.gram(c, b, 1).rank() == 4
+        assert rank_mod(forms.gram(c, b, 1), c.p) == 4
 
 
 def test_norm_criterion_on_scalars_and_eigenvectors(ctx):
@@ -144,7 +144,7 @@ def test_norm_criterion_matches_rank_exhaustively(ctx):
     c = ctx(3, 4)
     for b in c.elements():
         for i in (1, 3):
-            assert forms.is_degenerate_by_norm(c, b, i) == (forms.gram(c, b, i).rank() < 4)
+            assert forms.is_degenerate_by_norm(c, b, i) == (rank_mod(forms.gram(c, b, i), 3) < 4)
 
 
 def test_norm_criterion_rejects_involutions_and_zero(ctx):
@@ -176,7 +176,7 @@ def test_predicted_rank_agrees_with_gram_rank(ctx):
     c = ctx(3, 4)
     for b in c.elements():
         for i in range(1, 4):
-            actual = forms.gram(c, b, i).rank()
+            actual = rank_mod(forms.gram(c, b, i), 3)
             if galois.order_of(c, i) == 2 and actual == 0:
                 continue
             assert forms.predicted_rank(c, b, i) == actual
