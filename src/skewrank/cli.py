@@ -16,9 +16,8 @@ import argparse
 import json
 import sys
 
-import sympy
-
 from . import __version__
+from .arith import is_prime
 from .cyclotomic import verify_section6
 from .decomposition import (
     EXHAUSTIVE_CEILING,
@@ -30,7 +29,7 @@ from .decomposition import (
     verify_theorem_C,
 )
 from .errors import InvalidArgument, SkewrankError
-from .fields import ExtensionContext
+from .fields import MAX_PRIME, ExtensionContext
 from .galois import two_adic_shape
 
 THEOREMS = ("T1", "T2", "TA", "TC", "RemarkC", "direct-sum")
@@ -59,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, with_instance=True):
         if with_instance:
-            sp.add_argument("--p", type=int, required=True, help="odd prime base field size")
+            sp.add_argument("--p", type=int, required=True, help="odd prime base field size, below 2**31")
             sp.add_argument("--n", type=int, required=True, help="extension degree, 2..64")
         sp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         sp.add_argument("--sample-cap", type=int, default=10_000,
@@ -91,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_instance(p: int, n: int) -> None:
-    if not sympy.isprime(p) or p == 2:
-        raise SkewrankError(f"p must be an odd prime, got {p}")
+    # the bound first: the primality test is exact only below it
+    if not (2 < p < MAX_PRIME and is_prime(p)):
+        raise SkewrankError(f"p must be an odd prime below 2**31, got {p}")
     if not 2 <= n <= 64:
         raise SkewrankError(f"n must be in [2, 64], got {n}")
 

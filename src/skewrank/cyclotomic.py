@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
+from .arith import factorize
 from .errors import InternalCheckError, InvalidArgument, NotSquareFree
 from .linalg import STACK_BYTES, dtype_for_bound, rref
 
@@ -157,30 +157,45 @@ def gram_rational(b: CycloElement) -> tuple[tuple[tuple[Fraction, ...], ...], in
 # ternary quadratic forms
 # ---------------------------------------------------------------------------
 
+FORM_BOUND = 10**6  # on |a|, |b|, |c|: trial division then stops below 10^3
+
+
 @dataclass(frozen=True)
 class TernaryForm:
-    """Diagonal integer form a*X^2 + b*Y^2 + c*Z^2, abc square-free."""
+    """Diagonal integer form a*X^2 + b*Y^2 + c*Z^2, abc square-free.
+
+    Each coefficient must lie in [-FORM_BOUND, FORM_BOUND].  abc is
+    square-free exactly when each coefficient is square-free and they
+    are pairwise coprime, which trial division decides with at most
+    sqrt(FORM_BOUND)/2 + 1 divisors per coefficient.
+    """
 
     a: int
     b: int
     c: int
 
     def __post_init__(self):
-        prod = self.a * self.b * self.c
-        if prod == 0:
+        a, b, c = self.triple()
+        if max(abs(a), abs(b), abs(c)) > FORM_BOUND:
+            raise InvalidArgument(f"form coefficients must have absolute value at most {FORM_BOUND}")
+        if 0 in (a, b, c):
             raise NotSquareFree("coefficients must be nonzero")
-        if any(e > 1 for e in sympy.factorint(abs(prod)).values()):
-            raise NotSquareFree(f"{self.a}*{self.b}*{self.c} = {prod} is not square-free")
+        squarefree = all(e == 1 for x in (a, b, c) for e in factorize(abs(x)).values())
+        if not (squarefree and math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1):
+            raise NotSquareFree(f"{a}*{b}*{c} = {a * b * c} is not square-free")
 
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
 
 def is_square_mod(v: int, m: int) -> bool:
-    """Does x^2 = v (mod m) have a solution?  m must be square-free >= 1."""
+    """Does x^2 = v (mod m) have a solution?  m must be square-free >= 1.
+
+    Factors m by trial division: at most sqrt(m)/2 + 1 divisors.
+    """
     if m == 1:
         return True
-    for q in sympy.primefactors(m):
+    for q in factorize(m):
         r = v % q
         if q == 2 or r == 0:
             continue
@@ -243,13 +258,17 @@ class Diagonalization:
 
 
 def squarefree_rescale(d: Fraction) -> int:
-    """Square-free integer representing d modulo nonzero rational squares."""
+    """Square-free integer representing d modulo nonzero rational squares.
+
+    Factors |numerator * denominator| by trial division: at most
+    sqrt(|numerator * denominator|)/2 + 1 divisors.
+    """
     if d == 0:
         return 0
     v = d.numerator * d.denominator  # d * den^2
     sign = -1 if v < 0 else 1
     out = 1
-    for q, e in sympy.factorint(abs(v)).items():
+    for q, e in factorize(abs(v)).items():
         if e % 2:
             out *= q
     return sign * out
@@ -574,7 +593,8 @@ def verify_section6(
        rational combinations confirm rank 4 pointwise.
 
     form_override replaces the certified ternary form in step 3 (a
-    testing hook for exercising the failure path).
+    testing hook for exercising the failure path).  It must be a valid
+    TernaryForm, which is checked before step 1.
 
     Steps 1 and 4 run on integer arrays, in blocks of rows sized from
     linalg.STACK_BYTES.  In every block the first row is recomputed by
@@ -585,6 +605,7 @@ def verify_section6(
         raise InvalidArgument(f"grid must be >= 1, got {grid}")
     if samples < 1:
         raise InvalidArgument(f"samples must be >= 1, got {samples}")
+    form = TernaryForm(*form_override) if form_override is not None else None  # before any work
     rng = np.random.Generator(np.random.PCG64(seed))
     size = max(1, STACK_BYTES // (8 * 4 * 4))
 
@@ -612,8 +633,9 @@ def verify_section6(
 
     diag = diagonalize_ternary(PARAMETRIZED_FORM)
     congruence_ok = _congruence_holds(PARAMETRIZED_FORM, diag)
-    certified = form_override if form_override is not None else diag.squarefree_form
-    conditions = legendre_certificate(tuple(certified))
+    if form is None:
+        form = TernaryForm(*diag.squarefree_form)
+    conditions = legendre_certificate(form)
     anisotropic = not all(conditions.values())
 
     # grid + random sampling; Gram is linear in b, so combine basis Grams
@@ -639,7 +661,7 @@ def verify_section6(
         sign_convention_ok=sign_ok,
         parametrization_ok=parametrization_ok,
         diagonal=diag.diagonal,
-        squarefree_form=tuple(certified),
+        squarefree_form=form.triple(),
         congruence_ok=congruence_ok,
         legendre_conditions=conditions,
         anisotropic=anisotropic,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arith import factorize
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
 from .forms import (
@@ -289,20 +290,26 @@ def verify_direct_sum(
 
 
 def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
-    """First power of the multiplicative generator giving a rank-n form.
+    """First element in counting order from index p (theta) whose form
+    for sigma^i has rank n; deterministic and cached per context.
 
-    Deterministic and cached per context; existence is guaranteed for
-    even-order sigma^i.
+    The p - 1 nonzero scalars are skipped: for b in GF(p) the element
+    x = 1 lies in the radical, since tr(b(sigma^i y - y)) = 0.  Trip
+    count: for the involution the degenerate elements are exactly the
+    fixed field GF(p^(n/2)) of sigma^i, which theta, a generator of L,
+    is not in, so theta is accepted at once.  For any other even order
+    the norm criterion makes the degenerate units a subgroup of index
+    p^gcd(n, i) + 1 >= p + 1, so at most (q - 1)/(p + 1) + 1 elements
+    are tried.
     """
-    if order_of(ctx, i) % 2 != 0:
+    o = order_of(ctx, i)
+    if o % 2 != 0:
         raise WrongShape(f"sigma^{i} has odd order; every form has the same deficient rank")
     cached = ctx._nondegenerate_cache.get(i)
     if cached is not None:
         return cached
-    g = ctx.multiplicative_generator()
-    o = order_of(ctx, i)
-    x = g
-    for _ in range(ctx.order - 1):
+    for v in range(ctx.p, ctx.order):
+        x = ctx.from_index(v)
         if o == 2:
             degenerate = rank_mod(gram_entries(ctx, x.vector(), i), ctx.p) < ctx.n
         else:
@@ -310,7 +317,6 @@ def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
         if not degenerate:
             ctx._nondegenerate_cache[i] = x
             return x
-        x = x * g
     raise InternalCheckError(f"no non-degenerate element found for i={i}")  # unreachable
 
 
@@ -362,7 +368,8 @@ def verify_theorem_A(
     """Split of the i=1 component for n = 2k, k odd and > 1.
 
     V is the fixed field of sigma^k (all nonzero forms rank n-2) and
-    U = jV for the first non-degenerate j (all nonzero forms rank n);
+    U = jV for the first non-degenerate j (all nonzero forms rank n,
+    for any non-degenerate j);
     together they span L.
     """
     return _split_report(ctx, "TA", list(theorem_A_subspaces(ctx)), seed, sample_cap)
@@ -407,6 +414,31 @@ def verify_theorem_C(
     return _split_report(ctx, theorem_id, spaces, seed, sample_cap)
 
 
+def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
+    """Generator of C, the cyclic subgroup of order csize of L^x.
+
+    Scans x in counting order from index p and returns the first
+    u = x^((q-1)/csize) with u^(csize/r) != 1 for every prime r | csize.
+    The scalars are skipped: their powers have order dividing p - 1,
+    which is less than csize whenever this is called.  csize is
+    factored by trial division, at most sqrt(csize)/2 + 1 divisors; the
+    walk over all of C that follows costs more.  Trip count: x -> u maps
+    L^x onto C with fibres of one size, so a share phi(csize)/csize of
+    the units give a generator and at most (q - 1)(1 - phi(csize)/csize)
+    + 1 elements are tried.
+    """
+    q = ctx.order
+    if (q - 1) % csize != 0:
+        raise InternalCheckError(f"{csize} does not divide the unit group order {q - 1}")
+    primes = list(factorize(csize))
+    one = ctx.one()
+    for v in range(ctx.p, q):
+        u = ctx.from_index(v) ** ((q - 1) // csize)
+        if all(u ** (csize // r) != one for r in primes):
+            return u
+    raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
+
+
 def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> TheoremReport:
     """Degeneracy pattern on the cyclic slice through E_{i_index} when
     constant rank fails (alpha > a+1 and l > 1).
@@ -429,12 +461,7 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
         raise HypothesisViolation(f"i_index must be in [{a + 1}, {alpha - 1}], got {i_index}")
     t = n >> i_index
     csize = 2 * (p**t - 1)
-    if (p**n - 1) % csize != 0:
-        raise InternalCheckError("cyclic slice size does not divide the unit group order")
-    g = ctx.multiplicative_generator()
-    u = g ** ((p**n - 1) // csize)
-    if ctx.element_order(u) != csize:
-        raise InternalCheckError("slice generator has the wrong order")
+    u = slice_generator(ctx, csize)
     # u^0 .. u^(B-1) as rows, doubled by one stacked product per step;
     # the block of exponents s0 .. s0+B-1 is then this table times u^s0
     size = min(_block_size(n), csize)

@@ -10,10 +10,10 @@ matrix, in the same arithmetic.
 
 Determinism contract: the modulus defaults to the lexicographically
 smallest monic irreducible polynomial (coefficients compared from the
-constant term up) and the multiplicative generator is the first
-suitable element in counting order (index v has coefficients equal to
-the base-p digits of v, constant term least significant), so identical
-parameters always reproduce identical bytes.
+constant term up), and every element search scans in counting order
+(index v has coefficients equal to the base-p digits of v, constant
+term least significant), so identical parameters always reproduce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
+from .arith import factorize, is_prime
 from .errors import (
     ContextMismatch,
     DivisionByZero,
@@ -31,11 +31,10 @@ from .errors import (
     InvalidModulus,
     InvalidPrime,
     InvalidSubfield,
-    ZeroElement,
 )
 from .linalg import dtype_for, matmul_mod, rref_mod
 
-_MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
+MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
 
 
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -189,12 +188,12 @@ class ExtensionContext:
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
-        if not sympy.isprime(p):
+        if p >= MAX_PRIME:  # before the primality test, which is exact only below the bound
+            raise InvalidPrime(f"p must be < 2**31, got {p}")
+        if not is_prime(p):
             raise InvalidPrime(f"{p} is not prime")
         if p == 2:
             raise InvalidPrime("characteristic two is not supported")
-        if p >= _MAX_PRIME:
-            raise InvalidPrime(f"p must be < 2**31, got {p}")
         if n < 1:
             raise InvalidDegree(f"extension degree must be >= 1, got {n}")
         self.p = p
@@ -216,8 +215,6 @@ class ExtensionContext:
         self._check_irreducible()
         self._trace_maps: dict[int, np.ndarray] = {}
         self._tp_table: np.ndarray | None = None
-        self._generator: FieldElement | None = None
-        self._unit_factorization: dict[int, int] | None = None
         self._nondegenerate_cache: dict[int, FieldElement] = {}
         self._basis_grams: dict[int, np.ndarray] = {}
 
@@ -272,7 +269,7 @@ class ExtensionContext:
         if not np.array_equal(nth, np.eye(n, dtype=self._dtype)):
             raise self._reducible(f"x^({p}^{n}) != x")
         theta = self._theta_pows[1]
-        for r in sympy.primefactors(n):
+        for r in factorize(n):
             conjugate = self.sigma_power_matrix(n // r)[:, 1]  # x^(p^(n/r))
             self._require_unit(conjugate - theta, f"it shares a factor with x^({p}^{n // r}) - x")
 
@@ -485,43 +482,6 @@ class ExtensionContext:
             cur = matmul_mod(step, cur, self.p)
             acc = self._vmul(acc, cur)
         return self._wrap(acc)
-
-    # -- multiplicative structure ---------------------------------------------
-
-    def unit_group_factorization(self) -> dict[int, int]:
-        if self._unit_factorization is None:
-            self._unit_factorization = {int(r): int(m) for r, m in sympy.factorint(self.order - 1).items()}
-        return self._unit_factorization
-
-    def element_order(self, b: FieldElement) -> int:
-        """Multiplicative order of b != 0."""
-        self._own(b)
-        if not b:
-            raise ZeroElement("order of zero is undefined")
-        e = self.order - 1
-        one = self.one()
-        for r in sorted(self.unit_group_factorization()):
-            while e % r == 0 and b ** (e // r) == one:
-                e //= r
-        return e
-
-    def multiplicative_generator(self) -> FieldElement:
-        """First element in counting order generating the unit group.
-
-        Order is certified by checking g^((p^n-1)/r) != 1 for every
-        prime r dividing p^n - 1.
-        """
-        if self._generator is None:
-            card = self.order - 1
-            primes = sorted(self.unit_group_factorization())
-            one = self.one()
-            for v in range(1, self.order):
-                g = self.from_index(v)
-                if all(g ** (card // r) != one for r in primes):
-                    self._generator = g
-                    break
-        assert self._generator is not None  # a cyclic unit group always has one
-        return self._generator
 
     def _own(self, b: FieldElement) -> None:
         if b.ctx != self:

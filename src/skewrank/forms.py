@@ -34,7 +34,7 @@ class DegeneracyWitness:
 
     w: FieldElement
     eta: FieldElement
-    eta_order: int
+    eta_order: int | None  # the order of eta when it divides 2^i_index, else None
     is_degenerate: bool
 
 
@@ -167,8 +167,10 @@ def degeneracy_witness(ctx: ExtensionContext, b: FieldElement, i_index: int) -> 
     Computes w = b * sigma^2(b) * ... * sigma^(n/2^i - 2)(b) and
     eta = sigma(w)/w, certifies the identity
     norm(b -> quadratic subfield) = (-1)^(n/4) * w^(2^i), and reports
-    degeneracy as "eta_order divides 2^i"; degenerate witnesses must
-    additionally satisfy sigma(eta) * eta = -1.
+    degeneracy as eta^(2^i) = 1.  Repeated squaring then also gives
+    eta_order, the least 2^j with eta^(2^j) = 1, or None when
+    eta^(2^i) != 1.  Degenerate witnesses must additionally satisfy
+    sigma(eta) * eta = -1.
     """
     ctx._own(b)
     n = ctx.n
@@ -189,11 +191,17 @@ def degeneracy_witness(ctx: ExtensionContext, b: FieldElement, i_index: int) -> 
         cur = ctx.frobenius_power(cur, 2)
         w = w * cur
     eta = ctx.frobenius_power(w, 1) / w
-    eta_order = ctx.element_order(eta)
+    eta_order = None
+    power = eta  # eta^(2^j)
+    for j in range(i_index + 1):
+        if power == ctx.one():
+            eta_order = 2**j
+            break
+        power = power * power
     sign = -1 if (n // 4) % 2 else 1
     if ctx.norm(b, 2) != ctx.scalar(sign) * w ** (2**i_index):
         raise InternalCheckError(f"norm/witness identity failed for b={b}, i={i_index}")
-    is_degenerate = (2**i_index) % eta_order == 0
+    is_degenerate = eta_order is not None
     if is_degenerate and ctx.frobenius_power(eta, 1) * eta != ctx.scalar(-1):
         raise InternalCheckError(f"degenerate witness without sigma(eta)*eta = -1 for b={b}")
     return DegeneracyWitness(w=w, eta=eta, eta_order=eta_order, is_degenerate=is_degenerate)

@@ -14,3 +14,19 @@ def _ctx(p: int, n: int) -> ExtensionContext:
 def ctx():
     """Cached context factory: ctx(p, n) with the default modulus."""
     return _ctx
+
+
+def element_order(c: ExtensionContext, b) -> int:
+    """Multiplicative order of b != 0, from sympy's factorization of p^n - 1."""
+    import sympy
+
+    e = c.order - 1
+    for r in sorted(sympy.factorint(e)):
+        while e % r == 0 and b ** (e // r) == c.one():
+            e //= r
+    return e
+
+
+def first_generator(c: ExtensionContext):
+    """First element in counting order generating the unit group."""
+    return next(b for b in c.elements() if element_order(c, b) == c.order - 1)

@@ -176,13 +176,91 @@ def test_report_all_small_instance(capsys):
     assert doc["pass"] is True
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that finds the package where this process found it."""
+    src = str(Path(skewrank.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_module_entry_point_runs():
     # the child finds the package where this process found it, whatever PYTHONPATH says
-    src = str(Path(skewrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "skewrank", "verify", "--theorem", "TC", "--p", "3", "--n", "4"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_prime_at_or_above_2_31_exits_one_naming_the_bound(capsys):
+    # the primality test is exact only below 3.2e9, so the bound is checked first
+    for p in ("2147483659", "2147483648", str(10**30 + 57)):  # 2**31 + 11 is prime
+        code, out, err = run_cli(capsys, "oracle", "--p", p, "--n", "4")
+        assert code == 1 and out == ""
+        assert "below 2**31" in err and "Traceback" not in err
+
+
+def test_section6_form_beyond_the_bound_exits_one_naming_it(capsys):
+    for form in ("3,5,-" + str(10**200 + 7), "1,1,-1000001", "1000001,1,-1"):
+        code, out, err = run_cli(capsys, "section6", "--grid", "1", "--samples", "1", "--form", form)
+        assert code == 1 and out == ""
+        assert "at most 1000000" in err and "Traceback" not in err
+    code, _, err = run_cli(capsys, "section6", "--grid", "1", "--samples", "1", "--form", "6,10,-1")
+    assert code == 1 and "not square-free" in err  # square-free coefficients, but gcd(6, 10) = 2
+    code, out, _ = run_cli(capsys, "section6", "--grid", "1", "--samples", "1",
+                           "--form", "1,1,-999983")  # the largest prime below the bound
+    assert code in (0, 2) and json.loads(out)["squarefree_form"] == [1, 1, -999983]
+
+
+def test_no_verb_imports_sympy():
+    script = """
+import sys
+from skewrank.cli import main
+runs = [
+    "oracle --p 3 --n 4",
+    "verify --theorem T1 --p 3 --n 3",
+    "verify --theorem T2 --p 3 --n 4",
+    "verify --theorem TA --p 3 --n 6",
+    "verify --theorem TC --p 3 --n 4",
+    "verify --theorem RemarkC --p 11 --n 16 --i 3",
+    "verify --theorem direct-sum --p 3 --n 4",
+    "section6 --grid 1 --samples 5",
+    "report-all --p 3 --n 4 --grid 1 --samples 5",
+]
+codes = [main(argv.split() + ["--output", "/dev/null"]) for argv in runs]
+assert codes == [0] * len(runs), codes
+assert "sympy" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# SHA-256 of stdout at seed 0 unless the arguments say otherwise; the reports do
+# not depend on which non-degenerate j or which generator of the slice is chosen
+REPORT_SHA256 = {
+    "verify --theorem TA --p 3 --n 6": "49b9d99a6576b91d0852ec053fa0e0f339e03ec55d8becd9f7f7fd6b92538889",
+    "verify --theorem TA --p 3 --n 14 --seed 2": "009dde0d7014c5c9f6a52538716f6da5dd88c330b36c5817c631b1e65166dcfe",
+    "verify --theorem TA --p 7 --n 10": "77ec9aa106b34ecd832b5740e1b381e226269e5ac976a3aff9f45391895ac676",
+    "verify --theorem TA --p 11 --n 6": "8d8927454f2d2066319125d632d784990fa04286b6098a436f92f952ec14979b",
+    "verify --theorem RemarkC --p 5 --n 16": "4d3d8eab9ed9c9a59bd358a7c56e65f36735da9235ebc6651adfbf5e67b794d0",
+    "verify --theorem RemarkC --p 19 --n 16": "c728655b2b13bd5a24a9fbe914668fd3c83547277e61e2b627b87f640f8a84f2",
+    "verify --theorem RemarkC --p 11 --n 16 --i 3": "5e92ee46ba28d0eb5feb2950cd5e17d1eb71c2635f084f8c2c4c9a167e0d4bf9",
+}
+
+
+def test_ta_and_remark_c_reports_match_the_recorded_digests(capsys):
+    for argv, digest in REPORT_SHA256.items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_theorem_a_at_a_large_prime_never_factors_the_unit_group():
+    # factoring p^30 - 1 here used to hang; the scan for j accepts theta at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewrank", "verify", "--theorem", "TA", "--p", "1000003", "--n", "30"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True

@@ -7,6 +7,8 @@ from skewrank import decomposition as dec
 from skewrank import forms, galois
 from skewrank.errors import HypothesisViolation, WrongShape
 
+from conftest import first_generator
+
 
 def test_build_component_dimensions(ctx):
     c = ctx(3, 4)
@@ -84,6 +86,29 @@ def test_find_nondegenerate_b(ctx):
     assert dec.rank_mod(forms.gram(c, inv, 2), 3) == 4
 
 
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 6), (5, 4), (7, 6), (3, 8), (3, 10)])
+def test_find_nondegenerate_b_is_the_first_full_rank_element(ctx, p, n):
+    # the scan against a rank oracle, in counting order from index 1
+    c = ctx(p, n)
+    for i in range(1, n):
+        if galois.order_of(c, i) % 2:
+            continue
+        first = next(b for b in c.elements() if dec.rank_mod(forms.gram(c, b, i), p) == n)
+        assert first.index() >= p  # the nonzero scalars are degenerate
+        assert dec.find_nondegenerate_b(c, i) == first
+
+
+@pytest.mark.parametrize("p,n,i_index", [(11, 16, 3), (5, 16, 2), (19, 16, 3)])
+def test_slice_generator_has_order_exactly_csize(ctx, p, n, i_index):
+    import sympy
+
+    c = ctx(p, n)
+    csize = 2 * (p ** (n >> i_index) - 1)
+    u = dec.slice_generator(c, csize)
+    assert u ** csize == c.one()
+    assert all(u ** (csize // r) != c.one() for r in sympy.factorint(csize))
+
+
 def test_theorem_a_shapes_at_3_6(ctx):
     report = dec.verify_theorem_A(ctx(3, 6))
     assert report.passed and report.direct_sum_ok
@@ -148,7 +173,7 @@ def scalar_remark_c(c, i_index):
     _, l = galois.two_adic_shape(p + 1)
     t = n >> i_index
     csize = 2 * (p**t - 1)
-    u = c.multiplicative_generator() ** ((p**n - 1) // csize)
+    u = first_generator(c) ** ((p**n - 1) // csize)
     spectra = {True: {}, False: {}}
     membership_ok = pattern_ok = True
     x = c.one()

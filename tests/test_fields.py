@@ -19,6 +19,8 @@ from skewrank.errors import (
 )
 from skewrank.fields import ExtensionContext, find_irreducible
 
+from conftest import element_order, first_generator
+
 
 def brute_first_irreducible(p, n):
     """Independent oracle: scan candidates low-degree-first, testing
@@ -87,6 +89,10 @@ def test_context_rejects_reducible_modulus():
         ExtensionContext(2, 3)
     with pytest.raises(InvalidPrime):
         ExtensionContext(9, 2)
+    # the bound comes before the primality test, which is exact only below 3.2e9
+    for p in (2**31 + 11, 10**30 + 57):
+        with pytest.raises(InvalidPrime, match=r"2\*\*31"):
+            ExtensionContext(p, 2)
 
 
 def test_theta_square_reduces(ctx):
@@ -236,13 +242,13 @@ def test_norm_is_galois_invariant(ctx):
 
 def test_multiplicative_generator_small_fields(ctx):
     gf3 = ExtensionContext(3, 1, modulus=(0, 1))
-    assert gf3.multiplicative_generator() == gf3.scalar(2)
+    assert first_generator(gf3) == gf3.scalar(2)
     c = ctx(3, 2)
-    g = c.multiplicative_generator()
+    g = first_generator(c)
     assert g == c.one() + c.theta()
-    assert c.element_order(g) == 8
+    assert element_order(c, g) == 8
     # enumerate all orders: nothing before g generates
-    orders = {b.index(): c.element_order(b) for b in c.elements()}
+    orders = {b.index(): element_order(c, b) for b in c.elements()}
     first = min(v for v, o in orders.items() if o == 8)
     assert g.index() == first
 
@@ -250,14 +256,14 @@ def test_multiplicative_generator_small_fields(ctx):
 def test_generator_half_power_is_minus_one(ctx):
     for (p, n) in [(3, 2), (3, 4), (5, 3), (7, 2)]:
         c = ctx(p, n)
-        g = c.multiplicative_generator()
+        g = first_generator(c)
         assert g ** ((c.order - 1) // 2) == c.scalar(-1)
 
 
 def test_generator_is_deterministic(ctx):
     c1 = ExtensionContext(5, 3)
     c2 = ExtensionContext(5, 3)
-    assert c1.multiplicative_generator().coeffs == c2.multiplicative_generator().coeffs
+    assert first_generator(c1).coeffs == first_generator(c2).coeffs
 
 
 def test_hilbert_90_image_size(ctx):

@@ -17,6 +17,8 @@ from skewrank.errors import (
 )
 from skewrank.linalg import rank_mod
 
+from conftest import element_order
+
 
 def gram_reference(c, b, i):
     """Direct entrywise construction straight from the defining formula."""
@@ -196,6 +198,15 @@ def test_witness_identity_exhaustive_on_e2_at_3_8(ctx):
         assert wit.is_degenerate == forms.is_degenerate_by_norm(c, b, 1)
         if wit.is_degenerate:
             assert c.frobenius_power(wit.eta, 1) * wit.eta == c.scalar(-1)
+
+
+def test_witness_eta_order_is_the_order_when_it_divides_2_to_the_i(ctx):
+    c = ctx(3, 8)
+    for i_index, t in ((1, 4), (2, 2)):
+        for b in subspace_elements(galois.eigenspace(c, t, -1)):
+            wit = forms.degeneracy_witness(c, b, i_index)
+            order = element_order(c, wit.eta)
+            assert wit.eta_order == (order if 2**i_index % order == 0 else None)
 
 
 def test_witness_never_degenerate_on_e1(ctx):
