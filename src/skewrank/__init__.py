@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .cyclotomic import (
     CycloElement,
-    Section6Report,
     TernaryForm,
     degeneracy_coefficient,
     diagonalize_ternary,
@@ -14,9 +13,6 @@ from .cyclotomic import (
     verify_section6,
 )
 from .decomposition import (
-    ComponentCheck,
-    OracleReport,
-    TheoremReport,
     build_component,
     find_nondegenerate_b,
     oracle_survey,
@@ -36,19 +32,17 @@ from .forms import (
     predicted_rank,
 )
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of
+from .report import Report
 
 __all__ = [
-    "ComponentCheck",
     "CycloElement",
     "DegeneracyWitness",
     "ExtensionContext",
     "FieldElement",
-    "OracleReport",
-    "Section6Report",
+    "Report",
     "SkewrankError",
     "SubspaceSpec",
     "TernaryForm",
-    "TheoremReport",
     "build_component",
     "degeneracy_coefficient",
     "degeneracy_witness",

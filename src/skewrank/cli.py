@@ -31,6 +31,7 @@ from .decomposition import (
 from .errors import InvalidArgument, SkewrankError
 from .fields import MAX_PRIME, ExtensionContext
 from .galois import two_adic_shape
+from .report import Report
 
 THEOREMS = ("T1", "T2", "TA", "TC", "RemarkC", "direct-sum")
 
@@ -111,18 +112,25 @@ def _validate_common(args) -> None:
 
 def _config_dict(args) -> dict:
     keys = ("command", "theorem", "p", "n", "i", "seed", "sample_cap", "format", "grid", "samples")
-    out = {}
-    for key in keys:
-        out[key] = getattr(args, key, None)
-    return out
-
-
-def _wrap(args, report_dict: dict) -> dict:
-    return {"tool_version": __version__, "config": _config_dict(args), **report_dict}
+    return {key: getattr(args, key, None) for key in keys}
 
 
 def _format_text(doc: dict) -> str:
-    lines = [f"skewrank {doc['tool_version']}  check={doc.get('theorem', '?')}"]
+    """A header line, then each run of report-all (its check name and the
+    block it prints on its own, indented) and each skipped check with
+    its reason, then the report's own block."""
+    lines = [f"skewrank {doc['tool_version']}  check={doc['theorem']}"]
+    for run in doc.get("runs", ()):
+        lines.append(f"run {run['check']}  check={run['theorem']}")
+        lines += ["  " + line for line in _text_block(run)]
+    for skip in doc.get("skipped", ()):
+        lines.append(f"skipped {skip['check']}: {skip['reason']}")
+    return "\n".join(lines + _text_block(doc)) + "\n"
+
+
+def _text_block(doc: dict) -> list[str]:
+    """Every line of one report's text below its header."""
+    lines = []
     instance = doc.get("instance")
     if instance:
         lines.append("instance: " + " ".join(f"{k}={v}" for k, v in instance.items()))
@@ -141,15 +149,16 @@ def _format_text(doc: dict) -> str:
         for i, h in doc["histograms"].items():
             spec = ",".join(f"{r}:{k}" for r, k in h.items())
             lines.append(f"i={i}: {{{spec}}}")
-    if "direct_sum_ok" in doc and doc["direct_sum_ok"] is not None:
+    if "direct_sum_ok" in doc:
         lines.append(f"direct sum certificate: {'ok' if doc['direct_sum_ok'] else 'FAIL'}")
     if "anisotropic" in doc:
         lines.append(f"anisotropic: {str(doc['anisotropic']).lower()}")
     lines.append("PASS" if doc["pass"] else "FAIL")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _emit(args, doc: dict) -> int:
+def _emit(args, report: Report) -> int:
+    doc = {"tool_version": __version__, "config": _config_dict(args), **report.to_json_dict()}
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
@@ -162,10 +171,10 @@ def _emit(args, doc: dict) -> int:
             raise SkewrankError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-    return EXIT_PASS if doc["pass"] else EXIT_FAILED
+    return EXIT_PASS if report.passed else EXIT_FAILED
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> Report:
     _validate_instance(args.p, args.n)
     ctx = ExtensionContext(args.p, args.n)
     theorem = args.theorem
@@ -178,20 +187,16 @@ def _run_verify(args) -> int:
         if i_index is None:
             a, _ = two_adic_shape(args.p + 1)
             i_index = a + 1
-        report = remark_C_check(ctx, i_index, seed=args.seed)
-    else:
-        report = VERIFIERS[theorem](ctx, seed=args.seed, sample_cap=args.sample_cap)
-    return _emit(args, _wrap(args, report.to_json_dict()))
+        return remark_C_check(ctx, i_index, seed=args.seed, sample_cap=args.sample_cap)
+    return VERIFIERS[theorem](ctx, seed=args.seed, sample_cap=args.sample_cap)
 
 
-def _run_oracle(args) -> int:
+def _run_oracle(args) -> Report:
     _validate_instance(args.p, args.n)
-    ctx = ExtensionContext(args.p, args.n)
-    report = oracle_survey(ctx, seed=args.seed, sample_cap=args.sample_cap)
-    return _emit(args, _wrap(args, report.to_json_dict()))
+    return oracle_survey(ExtensionContext(args.p, args.n), seed=args.seed, sample_cap=args.sample_cap)
 
 
-def _run_section6(args) -> int:
+def _run_section6(args) -> Report:
     override = None
     if args.form is not None:
         parts = args.form.split(",")
@@ -201,40 +206,47 @@ def _run_section6(args) -> int:
             override = ()
         if len(override) != 3:
             raise SkewrankError("--form needs three comma-separated integers")
-    report = verify_section6(grid=args.grid, samples=args.samples, seed=args.seed,
-                             form_override=override)
-    return _emit(args, _wrap(args, report.to_json_dict()))
+    return verify_section6(grid=args.grid, samples=args.samples, seed=args.seed,
+                           form_override=override)
 
 
-def _run_report_all(args) -> int:
+def _run_report_all(args) -> Report:
+    """Every check applicable at (p, n), each run tagged with its check
+    name; passes when there is at least one run and every run passes."""
     _validate_instance(args.p, args.n)
     ctx = ExtensionContext(args.p, args.n)
-    runs: list[dict] = []
+    runs: list[Report] = []
     skipped: list[dict] = []
 
     def attempt(name, fn):
         try:
-            runs.append({"check": name, **fn().to_json_dict()})
+            report = fn()
         except SkewrankError as exc:
             skipped.append({"check": name, "reason": str(exc)})
+            return
+        report.check = name
+        runs.append(report)
 
+    common = {"seed": args.seed, "sample_cap": args.sample_cap}
     for name in ("direct-sum", "TA", "TC"):
-        attempt(name, lambda fn=VERIFIERS[name]: fn(ctx, seed=args.seed, sample_cap=args.sample_cap))
+        attempt(name, lambda fn=VERIFIERS[name]: fn(ctx, **common))
     alpha, _ = two_adic_shape(args.n)
     a, l = two_adic_shape(args.p + 1)
     if l > 1 and alpha > a + 1:
         for idx in range(a + 1, alpha):
-            attempt(f"RemarkC[i={idx}]", lambda idx=idx: remark_C_check(ctx, idx, seed=args.seed))
+            attempt(f"RemarkC[i={idx}]", lambda idx=idx: remark_C_check(ctx, idx, **common))
     if ctx.order <= FULL_FIELD_CEILING:
-        attempt("oracle", lambda: oracle_survey(ctx, seed=args.seed, sample_cap=args.sample_cap))
+        attempt("oracle", lambda: oracle_survey(ctx, **common))
     attempt("section6", lambda: verify_section6(grid=args.grid, samples=args.samples, seed=args.seed))
-    doc = _wrap(args, {
-        "theorem": "report-all",
-        "runs": runs,
-        "skipped": skipped,
-        "pass": all(r["pass"] for r in runs),
-    })
-    return _emit(args, doc)
+    return Report(conditions={"runs": runs}, theorem="report-all", runs=runs, skipped=skipped)
+
+
+RUNNERS = {
+    "verify": _run_verify,
+    "oracle": _run_oracle,
+    "section6": _run_section6,
+    "report-all": _run_report_all,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -242,13 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate_common(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "oracle":
-            return _run_oracle(args)
-        if args.command == "section6":
-            return _run_section6(args)
-        return _run_report_all(args)
+        return _emit(args, RUNNERS[args.command](args))
     except SkewrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,7 @@ import numpy as np
 from .arith import factorize
 from .errors import InternalCheckError, InvalidArgument, NotSquareFree
 from .linalg import STACK_BYTES, dtype_for_bound, rref
+from .report import Report
 
 _MINPOLY_FOLD = (-1, -1, -1, -1)  # eta^4 = -1 - eta - eta^2 - eta^3
 
@@ -513,70 +514,12 @@ def _subspace_block(
     return int((pfaffians != 0).sum()), bool(holds.all())
 
 
-@dataclass
-class Section6Report:
-    """Certificate chain for the 3-dimensional rank-4 subspace."""
-
-    coefficient_checked: int
-    coefficient_failures: int
-    sign_convention_ok: bool
-    parametrization_ok: bool
-    diagonal: tuple[Fraction, ...]
-    squarefree_form: tuple[int, ...]
-    congruence_ok: bool
-    legendre_conditions: dict[str, bool]
-    anisotropic: bool
-    grid_bound: int
-    grid_checked: int
-    grid_rank4: int
-    random_checked: int
-    random_rank4: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.coefficient_failures == 0
-            and self.sign_convention_ok
-            and self.parametrization_ok
-            and self.congruence_ok
-            and self.anisotropic
-            and self.grid_rank4 == self.grid_checked
-            and self.random_rank4 == self.random_checked
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": "Section6",
-            "coefficient_identity": {
-                "checked": self.coefficient_checked,
-                "failures": self.coefficient_failures,
-            },
-            "sign_convention_ok": self.sign_convention_ok,
-            "parametrization_ok": self.parametrization_ok,
-            "diagonal": [str(d) for d in self.diagonal],
-            "squarefree_form": list(self.squarefree_form),
-            "congruence_ok": self.congruence_ok,
-            "legendre": self.legendre_conditions,
-            "anisotropic": self.anisotropic,
-            "grid": {
-                "bound": self.grid_bound,
-                "checked": self.grid_checked,
-                "rank4": self.grid_rank4,
-            },
-            "random": {"checked": self.random_checked, "rank4": self.random_rank4},
-            "seed": self.seed,
-            "rng": "PCG64",
-            "pass": self.passed,
-        }
-
-
 def verify_section6(
     grid: int = 10,
     samples: int = 1000,
     seed: int = 0,
     form_override: tuple[int, int, int] | None = None,
-) -> Section6Report:
+) -> Report:
     """Run the whole certificate chain.
 
     1. The closed-form degeneracy coefficient equals the coordinate
@@ -635,8 +578,8 @@ def verify_section6(
     congruence_ok = _congruence_holds(PARAMETRIZED_FORM, diag)
     if form is None:
         form = TernaryForm(*diag.squarefree_form)
-    conditions = legendre_certificate(form)
-    anisotropic = not all(conditions.values())
+    legendre = legendre_certificate(form)
+    anisotropic = not all(legendre.values())
 
     # grid + random sampling; Gram is linear in b, so combine basis Grams
     basis_grams = subspace_basis_grams()
@@ -655,22 +598,29 @@ def verify_section6(
         random_checked += len(rows)
         random_rank4 += rank4
         parametrization_ok = parametrization_ok and holds
-    return Section6Report(
-        coefficient_checked=samples,
-        coefficient_failures=coefficient_failures,
+    return Report(
+        conditions={
+            "coefficient_identity": coefficient_failures == 0,
+            "sign_convention_ok": sign_ok,
+            "parametrization_ok": parametrization_ok,
+            "congruence_ok": congruence_ok,
+            "anisotropic": anisotropic,
+            "grid": grid_rank4 == grid_checked,
+            "random": random_rank4 == random_checked,
+        },
+        theorem="Section6",
+        coefficient_identity={"checked": samples, "failures": coefficient_failures},
         sign_convention_ok=sign_ok,
         parametrization_ok=parametrization_ok,
         diagonal=diag.diagonal,
         squarefree_form=form.triple(),
         congruence_ok=congruence_ok,
-        legendre_conditions=conditions,
+        legendre=legendre,
         anisotropic=anisotropic,
-        grid_bound=grid,
-        grid_checked=grid_checked,
-        grid_rank4=grid_rank4,
-        random_checked=random_checked,
-        random_rank4=random_rank4,
+        grid={"bound": grid, "checked": grid_checked, "rank4": grid_rank4},
+        random={"checked": random_checked, "rank4": random_rank4},
         seed=seed,
+        rng="PCG64",
     )
 
 

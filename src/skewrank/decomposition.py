@@ -1,14 +1,13 @@
 """Constant-rank components of the space of skew-forms and their verifiers.
 
-Each verifier returns a TheoremReport: per-subspace rank spectra plus a
-direct-sum certificate, with every enumeration either exhaustive or
-drawn from a single seeded 64-bit generator so reports are reproducible
-byte for byte.
+Each verifier returns a Report: the theorem verifiers give per-subspace
+rank spectra (component Reports) plus a direct-sum certificate, the
+oracle a whole-field rank census.  Every enumeration is either
+exhaustive or drawn from a single seeded 64-bit generator, so reports
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,66 +22,29 @@ from .forms import (
 )
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import STACK_BYTES, rank_mod, rank_mod_batch, rref_mod
+from .report import Report
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
 FULL_FIELD_CEILING = 2**24  # cap for whole-field oracle enumeration
 RNG_NAME = "PCG64"
 
 
-@dataclass
-class ComponentCheck:
-    """Observed rank spectrum of one subspace of forms."""
-
-    label: str
-    dimension: int
-    expected_rank: int | None
-    checked: int
-    mode: str  # "exhaustive" | "sampled"
-    rank_spectrum: dict[int, int]
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "dimension": self.dimension,
-            "expected_rank": self.expected_rank,
-            "checked": self.checked,
-            "mode": self.mode,
-            "rank_spectrum": {str(r): c for r, c in sorted(self.rank_spectrum.items())},
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class TheoremReport:
-    """Result of one theorem verifier at a concrete (p, n) instance."""
-
-    theorem_id: str
-    p: int
-    n: int
-    components: list[ComponentCheck] = field(default_factory=list)
-    direct_sum_ok: bool | None = None
-    seed: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.components) and self.direct_sum_ok is not False
-
-    def instance_dict(self) -> dict:
-        alpha, k = two_adic_shape(self.n)
-        a, l = two_adic_shape(self.p + 1)
-        return {"p": self.p, "n": self.n, "a": a, "l": l, "alpha": alpha, "k": k}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem_id,
-            "instance": self.instance_dict(),
-            "components": [c.to_json_dict() for c in self.components],
-            "direct_sum_ok": self.direct_sum_ok,
-            "seed": self.seed,
-            "rng": RNG_NAME,
-            "pass": self.passed,
-        }
+def _theorem_report(
+    theorem: str, ctx: ExtensionContext, components: list[Report], direct_sum_ok: bool, seed: int
+) -> Report:
+    """Component rank spectra at (p, n) plus a direct-sum certificate;
+    passes when every component does and the certificate holds."""
+    alpha, k = two_adic_shape(ctx.n)
+    a, l = two_adic_shape(ctx.p + 1)
+    return Report(
+        conditions={"components": components, "direct_sum_ok": direct_sum_ok},
+        theorem=theorem,
+        instance={"p": ctx.p, "n": ctx.n, "a": a, "l": l, "alpha": alpha, "k": k},
+        components=components,
+        direct_sum_ok=direct_sum_ok,
+        seed=seed,
+        rng=RNG_NAME,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +140,7 @@ def rank_spectrum_check(
     allowed: set[int],
     sample_cap: int = 10_000,
     rng: np.random.Generator | None = None,
-) -> ComponentCheck:
+) -> Report:
     """Rank histogram of gram(b, i) over the span of basis_matrix rows.
 
     Exhaustive when the subspace has at most sample_cap nonzero
@@ -193,14 +155,14 @@ def rank_spectrum_check(
     spectrum: dict[int, int] = {}
     for block in _blocks(vectors, ctx.n):
         _tally(spectrum, _block_ranks(ctx, block, i))
-    return ComponentCheck(
+    return Report(
+        conditions={"spectrum": _spectrum_ok(spectrum, allowed, mode)},
         label=label,
         dimension=dim,
         expected_rank=min(allowed) if len(allowed) == 1 else None,
         checked=len(vectors),
         mode=mode,
         rank_spectrum=spectrum,
-        passed=_spectrum_ok(spectrum, allowed, mode),
     )
 
 
@@ -246,9 +208,7 @@ def _allowed_ranks(n: int, o: int) -> set[int]:
     return {n, n - 2 * n // o}
 
 
-def verify_direct_sum(
-    ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
-) -> TheoremReport:
+def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
     """Full decomposition of the space of skew-forms on L.
 
     Certifies component dimensions (n/2 for the involution, n
@@ -261,7 +221,7 @@ def verify_direct_sum(
         raise WrongShape(f"n must be >= 2, got {n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     stacked: list[np.ndarray] = []
-    components: list[ComponentCheck] = []
+    components: list[Report] = []
     full = np.eye(n, dtype=ctx._dtype)  # all of L, in the power basis
     for i in component_representatives(n):
         rows = build_component(ctx, i)  # checks the dimension: n/2 or n
@@ -280,13 +240,7 @@ def verify_direct_sum(
     total = n * (n - 1) // 2
     mat = np.vstack(stacked)
     direct_sum_ok = len(mat) == total and rank_mod(mat, p) == total
-    return TheoremReport(
-        theorem_id="T1" if n % 2 else "T2",
-        p=p, n=n,
-        components=components,
-        direct_sum_ok=direct_sum_ok,
-        seed=seed,
-    )
+    return _theorem_report("T1" if n % 2 else "T2", ctx, components, direct_sum_ok, seed)
 
 
 def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
@@ -338,8 +292,8 @@ def theorem_A_subspaces(ctx: ExtensionContext) -> tuple[SubspaceSpec, SubspaceSp
 
 
 def _split_report(
-    ctx: ExtensionContext, theorem_id: str, spaces: list[SubspaceSpec], seed: int, sample_cap: int
-) -> TheoremReport:
+    ctx: ExtensionContext, theorem: str, spaces: list[SubspaceSpec], seed: int, sample_cap: int
+) -> Report:
     """Certificate of a split of the i=1 component: every space keeps
     its expected constant rank, and together the spaces span L."""
     n, p = ctx.n, ctx.p
@@ -356,15 +310,10 @@ def _split_report(
         )
         for s in spaces
     ]
-    return TheoremReport(
-        theorem_id=theorem_id, p=p, n=n,
-        components=components, direct_sum_ok=direct_sum_ok, seed=seed,
-    )
+    return _theorem_report(theorem, ctx, components, direct_sum_ok, seed)
 
 
-def verify_theorem_A(
-    ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
-) -> TheoremReport:
+def verify_theorem_A(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
     """Split of the i=1 component for n = 2k, k odd and > 1.
 
     V is the fixed field of sigma^k (all nonzero forms rank n-2) and
@@ -375,9 +324,7 @@ def verify_theorem_A(
     return _split_report(ctx, "TA", list(theorem_A_subspaces(ctx)), seed, sample_cap)
 
 
-def verify_theorem_C(
-    ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
-) -> TheoremReport:
+def verify_theorem_C(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
     """Eigenspace decomposition of the i=1 component over GF(p), p = 3 mod 4.
 
     With p + 1 = 2^a * l (l odd) and n = 2^alpha * k (k odd, alpha >= 2):
@@ -398,10 +345,10 @@ def verify_theorem_C(
             f"alpha={alpha} > a+1={a + 1} with l={l} > 1: constant rank fails; "
             "use the cyclic-slice check instead"
         )
-    theorem_id = "TC1" if alpha <= a + 1 else "TC2"
+    theorem = "TC1" if alpha <= a + 1 else "TC2"
     # (label, t, eigenvalue of sigma^t, constant rank); each space has dimension t
     pieces = [("V1", k, 1, n - 2), ("V2", k, -1, n - 2)] + [
-        (f"E{idx}", n >> idx, -1, n if theorem_id == "TC1" or idx <= a else n - 2)
+        (f"E{idx}", n >> idx, -1, n if theorem == "TC1" or idx <= a else n - 2)
         for idx in range(1, alpha)
     ]
     spaces = []
@@ -411,7 +358,7 @@ def verify_theorem_C(
             raise InternalCheckError(f"{label} has dimension {spec.dimension} != {t}")
         spec.expected_rank = rank
         spaces.append(spec)
-    return _split_report(ctx, theorem_id, spaces, seed, sample_cap)
+    return _split_report(ctx, theorem, spaces, seed, sample_cap)
 
 
 def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
@@ -439,7 +386,9 @@ def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
     raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
 
 
-def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> TheoremReport:
+def remark_C_check(
+    ctx: ExtensionContext, i_index: int, seed: int = 0, sample_cap: int = 10_000
+) -> Report:
     """Degeneracy pattern on the cyclic slice through E_{i_index} when
     constant rank fails (alpha > a+1 and l > 1).
 
@@ -448,7 +397,9 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
     s, and the form of u^s is degenerate exactly when l divides s.
     Both the norm predicate and the actual rank are checked, on blocks of
     exponents by the stacked kernels with the scalar path recomputing the
-    first odd exponent of each block.
+    first odd exponent of each block.  The walk is exhaustive: a slice
+    with more than sample_cap odd exponents raises HypothesisViolation
+    before the generator is sought.
     """
     p, n = ctx.p, ctx.n
     alpha, _ = two_adic_shape(n)
@@ -461,6 +412,10 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
         raise HypothesisViolation(f"i_index must be in [{a + 1}, {alpha - 1}], got {i_index}")
     t = n >> i_index
     csize = 2 * (p**t - 1)
+    if csize // 2 > sample_cap:
+        raise HypothesisViolation(
+            f"the E{i_index} slice has {csize // 2} odd exponents, more than the sample cap {sample_cap}"
+        )
     u = slice_generator(ctx, csize)
     # u^0 .. u^(B-1) as rows, doubled by one stacked product per step;
     # the block of exponents s0 .. s0+B-1 is then this table times u^s0
@@ -490,72 +445,24 @@ def remark_C_check(ctx: ExtensionContext, i_index: int, seed: int = 0) -> Theore
         _tally(spectra[True], ranks[expect])
         _tally(spectra[False], ranks[~expect])
     components = [
-        ComponentCheck(
+        Report(
+            conditions={
+                "pattern": pattern_ok,
+                "spectrum": _spectrum_ok(spectra[divisible], {rank}, "exhaustive"),
+            },
             label=f"E{i_index} slice: odd exponents {qualifier}divisible by {l}",
             dimension=0,
             expected_rank=rank,
             checked=sum(spectra[divisible].values()),
             mode="exhaustive",
             rank_spectrum=spectra[divisible],
-            passed=pattern_ok and _spectrum_ok(spectra[divisible], {rank}, "exhaustive"),
         )
         for divisible, rank, qualifier in ((True, n - 2, ""), (False, n, "not "))
     ]
-    return TheoremReport(
-        theorem_id="RemarkC", p=p, n=n,
-        components=components,
-        direct_sum_ok=membership_ok,
-        seed=seed,
-    )
+    return _theorem_report("RemarkC", ctx, components, membership_ok, seed)
 
 
-@dataclass
-class OracleReport:
-    """Whole-field rank census: histogram per automorphism power, the
-    dichotomy support check, and the predicate/rank cross-validation."""
-
-    p: int
-    n: int
-    mode: str
-    checked: int
-    histograms: dict[int, dict[int, int]]
-    support_ok: bool
-    degenerate_counts: dict[int, int]
-    predicate_checked: int
-    predicate_disagreements: int
-    seed: int
-    warning: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.support_ok and self.predicate_disagreements == 0
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "theorem": "oracle",
-            "instance": {"p": self.p, "n": self.n},
-            "mode": self.mode,
-            "checked": self.checked,
-            "histograms": {
-                str(i): {str(r): c for r, c in sorted(h.items())}
-                for i, h in sorted(self.histograms.items())
-            },
-            "support_ok": self.support_ok,
-            "degenerate_counts": {str(i): c for i, c in sorted(self.degenerate_counts.items())},
-            "predicate_checked": self.predicate_checked,
-            "predicate_disagreements": self.predicate_disagreements,
-            "seed": self.seed,
-            "rng": RNG_NAME,
-            "pass": self.passed,
-        }
-        if self.warning is not None:
-            out["warning"] = self.warning
-        return out
-
-
-def oracle_survey(
-    ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
-) -> OracleReport:
+def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
     """Enumerate b over the unit group and tabulate rank(gram(b, i)) for
     every i in 1..n-1, asserting the predicted supports and cross-
     validating the norm predicate against the rank wherever it applies.
@@ -564,9 +471,6 @@ def oracle_survey(
     if n < 2:
         raise WrongShape(f"n must be >= 2, got {n}")
     rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, seed)
-    warning = None
-    if mode == "sampled":
-        warning = f"field size {ctx.order} exceeds {FULL_FIELD_CEILING}; sampled {sample_cap}"
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     degenerate_counts = {i: 0 for i in range(1, n)}
     predicate_checked = 0
@@ -587,13 +491,20 @@ def oracle_survey(
             predicate_disagreements += int((predicate != degenerate).sum())
     support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)
                      for i in range(1, n))
-    return OracleReport(
-        p=p, n=n, mode=mode, checked=len(rows),
+    report = Report(
+        conditions={"support_ok": support_ok, "predicates agree": predicate_disagreements == 0},
+        theorem="oracle",
+        instance={"p": p, "n": n},
+        mode=mode,
+        checked=len(rows),
         histograms=histograms,
         support_ok=support_ok,
         degenerate_counts=degenerate_counts,
         predicate_checked=predicate_checked,
         predicate_disagreements=predicate_disagreements,
         seed=seed,
-        warning=warning,
+        rng=RNG_NAME,
     )
+    if mode == "sampled":
+        report.warning = f"field size {ctx.order} exceeds {FULL_FIELD_CEILING}; sampled {sample_cap}"
+    return report

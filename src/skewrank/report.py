@@ -1,0 +1,56 @@
+"""The one report type that every check returns."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class Report:
+    """Certificate of one check: named facts and the conditions they meet.
+
+    Every keyword field is an attribute and a key of the JSON report, in
+    the order given.  `conditions` names what the check stands on; each
+    value is a bool, a nested Report or a list of Reports (which holds
+    when it is nonempty and every one passes).  The report passes when
+    it has at least one condition and all of them hold, so a report that
+    names nothing never passes.
+    """
+
+    def __init__(self, *, conditions: dict[str, object], **fields) -> None:
+        self.__dict__.update(fields)
+        self.conditions = conditions
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.conditions) and all(map(_holds, self.conditions.values()))
+
+    def to_json_dict(self) -> dict:
+        out = {key: _json(value) for key, value in vars(self).items() if key != "conditions"}
+        out["pass"] = self.passed
+        return out
+
+
+def _holds(value) -> bool:
+    if isinstance(value, Report):
+        return value.passed
+    if isinstance(value, list):
+        return bool(value) and all(map(_holds, value))
+    return bool(value)
+
+
+def _json(value):
+    """JSON form of a field: int-keyed dicts in increasing key order with
+    string keys, string-keyed dicts in insertion order, tuples as lists,
+    Fractions as strings, nested Reports as their own JSON."""
+    if isinstance(value, Report):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        items = value.items()
+        if all(isinstance(key, int) for key in value):
+            items = sorted(items)
+        return {str(key): _json(item) for key, item in items}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value

@@ -108,7 +108,7 @@ def test_criterion_06_theorem_C_branch_one():
     for p, n in [(3, 4), (7, 12)]:
         rep = dec.verify_theorem_C(_ctx(p, n))
         by_label = {c.label: c for c in rep.components}
-        good = rep.theorem_id == "TC1" and rep.passed and rep.direct_sum_ok
+        good = rep.theorem == "TC1" and rep.passed and rep.direct_sum_ok
         alpha, k = galois.two_adic_shape(n)
         for idx in range(1, alpha):
             comp = by_label[f"E{idx}"]
@@ -117,7 +117,7 @@ def test_criterion_06_theorem_C_branch_one():
             comp = by_label[lab]
             good = good and comp.dimension == k and set(comp.rank_spectrum) == {n - 2}
         ok = ok and good
-        details.append(f"({p},{n})={rep.theorem_id}")
+        details.append(f"({p},{n})={rep.theorem}")
     report(6, ok, "eigenspace decomposition, branch 1: " + "; ".join(details))
 
 
@@ -131,7 +131,7 @@ def test_criterion_07_theorem_C_branch_two_at_3_16():
         "V1": (1, 14, 2),
         "V2": (1, 14, 2),
     }
-    ok = rep.theorem_id == "TC2" and rep.passed and rep.direct_sum_ok
+    ok = rep.theorem == "TC2" and rep.passed and rep.direct_sum_ok
     for lab, (dim, rk, count) in expectations.items():
         comp = by_label[lab]
         ok = ok and comp.dimension == dim and comp.rank_spectrum == {rk: count}
@@ -182,11 +182,11 @@ def test_criterion_09_witness_identity_on_e2_at_3_8():
 
 def test_criterion_10_section6_certificate_chain():
     rep = cy.verify_section6(grid=10, samples=1000, seed=0)
-    conds = rep.legendre_conditions
+    conds = rep.legendre
     ok = (
         rep.passed
-        and rep.coefficient_checked == 1000
-        and rep.coefficient_failures == 0
+        and rep.coefficient_identity["checked"] == 1000
+        and rep.coefficient_identity["failures"] == 0
         and rep.sign_convention_ok
         and rep.parametrization_ok
         and rep.congruence_ok
@@ -194,11 +194,11 @@ def test_criterion_10_section6_certificate_chain():
         and rep.squarefree_form == (1, 1, -6)
         and conds["residue_mod_c"] is False  # -1 not a square mod 6
         and rep.anisotropic
-        and rep.grid_checked == 9260
-        and rep.grid_rank4 == 9260
+        and rep.grid["checked"] == 9260
+        and rep.grid["rank4"] == 9260
     )
     report(10, ok, "coefficient identity x1000, PtQP = D, (1,1,-6) anisotropic, "
-                   f"grid {rep.grid_rank4}/{rep.grid_checked} rank 4")
+                   f"grid {rep.grid['rank4']}/{rep.grid['checked']} rank 4")
 
 
 def test_criterion_11_legendre_cross_oracle_sweep():

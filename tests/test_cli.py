@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import skewrank
 from skewrank.cli import main
 
@@ -264,3 +266,119 @@ def test_theorem_a_at_a_large_prime_never_factors_the_unit_group():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# the whole --format text output at seed 0, and the exit code
+TEXT_REPORTS = {
+    "oracle --p 3 --n 4": (0, """\
+skewrank 0.1.0  check=oracle
+instance: p=3 n=4
+i=1: {2:20,4:60}
+i=2: {0:8,4:72}
+i=3: {2:20,4:60}
+PASS
+"""),
+    "verify --theorem TC --p 3 --n 8": (0, """\
+skewrank 0.1.0  check=TC1
+instance: p=3 n=8 a=2 l=1 alpha=3 k=1
+label                                       dim expected       mode  checked  spectrum
+V1                                            1        6 exhaustive        2  {6:2} ok
+V2                                            1        6 exhaustive        2  {6:2} ok
+E1                                            4        8 exhaustive       80  {8:80} ok
+E2                                            2        8 exhaustive        8  {8:8} ok
+direct sum certificate: ok
+PASS
+"""),
+    "verify --theorem direct-sum --p 3 --n 12 --sample-cap 300": (0, """\
+skewrank 0.1.0  check=T2
+instance: p=3 n=12 a=2 l=1 alpha=2 k=3
+label                                       dim expected       mode  checked  spectrum
+A^1                                          12        -    sampled      300  {10:80,12:220} ok
+A^2                                          12        -    sampled      300  {8:32,12:268} ok
+A^3                                          12        -    sampled      300  {6:12,12:288} ok
+A^4                                          12        8    sampled      300  {8:300} ok
+A^5                                          12        -    sampled      300  {10:82,12:218} ok
+B^1                                           6        -    sampled      300  {12:300} ok
+direct sum certificate: ok
+PASS
+"""),
+    "verify --theorem RemarkC --p 11 --n 16": (0, """\
+skewrank 0.1.0  check=RemarkC
+instance: p=11 n=16 a=2 l=3 alpha=4 k=1
+label                                       dim expected       mode  checked  spectrum
+E3 slice: odd exponents divisible by 3        0       14 exhaustive       40  {14:40} ok
+E3 slice: odd exponents not divisible by 3    0       16 exhaustive       80  {16:80} ok
+direct sum certificate: ok
+PASS
+"""),
+    "verify --theorem TA --p 7 --n 6": (0, """\
+skewrank 0.1.0  check=TA
+instance: p=7 n=6 a=3 l=1 alpha=1 k=3
+label                                       dim expected       mode  checked  spectrum
+U                                             3        6 exhaustive      342  {6:342} ok
+V                                             3        4 exhaustive      342  {4:342} ok
+direct sum certificate: ok
+PASS
+"""),
+    "section6 --grid 2 --samples 30": (0, """\
+skewrank 0.1.0  check=Section6
+anisotropic: true
+PASS
+"""),
+    "section6 --grid 2 --samples 30 --form 1,1,-2": (2, """\
+skewrank 0.1.0  check=Section6
+anisotropic: false
+FAIL
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_REPORTS))
+def test_text_reports_match_the_recorded_output(capsys, argv):
+    expected_code, expected = TEXT_REPORTS[argv]
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "text")
+    assert (code, out) == (expected_code, expected)
+
+
+def test_report_all_text_prints_every_run_and_every_skipped_check(capsys):
+    code, out, _ = run_cli(capsys, "report-all", "--p", "3", "--n", "6", "--grid", "2",
+                           "--samples", "30", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "skewrank 0.1.0  check=report-all" and lines[-1] == "PASS"
+    # each run prints the block it prints on its own, under its check name
+    for check, argv in (
+        ("direct-sum", ("verify", "--theorem", "direct-sum", "--p", "3", "--n", "6")),
+        ("TA", ("verify", "--theorem", "TA", "--p", "3", "--n", "6")),
+        ("oracle", ("oracle", "--p", "3", "--n", "6")),
+        ("section6", ("section6", "--grid", "2", "--samples", "30")),
+    ):
+        _, alone, _ = run_cli(capsys, *argv, "--format", "text")
+        header, *block = alone.splitlines()
+        run = f"run {check}  check={header.split('check=')[1]}"
+        start = lines.index(run) + 1
+        assert lines[start : start + len(block)] == ["  " + line for line in block], check
+    assert "skipped TC: n must be divisible by 4" in lines
+
+
+# the E3 slice has p^t - 1 odd exponents, t = n/8
+@pytest.mark.parametrize("p, n, odd", [("11", "64", 11**8 - 1), ("1000003", "16", 1000003**2 - 1)])
+def test_remark_c_beyond_the_sample_cap_exits_one_naming_it(p, n, odd):
+    # the walk covered the whole slice, 2(p^t - 1) elements, with no bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewrank", "verify", "--theorem", "RemarkC", "--p", p, "--n", n],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert f"{odd} odd exponents, more than the sample cap 10000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_report_all_skips_a_remark_c_run_beyond_the_sample_cap(capsys):
+    code, out, _ = run_cli(capsys, "report-all", "--p", "11", "--n", "16", "--sample-cap", "100",
+                           "--grid", "1", "--samples", "5")
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    assert "RemarkC[i=3]" not in [r["check"] for r in doc["runs"]]
+    reasons = {s["check"]: s["reason"] for s in doc["skipped"]}
+    assert "120 odd exponents, more than the sample cap 100" in reasons["RemarkC[i=3]"]

@@ -244,8 +244,8 @@ def test_verify_section6_small_grid():
     report = cy.verify_section6(grid=3, samples=60, seed=1)
     assert report.passed
     assert report.anisotropic
-    assert report.grid_checked == 7**3 - 1
-    assert report.grid_rank4 == report.grid_checked
+    assert report.grid["checked"] == 7**3 - 1
+    assert report.grid["rank4"] == report.grid["checked"]
     assert report.squarefree_form == (1, 1, -6)
 
 

@@ -64,7 +64,7 @@ def test_direct_sum_dimension_census(ctx, p, n, dims):
     assert [c.dimension for c in report.components] == dims
     assert sum(dims) == n * (n - 1) // 2
     assert report.passed
-    assert report.theorem_id == ("T1" if n % 2 else "T2")
+    assert report.theorem == ("T1" if n % 2 else "T2")
 
 
 def test_direct_sum_spectra_at_3_4(ctx):
@@ -139,7 +139,7 @@ def test_theorem_a_hypothesis_gates(ctx):
 
 def test_theorem_c_at_3_4(ctx):
     report = dec.verify_theorem_C(ctx(3, 4))
-    assert report.theorem_id == "TC1"
+    assert report.theorem == "TC1"
     assert report.passed and report.direct_sum_ok
     by_label = {c.label: c for c in report.components}
     assert by_label["E1"].rank_spectrum == {4: 8}
