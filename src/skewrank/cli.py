@@ -115,21 +115,23 @@ def _config_dict(args) -> dict:
     return {key: getattr(args, key, None) for key in keys}
 
 
-def _format_text(doc: dict) -> str:
+def _format_text(report: Report) -> str:
     """A header line, then each run of report-all (its check name and the
     block it prints on its own, indented) and each skipped check with
     its reason, then the report's own block."""
-    lines = [f"skewrank {doc['tool_version']}  check={doc['theorem']}"]
-    for run in doc.get("runs", ()):
-        lines.append(f"run {run['check']}  check={run['theorem']}")
+    lines = [f"skewrank {__version__}  check={report.theorem}"]
+    for run in getattr(report, "runs", ()):
+        lines.append(f"run {run.check}  check={run.theorem}")
         lines += ["  " + line for line in _text_block(run)]
-    for skip in doc.get("skipped", ()):
+    for skip in getattr(report, "skipped", ()):
         lines.append(f"skipped {skip['check']}: {skip['reason']}")
-    return "\n".join(lines + _text_block(doc)) + "\n"
+    return "\n".join(lines + _text_block(report)) + "\n"
 
 
-def _text_block(doc: dict) -> list[str]:
-    """Every line of one report's text below its header."""
+def _text_block(report: Report) -> list[str]:
+    """Every line of one report's text below its header; a failing report
+    ends with the names of the conditions that do not hold."""
+    doc = report.to_json_dict()
     lines = []
     instance = doc.get("instance")
     if instance:
@@ -153,16 +155,16 @@ def _text_block(doc: dict) -> list[str]:
         lines.append(f"direct sum certificate: {'ok' if doc['direct_sum_ok'] else 'FAIL'}")
     if "anisotropic" in doc:
         lines.append(f"anisotropic: {str(doc['anisotropic']).lower()}")
-    lines.append("PASS" if doc["pass"] else "FAIL")
+    lines.append("PASS" if report.passed else "FAIL: " + ", ".join(report.failed))
     return lines
 
 
 def _emit(args, report: Report) -> int:
-    doc = {"tool_version": __version__, "config": _config_dict(args), **report.to_json_dict()}
     if args.format == "json":
+        doc = {"tool_version": __version__, "config": _config_dict(args), **report.to_json_dict()}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        text = _format_text(doc)
+        text = _format_text(report)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

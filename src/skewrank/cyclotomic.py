@@ -514,6 +514,22 @@ def _subspace_block(
     return int((pfaffians != 0).sum()), bool(holds.all())
 
 
+def _random_blocks(rng: np.random.Generator, samples: int, size: int, width: int, nonzero: bool):
+    """`samples` random rows of `width` fractions n/d, n in [-99, 99] and
+    d in [1, 20], drawn fraction by fraction, numerator first, in blocks
+    of at most `size` rows.  Yields each block scaled to integers, with
+    its first row as fractions and that row's scale; `nonzero` drops
+    zero rows."""
+    for start in range(0, samples, size):
+        count = min(size, samples - start)
+        pairs = rng.integers((-99, 1), (100, 21), size=(count, width, 2))
+        if nonzero:
+            pairs = pairs[pairs[..., 0].any(axis=1)]
+        if len(pairs):
+            rows, scale = _clear_denominators(pairs[..., 0], pairs[..., 1])
+            yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
+
+
 def verify_section6(
     grid: int = 10,
     samples: int = 1000,
@@ -552,24 +568,9 @@ def verify_section6(
     rng = np.random.Generator(np.random.PCG64(seed))
     size = max(1, STACK_BYTES // (8 * 4 * 4))
 
-    def random_blocks(width: int, nonzero: bool):
-        """`samples` random rows of `width` fractions, drawn one fraction
-        at a time, numerator first, in blocks of at most `size` rows.
-        Yields each block scaled to integers, with its first row as
-        fractions and that row's scale; `nonzero` drops zero rows."""
-        for start in range(0, samples, size):
-            count = min(size, samples - start)
-            draws = [(int(rng.integers(-99, 100)), int(rng.integers(1, 21))) for _ in range(count * width)]
-            pairs = np.array(draws, dtype=np.int64).reshape(count, width, 2)
-            if nonzero:
-                pairs = pairs[pairs[..., 0].any(axis=1)]
-            if len(pairs):
-                rows, scale = _clear_denominators(pairs[..., 0], pairs[..., 1])
-                yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
-
     coefficient_failures = 0
     sign_ok = True
-    for rows, spot, scale in random_blocks(4, nonzero=False):
+    for rows, spot, scale in _random_blocks(rng, samples, size, 4, nonzero=False):
         failures, spot_sign_ok = _coefficient_block(rows, spot, scale)
         coefficient_failures += failures
         sign_ok = sign_ok and spot_sign_ok
@@ -593,7 +594,7 @@ def verify_section6(
         parametrization_ok = parametrization_ok and holds
     random_checked = 0
     random_rank4 = 0
-    for rows, spot, scale in random_blocks(3, nonzero=True):
+    for rows, spot, scale in _random_blocks(rng, samples, size, 3, nonzero=True):
         rank4, holds = _subspace_block(rows, basis_grams, spot, scale)
         random_checked += len(rows)
         random_rank4 += rank4

@@ -102,16 +102,13 @@ def _block_ranks(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray
     return ranks
 
 
-def _block_predicate(
-    ctx: ExtensionContext, block: np.ndarray, i: int, inverses: np.ndarray
-) -> np.ndarray:
+def _block_predicate(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray:
     """Norm predicate of a block of nonzero rows by the stacked kernel.
 
-    `inverses` holds the rows' inverses.  The block's first row is
-    recomputed by the scalar path; a different answer raises
-    InternalCheckError.
+    The block's first row is recomputed by the scalar path; a different
+    answer raises InternalCheckError.
     """
-    predicate = is_degenerate_by_norm_stack(ctx, block, i, inverses)
+    predicate = is_degenerate_by_norm_stack(ctx, block, i)
     if is_degenerate_by_norm(ctx, ctx.element(block[0]), i) != predicate[0]:
         raise InternalCheckError(
             f"stacked norm predicate disagrees with the scalar path for "
@@ -245,7 +242,7 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
 
 def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
     """First element in counting order from index p (theta) whose form
-    for sigma^i has rank n; deterministic and cached per context.
+    for sigma^i has rank n; deterministic.
 
     The p - 1 nonzero scalars are skipped: for b in GF(p) the element
     x = 1 lies in the radical, since tr(b(sigma^i y - y)) = 0.  Trip
@@ -259,9 +256,6 @@ def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
     o = order_of(ctx, i)
     if o % 2 != 0:
         raise WrongShape(f"sigma^{i} has odd order; every form has the same deficient rank")
-    cached = ctx._nondegenerate_cache.get(i)
-    if cached is not None:
-        return cached
     for v in range(ctx.p, ctx.order):
         x = ctx.from_index(v)
         if o == 2:
@@ -269,7 +263,6 @@ def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
         else:
             degenerate = is_degenerate_by_norm(ctx, x, i)
         if not degenerate:
-            ctx._nondegenerate_cache[i] = x
             return x
     raise InternalCheckError(f"no non-degenerate element found for i={i}")  # unreachable
 
@@ -440,7 +433,7 @@ def remark_C_check(
             continue
         odd_rows, expect = block[odd], s[odd] % l == 0
         ranks = _block_ranks(ctx, odd_rows, 1)
-        degenerate = _block_predicate(ctx, odd_rows, 1, ctx.inverse_stack(odd_rows))
+        degenerate = _block_predicate(ctx, odd_rows, 1)
         pattern_ok &= np.array_equal(degenerate, expect) and np.array_equal(ranks < n, degenerate)
         _tally(spectra[True], ranks[expect])
         _tally(spectra[False], ranks[~expect])
@@ -477,8 +470,6 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     predicate_disagreements = 0
     predicate_powers = {i for i in range(1, n) if order_of(ctx, i) > 2}
     for block in _blocks(rows.astype(ctx._dtype, copy=False), n):
-        # one inverse per element, shared by every i
-        inverses = ctx.inverse_stack(block) if predicate_powers else None
         for i in range(1, n):
             ranks = _block_ranks(ctx, block, i)
             _tally(histograms[i], ranks)
@@ -486,7 +477,7 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
             degenerate_counts[i] += int(degenerate.sum())
             if i not in predicate_powers:
                 continue
-            predicate = _block_predicate(ctx, block, i, inverses)
+            predicate = _block_predicate(ctx, block, i)
             predicate_checked += len(block)
             predicate_disagreements += int((predicate != degenerate).sum())
     support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)

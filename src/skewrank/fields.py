@@ -26,7 +26,6 @@ from .arith import factorize, is_prime
 from .errors import (
     ContextMismatch,
     DivisionByZero,
-    InternalCheckError,
     InvalidDegree,
     InvalidModulus,
     InvalidPrime,
@@ -215,7 +214,6 @@ class ExtensionContext:
         self._check_irreducible()
         self._trace_maps: dict[int, np.ndarray] = {}
         self._tp_table: np.ndarray | None = None
-        self._nondegenerate_cache: dict[int, FieldElement] = {}
         self._basis_grams: dict[int, np.ndarray] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -349,29 +347,6 @@ class ExtensionContext:
             conv[:, k : k + n] += a[:, k, None] * b
         return matmul_mod(conv % p, self._reduce_matrix.T, p)
 
-    def pow_stack(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Row-wise a^e for e >= 0 by square-and-multiply."""
-        result = np.zeros(a.shape, dtype=self._dtype)
-        result[:, 0] = 1
-        base = a % self.p
-        while e:
-            if e & 1:
-                result = self.mul_stack(result, base)
-            base = self.mul_stack(base, base)
-            e >>= 1
-        return result
-
-    def inverse_stack(self, a: np.ndarray) -> np.ndarray:
-        """Row-wise inverses a^(q-2), each certified by a * a^-1 = 1."""
-        if not (a % self.p != 0).any(axis=1).all():
-            raise DivisionByZero("inverse of zero")
-        inv = self.pow_stack(a, self.order - 2)
-        bad = ~self.is_one_stack(self.mul_stack(a, inv))
-        if bad.any():
-            row = self._wrap(a[bad.argmax()])
-            raise InternalCheckError(f"stacked inverse of {row} is wrong")
-        return inv
-
     def frobenius_stack(self, a: np.ndarray, i: int) -> np.ndarray:
         """Row-wise sigma^i: the rows times the transposed Frobenius power."""
         return matmul_mod(a, self.sigma_power_matrix(i).T, self.p)
@@ -384,10 +359,6 @@ class ExtensionContext:
             cur = self.frobenius_stack(cur, sub)
             acc = self.mul_stack(acc, cur)
         return acc
-
-    def is_one_stack(self, a: np.ndarray) -> np.ndarray:
-        """Boolean per row: the row is the unit element."""
-        return (a[:, 0] == 1) & ~(a[:, 1:] != 0).any(axis=1)
 
     def _wrap(self, vec: np.ndarray) -> FieldElement:
         return FieldElement(self, tuple(int(c) for c in vec))

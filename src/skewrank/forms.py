@@ -108,12 +108,11 @@ def is_degenerate_by_norm(ctx: ExtensionContext, b: FieldElement, i: int) -> boo
     return form1
 
 
-def is_degenerate_by_norm_stack(
-    ctx: ExtensionContext, vecs: np.ndarray, i: int, inverses: np.ndarray
-) -> np.ndarray:
+def is_degenerate_by_norm_stack(ctx: ExtensionContext, vecs: np.ndarray, i: int) -> np.ndarray:
     """is_degenerate_by_norm for every row of a (B, n) stack of nonzero
-    elements, with the same cross-checks.  `inverses` holds the rows'
-    inverses (ExtensionContext.inverse_stack), computed once for all i.
+    elements, with the same cross-checks.  The norm is multiplicative, so
+    the quotient criterion is decided without division, as
+    N(sigma^i(b)) = N(b).
     """
     p, n = ctx.p, ctx.n
     if not (vecs % p != 0).any(axis=1).all():
@@ -123,9 +122,8 @@ def is_degenerate_by_norm_stack(
     if o <= 2:
         raise InvolutionNotSupported(f"sigma^{i} has order {o}; the criterion needs order > 2")
     sub = math.gcd(n, 2 * im)
-    quotient = ctx.mul_stack(ctx.frobenius_stack(vecs, im), inverses)
-    form1 = ctx.is_one_stack(ctx.norm_stack(quotient, sub))
     full_norm = ctx.norm_stack(vecs, sub)
+    form1 = (ctx.norm_stack(ctx.frobenius_stack(vecs, im), sub) == full_norm).all(axis=1)
     form2 = (ctx.frobenius_stack(full_norm, im) == full_norm).all(axis=1)
     bad = form1 != form2
     if im == 1:

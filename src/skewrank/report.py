@@ -21,8 +21,13 @@ class Report:
         self.conditions = conditions
 
     @property
+    def failed(self) -> list[str]:
+        """Names of the conditions that do not hold, in the order given."""
+        return [name for name, value in self.conditions.items() if not _holds(value)]
+
+    @property
     def passed(self) -> bool:
-        return bool(self.conditions) and all(map(_holds, self.conditions.values()))
+        return bool(self.conditions) and not self.failed
 
     def to_json_dict(self) -> dict:
         out = {key: _json(value) for key, value in vars(self).items() if key != "conditions"}

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import skewrank
+from skewrank import cli
 from skewrank.cli import main
 
 
@@ -328,7 +329,7 @@ PASS
     "section6 --grid 2 --samples 30 --form 1,1,-2": (2, """\
 skewrank 0.1.0  check=Section6
 anisotropic: false
-FAIL
+FAIL: anisotropic
 """),
 }
 
@@ -359,6 +360,18 @@ def test_report_all_text_prints_every_run_and_every_skipped_check(capsys):
         start = lines.index(run) + 1
         assert lines[start : start + len(block)] == ["  " + line for line in block], check
     assert "skipped TC: n must be divisible by 4" in lines
+
+
+def test_report_all_text_names_the_failed_conditions_of_each_run(capsys, monkeypatch):
+    real = cli.verify_section6
+    monkeypatch.setattr(cli, "verify_section6", lambda **kw: real(form_override=(1, 1, -2), **kw))
+    code, out, _ = run_cli(capsys, "report-all", "--p", "3", "--n", "4", "--grid", "1",
+                           "--samples", "5", "--format", "text")
+    assert code == 2
+    lines = out.splitlines()
+    section6 = lines.index("run section6  check=Section6")
+    assert lines[section6 + 1 : section6 + 3] == ["  anisotropic: false", "  FAIL: anisotropic"]
+    assert lines[-1] == "FAIL: runs"
 
 
 # the E3 slice has p^t - 1 odd exponents, t = n/8

@@ -343,6 +343,33 @@ def test_grid_rows_cover_the_nonzero_grid_in_counting_order():
     assert [tuple(r) for r in rows.tolist()] == expected
 
 
+
+def scalar_random_blocks(rng, samples, size, width, nonzero):
+    """The draw loop _random_blocks replaced: two scalar draws per fraction."""
+    for start in range(0, samples, size):
+        count = min(size, samples - start)
+        draws = [(int(rng.integers(-99, 100)), int(rng.integers(1, 21))) for _ in range(count * width)]
+        pairs = np.array(draws, dtype=np.int64).reshape(count, width, 2)
+        if nonzero:
+            pairs = pairs[pairs[..., 0].any(axis=1)]
+        if len(pairs):
+            rows, scale = cy._clear_denominators(pairs[..., 0], pairs[..., 1])
+            yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 9])
+def test_random_blocks_match_the_scalar_draw_loop(seed):
+    # one generator feeds every call in turn, as in verify_section6; each
+    # call spans several blocks, the last one short
+    new, old = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for samples, size, width, nonzero in ((23, 7, 4, False), (23, 7, 3, True), (300, 128, 3, True)):
+        got = list(cy._random_blocks(new, samples, size, width, nonzero))
+        want = list(scalar_random_blocks(old, samples, size, width, nonzero))
+        assert len(got) == len(want) == -(-samples // size)
+        for (rows, spot, scale), (ref_rows, ref_spot, ref_scale) in zip(got, want):
+            assert np.array_equal(rows, ref_rows) and (spot, scale) == (ref_spot, ref_scale)
+    assert new.integers(2**62) == old.integers(2**62)  # both streams stop at the same draw
+
 def test_section6_report_is_independent_of_block_size(monkeypatch):
     default = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
     monkeypatch.setattr(cy, "STACK_BYTES", 1)  # one row per block

@@ -31,6 +31,7 @@ def test_pass_rule_needs_every_condition_and_nonempty_lists():
     assert Report(conditions={"runs": [good, good], "nested": good}).passed
     assert not Report(conditions={"runs": [good, bad]}).passed
     assert not Report(conditions={"runs": []}).passed  # an empty list checked nothing
+    assert Report(conditions={"ok": True, "other": False, "runs": []}).failed == ["other", "runs"]
 
 
 def test_emitter_orders_int_keys_and_keeps_string_key_order():
