@@ -29,7 +29,6 @@ from .forms import (
     degeneracy_witness,
     gram,
     is_degenerate_by_norm,
-    predicted_rank,
 )
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of
 from .report import Report
@@ -58,7 +57,6 @@ __all__ = [
     "legendre_solvable",
     "oracle_survey",
     "order_of",
-    "predicted_rank",
     "remark_C_check",
     "theorem_A_subspaces",
     "verify_direct_sum",

@@ -24,6 +24,7 @@ from .decomposition import (
     FULL_FIELD_CEILING,
     oracle_survey,
     remark_C_check,
+    remark_C_slice,
     verify_direct_sum,
     verify_theorem_A,
     verify_theorem_C,
@@ -147,6 +148,10 @@ def _text_block(report: Report) -> list[str]:
                 f"{c['label']:<42} {c['dimension']:>4} {exp:>8} {c['mode']:>10} "
                 f"{c['checked']:>8}  {{{spec}}} {mark}"
             )
+    if "mode" in doc:
+        lines.append(f"mode: {doc['mode']}")
+    if "warning" in doc:
+        lines.append(f"warning: {doc['warning']}")
     if "histograms" in doc:
         for i, h in doc["histograms"].items():
             spec = ",".join(f"{r}:{k}" for r, k in h.items())
@@ -178,19 +183,20 @@ def _emit(args, report: Report) -> int:
 
 def _run_verify(args) -> Report:
     _validate_instance(args.p, args.n)
-    ctx = ExtensionContext(args.p, args.n)
     theorem = args.theorem
     if theorem == "T1" and args.n % 2 == 0:
         raise SkewrankError("n must be odd for T1")
     if theorem == "T2" and args.n % 2 == 1:
         raise SkewrankError("n must be even for T2")
-    if theorem == "RemarkC":
-        i_index = args.i
-        if i_index is None:
-            a, _ = two_adic_shape(args.p + 1)
-            i_index = a + 1
-        return remark_C_check(ctx, i_index, seed=args.seed, sample_cap=args.sample_cap)
-    return VERIFIERS[theorem](ctx, seed=args.seed, sample_cap=args.sample_cap)
+    common = {"seed": args.seed, "sample_cap": args.sample_cap}
+    if theorem != "RemarkC":
+        return VERIFIERS[theorem](ExtensionContext(args.p, args.n), **common)
+    i_index = args.i
+    if i_index is None:
+        a, _ = two_adic_shape(args.p + 1)
+        i_index = a + 1
+    remark_C_slice(args.p, args.n, i_index, args.sample_cap)  # before the context build
+    return remark_C_check(ExtensionContext(args.p, args.n), i_index, **common)
 
 
 def _run_oracle(args) -> Report:

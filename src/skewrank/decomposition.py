@@ -14,12 +14,7 @@ import numpy as np
 from .arith import factorize
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
-from .forms import (
-    gram_entries,
-    gram_stack,
-    is_degenerate_by_norm,
-    is_degenerate_by_norm_stack,
-)
+from .forms import gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import STACK_BYTES, rank_mod, rank_mod_batch, rref_mod
 from .report import Report
@@ -102,19 +97,21 @@ def _block_ranks(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray
     return ranks
 
 
-def _block_predicate(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray:
-    """Norm predicate of a block of nonzero rows by the stacked kernel.
+def _block_predicates(ctx: ExtensionContext, block: np.ndarray, powers) -> dict[int, np.ndarray]:
+    """Norm predicate of a block of nonzero rows for every power, by the
+    stacked kernel.
 
-    The block's first row is recomputed by the scalar path; a different
-    answer raises InternalCheckError.
+    For every power the block's first row is recomputed by the scalar
+    path; a different answer raises InternalCheckError.
     """
-    predicate = is_degenerate_by_norm_stack(ctx, block, i)
-    if is_degenerate_by_norm(ctx, ctx.element(block[0]), i) != predicate[0]:
-        raise InternalCheckError(
-            f"stacked norm predicate disagrees with the scalar path for "
-            f"b={ctx.element(block[0])}, i={i}"
-        )
-    return predicate
+    predicates = norm_predicates(ctx, block, powers)
+    first = ctx.element(block[0])
+    for i, predicate in predicates.items():
+        if is_degenerate_by_norm(ctx, first, i) != predicate[0]:
+            raise InternalCheckError(
+                f"stacked norm predicate disagrees with the scalar path for b={first}, i={i}"
+            )
+    return predicates
 
 
 def _tally(histogram: dict[int, int], ranks: np.ndarray) -> None:
@@ -379,6 +376,28 @@ def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
     raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
 
 
+def remark_C_slice(p: int, n: int, i_index: int, sample_cap: int) -> int:
+    """t = n/2^i_index, the eigenspace exponent of the slice that
+    remark_C_check walks at (p, n), once its hypotheses and the sample
+    cap hold; else raises HypothesisViolation.  Needs no context, so a
+    caller can reject an instance before paying for the modulus search.
+    """
+    alpha, _ = two_adic_shape(n)
+    a, l = two_adic_shape(p + 1)
+    if l == 1:
+        raise HypothesisViolation(f"p + 1 = 2^{a} has odd part 1; eigenspaces keep constant rank")
+    if alpha <= a + 1:
+        raise HypothesisViolation(f"alpha={alpha} <= a+1={a + 1}; eigenspaces keep constant rank")
+    if not a + 1 <= i_index <= alpha - 1:
+        raise HypothesisViolation(f"i_index must be in [{a + 1}, {alpha - 1}], got {i_index}")
+    t = n >> i_index
+    if p**t - 1 > sample_cap:
+        raise HypothesisViolation(
+            f"the E{i_index} slice has {p**t - 1} odd exponents, more than the sample cap {sample_cap}"
+        )
+    return t
+
+
 def remark_C_check(
     ctx: ExtensionContext, i_index: int, seed: int = 0, sample_cap: int = 10_000
 ) -> Report:
@@ -392,23 +411,12 @@ def remark_C_check(
     exponents by the stacked kernels with the scalar path recomputing the
     first odd exponent of each block.  The walk is exhaustive: a slice
     with more than sample_cap odd exponents raises HypothesisViolation
-    before the generator is sought.
+    (remark_C_slice) before the generator is sought.
     """
     p, n = ctx.p, ctx.n
-    alpha, _ = two_adic_shape(n)
-    a, l = two_adic_shape(p + 1)
-    if l == 1:
-        raise HypothesisViolation(f"p + 1 = 2^{a} has odd part 1; eigenspaces keep constant rank")
-    if alpha <= a + 1:
-        raise HypothesisViolation(f"alpha={alpha} <= a+1={a + 1}; eigenspaces keep constant rank")
-    if not a + 1 <= i_index <= alpha - 1:
-        raise HypothesisViolation(f"i_index must be in [{a + 1}, {alpha - 1}], got {i_index}")
-    t = n >> i_index
+    t = remark_C_slice(p, n, i_index, sample_cap)
+    _, l = two_adic_shape(p + 1)
     csize = 2 * (p**t - 1)
-    if csize // 2 > sample_cap:
-        raise HypothesisViolation(
-            f"the E{i_index} slice has {csize // 2} odd exponents, more than the sample cap {sample_cap}"
-        )
     u = slice_generator(ctx, csize)
     # u^0 .. u^(B-1) as rows, doubled by one stacked product per step;
     # the block of exponents s0 .. s0+B-1 is then this table times u^s0
@@ -433,7 +441,7 @@ def remark_C_check(
             continue
         odd_rows, expect = block[odd], s[odd] % l == 0
         ranks = _block_ranks(ctx, odd_rows, 1)
-        degenerate = _block_predicate(ctx, odd_rows, 1)
+        degenerate = _block_predicates(ctx, odd_rows, [1])[1]
         pattern_ok &= np.array_equal(degenerate, expect) and np.array_equal(ranks < n, degenerate)
         _tally(spectra[True], ranks[expect])
         _tally(spectra[False], ranks[~expect])
@@ -468,18 +476,18 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     degenerate_counts = {i: 0 for i in range(1, n)}
     predicate_checked = 0
     predicate_disagreements = 0
-    predicate_powers = {i for i in range(1, n) if order_of(ctx, i) > 2}
+    predicate_powers = [i for i in range(1, n) if order_of(ctx, i) > 2]
     for block in _blocks(rows.astype(ctx._dtype, copy=False), n):
+        predicates = _block_predicates(ctx, block, predicate_powers)
         for i in range(1, n):
             ranks = _block_ranks(ctx, block, i)
             _tally(histograms[i], ranks)
             degenerate = ranks < n
             degenerate_counts[i] += int(degenerate.sum())
-            if i not in predicate_powers:
+            if i not in predicates:
                 continue
-            predicate = _block_predicate(ctx, block, i)
             predicate_checked += len(block)
-            predicate_disagreements += int((predicate != degenerate).sum())
+            predicate_disagreements += int((predicates[i] != degenerate).sum())
     support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)
                      for i in range(1, n))
     report = Report(

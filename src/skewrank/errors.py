@@ -37,10 +37,6 @@ class ZeroElement(SkewrankError):
     """Operation requires a nonzero field element."""
 
 
-class IdentityAutomorphism(SkewrankError):
-    """Operation requires a nontrivial power of the generating automorphism."""
-
-
 class InvolutionNotSupported(SkewrankError):
     """The norm degeneracy criterion needs an automorphism of order > 2."""
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    IdentityAutomorphism,
     InternalCheckError,
     InvolutionNotSupported,
     NotInEigenspace,
@@ -108,55 +107,70 @@ def is_degenerate_by_norm(ctx: ExtensionContext, b: FieldElement, i: int) -> boo
     return form1
 
 
-def is_degenerate_by_norm_stack(ctx: ExtensionContext, vecs: np.ndarray, i: int) -> np.ndarray:
+def norm_predicates(ctx: ExtensionContext, vecs: np.ndarray, powers) -> dict[int, np.ndarray]:
     """is_degenerate_by_norm for every row of a (B, n) stack of nonzero
-    elements, with the same cross-checks.  The norm is multiplicative, so
-    the quotient criterion is decided without division, as
-    N(sigma^i(b)) = N(b).
+    elements and every power i in `powers`, with the same cross-checks;
+    returns {i: boolean array over the rows}.
+
+    The criterion depends on i only through sub = gcd(n, 2i): the norm N
+    down to GF(p^sub) multiplies the n/sub conjugates sigma^(sub*j).  The
+    powers are grouped by sub.  Per group the conjugates
+    c_k = sigma^(d*k)(b), d = gcd(sub, every i of the group), are built
+    once, and N(b) once, as the product of the coset k = 0 mod sub/d.
+    With i/d = r + (sub/d)*q, N(sigma^i(b)) is the product of coset r
+    rotated by q places: its suffix from place q times its prefix before
+    q, one product per i.  The norm is multiplicative, so the quotient
+    criterion is decided without division as N(sigma^i(b)) = N(b); the
+    invariance criterion sigma^i(N(b)) = N(b) must agree with it.
     """
     p, n = ctx.p, ctx.n
     if not (vecs % p != 0).any(axis=1).all():
         raise ZeroElement("the norm criterion needs b != 0")
-    im = i % n
-    o = order_of(ctx, im) if im else 1
-    if o <= 2:
-        raise InvolutionNotSupported(f"sigma^{i} has order {o}; the criterion needs order > 2")
-    sub = math.gcd(n, 2 * im)
-    full_norm = ctx.norm_stack(vecs, sub)
-    form1 = (ctx.norm_stack(ctx.frobenius_stack(vecs, im), sub) == full_norm).all(axis=1)
-    form2 = (ctx.frobenius_stack(full_norm, im) == full_norm).all(axis=1)
-    bad = form1 != form2
-    if im == 1:
-        # the invariant norm lies in the prime field exactly when degenerate
-        bad |= (full_norm[:, 1:] != 0).any(axis=1) == form2
-    if bad.any():
-        b = ctx.element(vecs[bad.argmax()])
-        raise InternalCheckError(f"stacked norm criteria disagree for b={b}, i={i}")
-    return form1
-
-
-def predicted_rank(ctx: ExtensionContext, b: FieldElement, i: int) -> int:
-    """Rank forced by the order of sigma^i (and the norm criterion when
-    the order is even and > 2).
-
-    For involutions the answer is n; b in the fixed field of the
-    involution maps to the zero form and is not covered by this value.
-    """
-    ctx._own(b)
-    if not b:
-        raise ZeroElement("predicted rank needs b != 0")
-    n = ctx.n
-    im = i % n
-    if im == 0:
-        raise IdentityAutomorphism("sigma^0 gives the zero form")
-    o = order_of(ctx, im)
-    if o == 2:
-        return n
-    if o % 2 == 1:
-        return n - n // o
-    if is_degenerate_by_norm(ctx, b, im):
-        return n - n // (o // 2)
-    return n
+    groups: dict[int, list[int]] = {}
+    for i in powers:
+        im = i % n
+        o = order_of(ctx, im) if im else 1
+        if o <= 2:
+            raise InvolutionNotSupported(f"sigma^{i} has order {o}; the criterion needs order > 2")
+        groups.setdefault(math.gcd(n, 2 * im), []).append(i)
+    predicates = {}
+    for sub, group in groups.items():
+        d = math.gcd(sub, *(i % n for i in group))
+        s, m = sub // d, n // sub
+        conjugates = [vecs]
+        for _ in range(n // d - 1):
+            conjugates.append(ctx.frobenius_stack(conjugates[-1], d))
+        rotations: dict[int, set[int]] = {0: set()}  # coset r -> places q; coset 0 gives N(b)
+        for i in group:
+            q, r = divmod(i % n // d, s)
+            rotations.setdefault(r, set()).add(q)
+        matches = {}  # (q, r) -> rows where N(sigma^i(b)) = N(b)
+        for r, places in sorted(rotations.items()):
+            coset = conjugates[r::s]
+            prefix = [coset[0]]  # prefix[k] = coset[0] * ... * coset[k]
+            for factor in coset[1 : m if r == 0 else max(places)]:
+                prefix.append(ctx.mul_stack(prefix[-1], factor))
+            if r == 0:
+                full_norm = prefix[m - 1]
+            suffix = {m - 1: coset[m - 1]}  # suffix[k] = coset[k] * ... * coset[m-1]
+            for k in range(m - 2, min(places, default=m) - 1, -1):
+                suffix[k] = ctx.mul_stack(coset[k], suffix[k + 1])
+            for q in places:
+                rotated = ctx.mul_stack(suffix[q], prefix[q - 1]) if q else suffix[0]
+                matches[q, r] = (rotated == full_norm).all(axis=1)
+        for i in group:
+            im = i % n
+            form1 = matches[divmod(im // d, s)]
+            form2 = (ctx.frobenius_stack(full_norm, im) == full_norm).all(axis=1)
+            bad = form1 != form2
+            if im == 1:
+                # the invariant norm lies in the prime field exactly when degenerate
+                bad |= (full_norm[:, 1:] != 0).any(axis=1) == form2
+            if bad.any():
+                b = ctx.element(vecs[bad.argmax()])
+                raise InternalCheckError(f"stacked norm criteria disagree for b={b}, i={i}")
+            predicates[i] = form1
+    return predicates
 
 
 def degeneracy_witness(ctx: ExtensionContext, b: FieldElement, i_index: int) -> DegeneracyWitness:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotInEigenspace
 from .fields import ExtensionContext, FieldElement
-from .linalg import nullspace_mod, rank_mod
+from .linalg import nullspace_mod
 
 
 @dataclass
@@ -34,12 +34,6 @@ class SubspaceSpec:
         """Rows are the coefficient vectors of the basis elements."""
         ctx = self.basis[0].ctx
         return np.array([b.coeffs for b in self.basis], dtype=ctx._dtype)
-
-    def validate_independent(self) -> bool:
-        if not self.basis:
-            return True
-        ctx = self.basis[0].ctx
-        return rank_mod(self.basis_matrix(), ctx.p) == len(self.basis)
 
 
 def order_of(ctx: ExtensionContext, i: int) -> int:

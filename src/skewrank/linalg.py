@@ -40,33 +40,43 @@ def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
     Fraction-free elimination, one column c at a time across the whole
     stack: each matrix takes as pivot its first not-yet-used row with a
     nonzero entry in c, and every row r becomes pivot * r - r[c] *
-    pivot_row.  Both products are residues, so a step needs headroom for
-    two of them and no modular inverse.  Pivot rows and columns up to c
-    are never read again, so the step runs in place on the columns
-    right of c, and matrices without a pivot in c scale by 1 instead.
-    Stops once every matrix has a full set of pivots.
+    pivot_row.  Pivot rows and columns up to c are never read again, so
+    the step runs in place on the columns right of c, and matrices
+    without a pivot in c scale by 1 instead.  Stops once every matrix
+    has a full set of pivots.  The stack is held column-major, (C, B, R),
+    so the columns right of c are one contiguous block.
+
+    Reduction mod p is delayed (Dumas, Giorgi and Pernet, FFLAS/FFPACK,
+    ACM TOMS 35(3), 2008): a step reduces only column c and the pivot
+    rows, so with trailing entries bounded by `bound` in absolute value
+    it leaves them bounded by (p-1)*bound + (p-1)^2.  The whole trailing
+    block is reduced only when that would reach 2^63.
     """
-    m = np.array(stack, dtype=dtype_for(p, 2))
+    m = np.array(np.transpose(stack, (2, 0, 1)), dtype=dtype_for(p, 2), order="C")
     m %= p
-    count, rows, cols = m.shape
+    cols, count, rows = m.shape
     full = min(rows, cols)
     used = np.zeros((count, rows), dtype=bool)
     ranks = np.zeros(count, dtype=np.int64)
     every = np.arange(count)
+    bound = p - 1
     for c in range(cols):
         if (ranks == full).all():
             break
-        col = m[:, :, c]
+        rest = m[c + 1 :]
+        if (p - 1) * bound + (p - 1) ** 2 >= _INT64_LIMIT:
+            rest %= p
+            bound = p - 1
+        col = m[c] % p
         cand = (col != 0) & ~used
         has = cand.any(axis=1)
         piv = cand.argmax(axis=1)
-        prow = m[every, piv, c:]
+        prow = m[c:, every, piv] % p  # (C - c, B): each matrix's pivot row from column c on
         used[every[has], piv[has]] = True
         ranks += has
-        rest = m[:, :, c + 1 :]
-        rest *= np.where(has, prow[:, 0], 1)[:, None, None]
-        rest -= col[:, :, None] * prow[:, None, 1:]
-        rest %= p
+        rest *= np.where(has, prow[0], 1)[None, :, None]
+        rest -= prow[1:, :, None] * col[None]
+        bound = (p - 1) * bound + (p - 1) ** 2
     return ranks
 
 

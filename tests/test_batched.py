@@ -92,6 +92,26 @@ def test_batched_rank_exact_near_the_int64_limit(rows, cols, count, seed):
     check_rank_stack(BIG_P, rows, cols, count, seed)
 
 
+# entries p - 1 make every unreduced product as large as a residue allows,
+# and low-rank matrices must end in rows that are zero mod p; the sizes take
+# each p past the point where rank_mod_batch must reduce the trailing block
+# (after 60 columns at p = 3, every 2 at 1000003, every one at 2^31 - 1)
+@pytest.mark.parametrize("p, size", [(3, 64), (1000003, 8), (BIG_P, 8)])
+def test_batched_rank_at_the_headroom_edge(p, size):
+    rng = np.random.Generator(np.random.PCG64(size))
+    ones = [np.ones((size, size), dtype=np.int64), np.tril(np.ones((size, size), dtype=np.int64))]
+    ones += [rng.integers(0, 2, size=(size, size)) for _ in range(4)]
+    ones += [(lambda a: a.T @ a)(rng.integers(0, 2, size=(size // 2, size))) for _ in range(2)]
+    stack = (p - 1) * np.array(ones, dtype=object)
+    low = [np.array(rng.integers(0, p, size=shape), dtype=object) for shape in [(2, size, size // 2),
+                                                                                (2, size // 2, size)]]
+    stack = np.concatenate([stack % p, np.matmul(*low) % p])
+    ranks = rank_mod_batch(stack, p)
+    assert ranks[0] == 1 and ranks[1] == size
+    for m, r in zip(stack, ranks):
+        assert r == rank_mod(m, p) == domain_rank(m, p)
+
+
 def all_rows(c):
     return np.array([b.coeffs for b in c.elements()], dtype=c._dtype)
 
@@ -108,10 +128,57 @@ def test_stacked_gram_rank_and_predicate_on_whole_fields(ctx, p, n):
             assert np.array_equal(g, scalar)
             assert r == rank_mod(scalar, p)
         if order_of(c, i) > 2:
-            predicate = forms.is_degenerate_by_norm_stack(c, vecs, i)
+            predicate = forms.norm_predicates(c, vecs, [i])[i]
             expected = [forms.is_degenerate_by_norm(c, c.element(v), i) for v in vecs]
             assert predicate.tolist() == expected
             assert predicate.tolist() == (ranks < n).tolist()
+
+
+def class_representatives(c, vecs):
+    """Index in vecs of the least element of each row's class under
+    sigma and scaling by K^x; vecs holds every nonzero element in
+    counting order, row j having index j + 1."""
+    p, n = c.p, c.n
+    digits = p ** np.arange(n)
+    least = np.full(len(vecs), c.order)
+    image = vecs
+    for _ in range(n):
+        for scale in range(1, p):
+            least = np.minimum(least, (scale * image % p) @ digits)
+        image = c.frobenius_stack(image, 1)
+    return least - 1
+
+
+@pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 4)])
+def test_norm_predicates_on_whole_fields(ctx, p, n):
+    # N(sigma^i(b)) / N(b) is the same for sigma(b) and for c*b, c in K^x,
+    # so the scalar predicate runs once per class of those moves
+    c = ctx(p, n)
+    vecs = all_rows(c)
+    powers = [i for i in range(1, n) if order_of(c, i) > 2]
+    predicates = forms.norm_predicates(c, vecs, powers)
+    assert sorted(predicates) == powers
+    reps = class_representatives(c, vecs)
+    for i in powers:
+        scalar = {j: forms.is_degenerate_by_norm(c, c.element(vecs[j]), i) for j in set(reps.tolist())}
+        assert predicates[i].tolist() == [scalar[j] for j in reps]
+        assert predicates[i].tolist() == (rank_mod_batch(forms.gram_stack(c, vecs, i), p) < n).tolist()
+
+
+def test_norm_predicates_across_subfields(ctx):
+    # at n = 12 the powers fall into three groups, sub = gcd(12, 2i) = 2, 4, 6,
+    # with conjugate steps d = 1, 2, 3 and rotations by zero places
+    c = ctx(3, 12)
+    rng = np.random.Generator(np.random.PCG64(12))
+    vecs = rng.integers(0, 3, size=(150, 12))
+    vecs = vecs[vecs.any(axis=1)]
+    powers = [i for i in range(1, 12) if order_of(c, i) > 2]
+    assert powers == [1, 2, 3, 4, 5, 7, 8, 9, 10, 11]
+    predicates = forms.norm_predicates(c, vecs, powers[::-1])
+    for i in powers:
+        expected = [forms.is_degenerate_by_norm(c, c.element(v), i) for v in vecs]
+        assert predicates[i].tolist() == expected
+        assert predicates[i].tolist() == (rank_mod_batch(forms.gram_stack(c, vecs, i), 3) < 12).tolist()
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
@@ -160,7 +227,7 @@ def test_stacks_stay_exact_in_object_dtype(big_ctx, coeffs):
             assert np.array_equal(g, scalar)
             assert r == rank_mod(scalar, BIG_P) == domain_rank(scalar, BIG_P)
         if order_of(c, i) > 2:
-            predicate = forms.is_degenerate_by_norm_stack(c, vecs, i)
+            predicate = forms.norm_predicates(c, vecs, [i])[i]
             assert predicate.tolist() == [forms.is_degenerate_by_norm(c, b, i) for b in elements]
     products = c.mul_stack(vecs, vecs[::-1])
     norms = c.norm_stack(vecs)
@@ -211,7 +278,7 @@ def test_stacked_kernels_reject_zero_rows(ctx):
     c = ctx(3, 5)
     vecs = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=c._dtype)
     with pytest.raises(ZeroElement):
-        forms.is_degenerate_by_norm_stack(c, vecs, 1)
+        forms.norm_predicates(c, vecs, [1])
 
 
 def report_bytes(report):
@@ -255,9 +322,9 @@ def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch):
 
 def test_scalar_spot_check_catches_a_wrong_stacked_predicate(ctx, monkeypatch):
     c = ctx(3, 4)
-    real = forms.is_degenerate_by_norm_stack
-    monkeypatch.setattr(decomposition, "is_degenerate_by_norm_stack",
-                        lambda *args: ~real(*args))
+    real = forms.norm_predicates
+    monkeypatch.setattr(decomposition, "norm_predicates",
+                        lambda *args: {i: ~v for i, v in real(*args).items()})
     with pytest.raises(InternalCheckError, match="scalar path"):
         decomposition.oracle_survey(c)
     with pytest.raises(InternalCheckError, match="scalar path"):

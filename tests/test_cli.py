@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,7 @@ TEXT_REPORTS = {
     "oracle --p 3 --n 4": (0, """\
 skewrank 0.1.0  check=oracle
 instance: p=3 n=4
+mode: exhaustive
 i=1: {2:20,4:60}
 i=2: {0:8,4:72}
 i=3: {2:20,4:60}
@@ -374,14 +376,29 @@ def test_report_all_text_names_the_failed_conditions_of_each_run(capsys, monkeyp
     assert lines[-1] == "FAIL: runs"
 
 
+def test_sampled_oracle_text_says_so(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--p", "5", "--n", "12", "--sample-cap", "100",
+                           "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:4] == [
+        "instance: p=5 n=12",
+        "mode: sampled",
+        "warning: field size 244140625 exceeds 16777216; sampled 100",
+    ]
+
+
 # the E3 slice has p^t - 1 odd exponents, t = n/8
 @pytest.mark.parametrize("p, n, odd", [("11", "64", 11**8 - 1), ("1000003", "16", 1000003**2 - 1)])
 def test_remark_c_beyond_the_sample_cap_exits_one_naming_it(p, n, odd):
-    # the walk covered the whole slice, 2(p^t - 1) elements, with no bound
+    # the walk covered the whole slice, 2(p^t - 1) elements, with no bound;
+    # then the cap was checked only after the modulus search (3 s at (11, 64))
+    start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "skewrank", "verify", "--theorem", "RemarkC", "--p", p, "--n", n],
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
+    assert time.perf_counter() - start < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
     assert f"{odd} odd exponents, more than the sample cap 10000" in proc.stderr
     assert "Traceback" not in proc.stderr

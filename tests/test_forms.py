@@ -9,8 +9,8 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from skewrank import forms, galois
+from skewrank.decomposition import _allowed_ranks
 from skewrank.errors import (
-    IdentityAutomorphism,
     InvolutionNotSupported,
     NotInEigenspace,
     ZeroElement,
@@ -157,31 +157,34 @@ def test_norm_criterion_rejects_involutions_and_zero(ctx):
         forms.is_degenerate_by_norm(c, c.zero(), 1)
 
 
-def test_predicted_rank_odd_order_is_constant(ctx):
+def test_odd_order_forms_have_the_one_allowed_rank(ctx):
     c = ctx(3, 6)
+    assert _allowed_ranks(6, galois.order_of(c, 2)) == {4}  # order 3: 6 - 6/3
     for b in c.elements():
-        assert forms.predicted_rank(c, b, 2) == 4  # order 3: 6 - 6/3
+        assert rank_mod(forms.gram(c, b, 2), 3) == 4
 
 
-def test_predicted_rank_examples(ctx):
+def test_allowed_ranks_examples(ctx):
     c = ctx(3, 4)
-    assert forms.predicted_rank(c, c.one(), 1) == 2
-    assert forms.predicted_rank(c, c.one(), 2) == 4  # involution
-    with pytest.raises(IdentityAutomorphism):
-        forms.predicted_rank(c, c.one(), 0)
-    with pytest.raises(ZeroElement):
-        forms.predicted_rank(c, c.zero(), 1)
+    assert _allowed_ranks(4, 4) == {2, 4}
+    assert forms.is_degenerate_by_norm(c, c.one(), 1)
+    assert rank_mod(forms.gram(c, c.one(), 1), 3) == 2
+    assert _allowed_ranks(4, 2) == {0, 4}  # involution: 0 on its fixed field, which holds 1
+    assert rank_mod(forms.gram(c, c.one(), 2), 3) == 0
+    assert rank_mod(forms.gram(c, c.theta(), 2), 3) == 4
 
 
-def test_predicted_rank_agrees_with_gram_rank(ctx):
-    # exception: for the involution, elements of its fixed field give the zero form
+def test_norm_predicate_picks_the_rank_among_the_allowed_ones(ctx):
     c = ctx(3, 4)
     for b in c.elements():
         for i in range(1, 4):
+            o = galois.order_of(c, i)
+            allowed = _allowed_ranks(4, o)
             actual = rank_mod(forms.gram(c, b, i), 3)
-            if galois.order_of(c, i) == 2 and actual == 0:
-                continue
-            assert forms.predicted_rank(c, b, i) == actual
+            assert actual in allowed
+            if o > 2:
+                degenerate = forms.is_degenerate_by_norm(c, b, i)
+                assert actual == (min(allowed) if degenerate else max(allowed))
 
 
 def test_witness_identity_exhaustive_on_e2_at_3_8(ctx):

@@ -58,7 +58,7 @@ def test_eigenspace_vectors_satisfy_the_eigen_condition(ctx):
         scale = c.scalar(lam)
         for b in space.basis:
             assert c.frobenius_power(b, t) == scale * b
-        assert space.validate_independent()
+        assert rank_mod(space.basis_matrix(), c.p) == space.dimension
 
 
 def test_eigenspace_is_deterministic(ctx):
