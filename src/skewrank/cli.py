@@ -13,8 +13,11 @@ JSON is the stable contract; the text format is a readable summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .arith import is_prime
@@ -268,5 +271,27 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Entry point of `python -m skewrank` and of the installed command.
+
+    Runs main, flushes both streams and ends the process with os._exit,
+    skipping interpreter teardown: the report is already written, and
+    neither skewrank nor numpy registers an atexit handler.  A closed
+    standard output ends the run with one line on stderr and exit 1.
+    An exception, argparse's SystemExit among them, leaves by the
+    normal path.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_USAGE
+        with contextlib.suppress(OSError):
+            sys.stderr.write("error: cannot write the report: standard output is closed\n")
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,15 +109,6 @@ def cyclo_sigma(u: CycloElement, power: int = 1) -> CycloElement:
     return u
 
 
-def quadratic_subfield_coordinates(u: CycloElement) -> tuple[Fraction, Fraction]:
-    """Coordinates of u in the basis {1, eta^2 + eta^3} of the subfield
-    fixed by sigma^2; raises ValueError if u is not in that subfield."""
-    x, y, z, w = u.coords
-    if y != 0 or z != w:
-        raise ValueError(f"{u} is not in the quadratic subfield")
-    return x, z
-
-
 def norm_to_quadratic_subfield(b: CycloElement) -> CycloElement:
     """b * sigma^2(b), the norm down to the subfield fixed by sigma^2."""
     return b * cyclo_sigma(b, 2)
@@ -138,18 +130,18 @@ def isotropy_form(x, y, z, w) -> Fraction:
     return x * y - x * z - x * w + y * z - y * w + z * w
 
 
+@lru_cache(maxsize=None)
+def _basis_twists() -> tuple[tuple[CycloElement, ...], ...]:
+    """br * sigma(bs) - sigma(br) * bs for every pair of basis elements
+    (r, s), which does not depend on b; built on first use."""
+    return tuple(tuple(br * cyclo_sigma(bs) - cyclo_sigma(br) * bs for bs in _BASIS) for br in _BASIS)
+
+
 def gram_rational(b: CycloElement) -> tuple[tuple[tuple[Fraction, ...], ...], int]:
     """Gram matrix of the skew-form of b in the basis {1, eta, eta^2,
     eta^3}, with its exact rank.  Rank 4 iff the degeneracy coefficient
     of b is nonzero; otherwise rank is 0 (b = 0) or 2."""
-    entries = []
-    for r in range(4):
-        row = []
-        for s in range(4):
-            br, bs = _BASIS[r], _BASIS[s]
-            val = b * (br * cyclo_sigma(bs) - cyclo_sigma(br) * bs)
-            row.append(val.rational_trace())
-        entries.append(row)
+    entries = [[(b * twist).rational_trace() for twist in row] for row in _basis_twists()]
     _, pivots = rref(np.array(entries, dtype=object), lambda x: 1 / Fraction(x), lambda m: m)
     return tuple(tuple(row) for row in entries), len(pivots)
 

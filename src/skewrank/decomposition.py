@@ -46,21 +46,33 @@ def _theorem_report(
 # enumeration helpers
 # ---------------------------------------------------------------------------
 
+class _SeededStream:
+    """The PCG64 stream of `seed`, created on the first draw, so a run
+    that samples nothing never imports numpy.random.  The components
+    that share one stream draw from it in turn, as from one generator."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._generator: np.random.Generator | None = None
+
+    def integers(self, *args, **kwargs) -> np.ndarray:
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.PCG64(self.seed))
+        return self._generator.integers(*args, **kwargs)
+
+
 def _coefficient_rows(
-    p: int, dim: int, limit: int, count: int, rng: np.random.Generator | int
+    p: int, dim: int, limit: int, count: int, rng: np.random.Generator | _SeededStream
 ) -> tuple[np.ndarray, str]:
     """Coefficient rows of GF(p)^dim to evaluate, and the mode.
 
     Every nonzero tuple in counting order when there are at most `limit`
     of them ("exhaustive"), else `count` draws from `rng` with any
-    all-zero draw redrawn ("sampled").  An int `rng` seeds a PCG64 only
-    when sampling, so an exhaustive run never loads numpy.random (~6 MB).
+    all-zero draw redrawn ("sampled").
     """
     if p**dim - 1 <= limit:
         grid = np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1]
         return grid[1:], "exhaustive"  # drop the zero row
-    if isinstance(rng, int):
-        rng = np.random.Generator(np.random.PCG64(rng))
     rows = rng.integers(0, p, size=(count, dim), dtype=np.int64)
     while True:
         zero = ~rows.any(axis=1)
@@ -133,18 +145,21 @@ def rank_spectrum_check(
     label: str,
     allowed: set[int],
     sample_cap: int = 10_000,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | _SeededStream | None = None,
 ) -> Report:
     """Rank histogram of gram(b, i) over the span of basis_matrix rows.
 
     Exhaustive when the subspace has at most sample_cap nonzero
-    elements (hard ceiling 2**20), otherwise sample_cap seeded samples.
+    elements (hard ceiling 2**20), otherwise sample_cap samples from
+    `rng`, by default the stream of seed 0.
     Passing is _spectrum_ok against the `allowed` ranks; the report's
     expected_rank is the rank when `allowed` has one element.
     """
     dim = basis_matrix.shape[0]
     limit = min(sample_cap, EXHAUSTIVE_CEILING)
-    rows, mode = _coefficient_rows(ctx.p, dim, limit, sample_cap, 0 if rng is None else rng)
+    if rng is None:
+        rng = _SeededStream(0)
+    rows, mode = _coefficient_rows(ctx.p, dim, limit, sample_cap, rng)
     vectors = (rows.astype(ctx._dtype) @ basis_matrix) % ctx.p
     spectrum: dict[int, int] = {}
     for block in _blocks(vectors, ctx.n):
@@ -213,7 +228,7 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
     n, p = ctx.n, ctx.p
     if n < 2:
         raise WrongShape(f"n must be >= 2, got {n}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _SeededStream(seed)
     stacked: list[np.ndarray] = []
     components: list[Report] = []
     full = np.eye(n, dtype=ctx._dtype)  # all of L, in the power basis
@@ -287,7 +302,7 @@ def _split_report(
     """Certificate of a split of the i=1 component: every space keeps
     its expected constant rank, and together the spaces span L."""
     n, p = ctx.n, ctx.p
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _SeededStream(seed)
     combined = np.vstack([s.basis_matrix() for s in spaces])
     direct_sum_ok = combined.shape[0] == n and rank_mod(combined, p) == n
     components = [
@@ -471,7 +486,7 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     p, n = ctx.p, ctx.n
     if n < 2:
         raise WrongShape(f"n must be >= 2, got {n}")
-    rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, seed)
+    rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, _SeededStream(seed))
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     degenerate_counts = {i: 0 for i in range(1, n)}
     predicate_checked = 0

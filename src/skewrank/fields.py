@@ -5,8 +5,12 @@ coefficient vectors in the power basis {1, theta, ..., theta^(n-1)},
 theta a root of the monic irreducible modulus.  The map x -> x^p is
 cached as an n x n matrix over GF(p), so automorphism powers, traces
 and norms reduce to exact matrix-vector work.  Every modulus, supplied
-or found by the search, must pass Rabin's irreducibility test on that
-matrix, in the same arithmetic.
+or found by the search, must pass Rabin's irreducibility test in its
+column form: x^(p^k) is that matrix applied k times to the x column,
+so x^(p^n) = x and the unit conditions on x^(p^(n/r)) - x are decided
+by matrix-vector steps in the same arithmetic.  The search tests each
+candidate on a bare quotient ring and hands the accepted tables to
+ExtensionContext, which builds them once.
 
 Determinism contract: the modulus defaults to the lexicographically
 smallest monic irreducible polynomial (coefficients compared from the
@@ -31,7 +35,7 @@ from .errors import (
     InvalidPrime,
     InvalidSubfield,
 )
-from .linalg import dtype_for, matmul_mod, rref_mod
+from .linalg import dtype_for, matmul_mod, rank_mod_batch, rref_mod
 
 MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
 
@@ -40,38 +44,53 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
 
     Candidate lower coefficient tuples (c0, ..., c_{n-1}) are compared
-    from the constant term up; the first one that ExtensionContext
-    accepts is returned.  Raises InvalidDegree for n < 2 (degree-1 moduli
-    are handled internally by ExtensionContext for the prime field
-    itself) and InvalidPrime for a p that ExtensionContext rejects.
+    from the constant term up; the first one that passes Rabin's test is
+    returned.  Raises InvalidDegree for n < 2 (degree-1 moduli are handled
+    internally by ExtensionContext for the prime field itself) and
+    InvalidPrime for a p that ExtensionContext rejects.
     """
     if n < 2:
         raise InvalidDegree(f"extension degree must be >= 2, got {n}")
-    return _lex_irreducible(p, n)
+    _check_prime(p)
+    return _lex_irreducible(p, n)[0]
+
+
+def _check_prime(p: int) -> None:
+    if p >= MAX_PRIME:  # before the primality test, which is exact only below the bound
+        raise InvalidPrime(f"p must be < 2**31, got {p}")
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
+    if p == 2:
+        raise InvalidPrime("characteristic two is not supported")
 
 
 @lru_cache(maxsize=None)
-def _lex_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """find_irreducible without the degree check; (0, 1) for n = 1.
+def _lex_irreducible(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(modulus, reduction matrix, Frobenius matrix) of find_irreducible's
+    modulus, without the degree check; the modulus is x for n = 1.
+
+    Each candidate is tested on a _QuotientRing, which holds only its
+    reduction matrix, and Rabin's test builds only x^p, the Frobenius
+    columns and the images of x.  ExtensionContext takes the accepted
+    ring's tables (read-only, shared by every context of (p, n)) and
+    does not test the modulus again.
 
     Trip bound: the odometer visits each monic candidate with nonzero
-    constant term at most once, so it builds at most (p - 1) * p^(n-1)
-    contexts.  It stops well before: GF(p) has irreducibles of every
+    constant term at most once, so it tests at most (p - 1) * p^(n-1)
+    rings.  It stops well before: GF(p) has irreducibles of every
     degree, about p^n / n of them, and the search tries 45 candidates
     at (3, 64) and 247 at (11, 64).
     """
     if n == 1:
-        return (0, 1)
+        return _tables_if_irreducible(_QuotientRing(p, 1, (0, 1)))
     # Odometer over (c0, ..., c_{n-1}) with the last coefficient moving
     # fastest == increasing lexicographic order compared from c0.  Every
     # candidate with c0 = 0 is divisible by x, so the scan starts at c0 = 1.
     lower = [0] * n
     lower[0] = 1
     while True:
-        cand = tuple(lower) + (1,)
         try:
-            ExtensionContext(p, n, cand)
-            return cand
+            return _tables_if_irreducible(_QuotientRing(p, n, tuple(lower) + (1,)))
         except InvalidModulus:
             pass
         i = n - 1
@@ -81,6 +100,15 @@ def _lex_irreducible(p: int, n: int) -> tuple[int, ...]:
         if i == 0 and lower[0] == p - 1:
             raise InvalidModulus(f"no irreducible of degree {n} over GF({p})")  # unreachable
         lower[i] += 1
+
+
+def _tables_if_irreducible(ring: "_QuotientRing") -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The ring's modulus, reduction matrix and Frobenius matrix, made
+    read-only, once the modulus passes Rabin's test."""
+    frobenius = ring._frobenius_if_irreducible()
+    for table in (ring._reduce_matrix, frobenius):
+        table.flags.writeable = False
+    return ring.modulus, ring._reduce_matrix, frobenius
 
 
 class FieldElement:
@@ -185,50 +213,30 @@ class FieldElement:
         return f"<{body} in GF({self.ctx.p}^{self.ctx.n})>"
 
 
-class ExtensionContext:
-    """Immutable ambient data of L = GF(p^n) over K = GF(p).
+class _QuotientRing:
+    """R = GF(p)[x]/(modulus) for a monic modulus of degree n >= 1: the
+    reduction matrix and the arithmetic that needs nothing else.
 
-    Construction precomputes the Frobenius matrix, the reduction table
-    of theta powers and the trace functional; everything downstream is
-    a pure function of this object, so it is safe to share across
-    threads.  n = 1 is accepted and denotes the prime field itself.
+    The modulus search tests each candidate on one of these;
+    ExtensionContext is the ring of an irreducible modulus with the
+    Galois data on top.  A reduction matrix the search already built may
+    be passed in.
     """
 
-    def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
-        if p >= MAX_PRIME:  # before the primality test, which is exact only below the bound
-            raise InvalidPrime(f"p must be < 2**31, got {p}")
-        if not is_prime(p):
-            raise InvalidPrime(f"{p} is not prime")
-        if p == 2:
-            raise InvalidPrime("characteristic two is not supported")
-        if n < 1:
-            raise InvalidDegree(f"extension degree must be >= 1, got {n}")
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...], reduce_matrix: np.ndarray | None = None):
         self.p = p
         self.n = n
-        self.order = p**n
-        if modulus is None:
-            modulus = _lex_irreducible(p, n)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise InvalidModulus(f"modulus must be monic of degree {n}")
         self.modulus = modulus
-
         # 2n-1 terms feed reduction; 3n-2 feed the trace-of-power table.
         self._dtype = dtype_for(p, max_terms=max(2 * n - 1, 1))
-        self._build_tables()
-        self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=self._dtype)}
-        self._frob_powers[1] = self._build_frobenius()
-        self._check_irreducible()
-        self._trace_maps: dict[int, np.ndarray] = {}
-        self._tp_table: np.ndarray | None = None
-        self._basis_grams: dict[int, np.ndarray] = {}
+        if reduce_matrix is None:
+            # coeffs of a degree-(2n-2) poly -> reduced vector
+            reduce_matrix = self._theta_powers(2 * n - 1).T.copy()
+        self._reduce_matrix = reduce_matrix
 
-    # -- construction helpers -------------------------------------------------
-
-    def _build_tables(self) -> None:
+    def _theta_powers(self, count: int) -> np.ndarray:
+        """theta^0 .. theta^(count-1) in the power basis, one per row."""
         p, n = self.p, self.n
-        count = max(3 * n - 2, 1)
         pows = np.zeros((count, n), dtype=self._dtype)
         pows[0, 0] = 1
         mod_low = np.array(self.modulus[:n], dtype=self._dtype)
@@ -240,65 +248,48 @@ class ExtensionContext:
             if top:
                 cur = (cur - top * mod_low) % p
             pows[t] = cur
-        self._theta_pows = pows
-        # reduction matrix: coeffs of degree-(2n-2) poly -> reduced vector
-        self._reduce_matrix = pows[: 2 * n - 1].T.copy()
+        return pows
 
-    def _build_frobenius(self) -> np.ndarray:
-        """Matrix F of y -> y^p on R = GF(p)[x]/(modulus).
+    def _frobenius_if_irreducible(self) -> np.ndarray:
+        """F, the matrix of y -> y^p on R, once the modulus passes Rabin's
+        test (Rabin 1980): for n >= 2 it is irreducible iff x^(p^n) = x
+        in R and x^(p^(n/r)) - x is a unit of R for every prime r | n.
 
-        This is a GF(p)-linear ring endomorphism of R for any monic
-        modulus, irreducible or not.  Before the other columns are built,
-        x^p - x must be a unit of R: otherwise the modulus has a root in
-        GF(p) and is reducible (for n >= 2).
+        y -> y^p is a GF(p)-linear ring endomorphism of R for any monic
+        modulus, so x^(p^k) is F^k times the x column, one matrix-vector
+        step per k.  The root filter comes first: x^p - x must be a unit,
+        else the modulus has a root in GF(p); only then are the other
+        columns of F built.  Raises InvalidModulus naming the modulus and
+        the condition that fails.
         """
-        n = self.n
+        p, n = self.p, self.n
         if n == 1:
             return np.eye(1, dtype=self._dtype)
-        theta = self._theta_pows[1]
-        fp = self._vpow(theta, self.p)  # theta^p
-        self._require_unit(fp - theta, f"it has a root in GF({self.p})")
+        x = np.zeros(n, dtype=self._dtype)
+        x[1] = 1
+        fp = self._vpow(x, p)  # x^p
+        self._require_unit(fp - x, f"it has a root in GF({p})")
         cols = [np.zeros(n, dtype=self._dtype)]
         cols[0][0] = 1
         for _ in range(1, n):
             cols.append(self._vmul(cols[-1], fp))
-        return np.stack(cols, axis=1)
-
-    def _check_irreducible(self) -> None:
-        """Rabin's test (Rabin 1980) on F: for n >= 2 the modulus is
-        irreducible iff F^n = I and F^(n/r) x - x is a unit of R for
-        every prime r | n.  Raises InvalidModulus naming the modulus."""
-        p, n = self.p, self.n
-        if n == 1:
-            return
-        nth = matmul_mod(self.sigma_power_matrix(n - 1), self._frob_powers[1], p)
-        if not np.array_equal(nth, np.eye(n, dtype=self._dtype)):
+        frobenius = np.stack(cols, axis=1)
+        images = [x, fp]  # images[k] = x^(p^k)
+        for _ in range(1, n):
+            images.append(matmul_mod(frobenius, images[-1], p))
+        if not np.array_equal(images[n], x):
             raise self._reducible(f"x^({p}^{n}) != x")
-        theta = self._theta_pows[1]
         for r in factorize(n):
-            conjugate = self.sigma_power_matrix(n // r)[:, 1]  # x^(p^(n/r))
-            self._require_unit(conjugate - theta, f"it shares a factor with x^({p}^{n // r}) - x")
+            self._require_unit(images[n // r] - x, f"it shares a factor with x^({p}^{n // r}) - x")
+        return frobenius
 
     def _reducible(self, why: str) -> InvalidModulus:
         return InvalidModulus(f"modulus {self.modulus} is reducible over GF({self.p}): {why}")
 
     def _require_unit(self, a: np.ndarray, why: str) -> None:
         """Raise InvalidModulus unless a is a unit of R, i.e. M_a has rank n."""
-        if len(rref_mod(self._mul_matrix(a), self.p)[1]) < self.n:
+        if rank_mod_batch(self._mul_matrix(a)[None], self.p)[0] < self.n:
             raise self._reducible(why)
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtensionContext):
-            return NotImplemented
-        return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.modulus))
-
-    def __repr__(self):
-        return f"ExtensionContext(p={self.p}, n={self.n}, modulus={self.modulus})"
 
     # -- vector-level arithmetic (internal fast path) -------------------------
 
@@ -342,6 +333,50 @@ class ExtensionContext:
             e >>= 1
         return result
 
+
+class ExtensionContext(_QuotientRing):
+    """Immutable ambient data of L = GF(p^n) over K = GF(p).
+
+    Construction precomputes the Frobenius matrix and the reduction
+    matrix; everything downstream is a pure function of this object, so
+    it is safe to share across threads.  Without a modulus it takes both
+    tables from the modulus search, which has already tested them; a
+    supplied modulus gets the whole of Rabin's test.  n = 1 is accepted
+    and denotes the prime field itself.
+    """
+
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
+        _check_prime(p)
+        if n < 1:
+            raise InvalidDegree(f"extension degree must be >= 1, got {n}")
+        if modulus is None:
+            modulus, reduce_matrix, frobenius = _lex_irreducible(p, n)
+            super().__init__(p, n, modulus, reduce_matrix)
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise InvalidModulus(f"modulus must be monic of degree {n}")
+            super().__init__(p, n, modulus)
+            frobenius = self._frobenius_if_irreducible()
+        self.order = p**n
+        self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=self._dtype), 1: frobenius}
+        self._trace_maps: dict[int, np.ndarray] = {}
+        self._tp_table: np.ndarray | None = None
+        self._basis_grams: dict[int, np.ndarray] = {}
+
+    # -- identity -----------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtensionContext):
+            return NotImplemented
+        return (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.modulus))
+
+    def __repr__(self):
+        return f"ExtensionContext(p={self.p}, n={self.n}, modulus={self.modulus})"
+
     # -- stacked arithmetic: (B, n) arrays, one element per row ----------------
 
     def mul_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -358,15 +393,6 @@ class ExtensionContext:
     def frobenius_stack(self, a: np.ndarray, i: int) -> np.ndarray:
         """Row-wise sigma^i: the rows times the transposed Frobenius power."""
         return matmul_mod(a, self.sigma_power_matrix(i).T, self.p)
-
-    def norm_stack(self, a: np.ndarray, sub: int = 1) -> np.ndarray:
-        """Row-wise norms down to GF(p^sub): products of the conjugates."""
-        self._check_sub(sub)
-        acc = cur = a
-        for _ in range(self.n // sub - 1):
-            cur = self.frobenius_stack(cur, sub)
-            acc = self.mul_stack(acc, cur)
-        return acc
 
     def _wrap(self, vec: np.ndarray) -> FieldElement:
         return FieldElement(self, tuple(int(c) for c in vec))
@@ -394,7 +420,7 @@ class ExtensionContext:
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
 
     def power_basis(self) -> list[FieldElement]:
-        return [FieldElement(self, tuple(int(c) for c in self._theta_pows[t])) for t in range(self.n)]
+        return [FieldElement(self, tuple(int(c) for c in row)) for row in self._theta_powers(self.n)]
 
     def from_index(self, v: int) -> FieldElement:
         """Element with coefficients the base-p digits of v (c0 least significant)."""
@@ -472,5 +498,5 @@ class ExtensionContext:
         """tp[u] = tr(theta^u) in GF(p), for u = 0..3n-3."""
         if self._tp_table is None:
             tau = self._trace_map(1)[0]  # trace lands in K = span{1}
-            self._tp_table = matmul_mod(self._theta_pows, tau, self.p)
+            self._tp_table = matmul_mod(self._theta_powers(3 * self.n - 2), tau, self.p)
         return self._tp_table

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInEigenspace
 from .fields import ExtensionContext, FieldElement
 from .linalg import nullspace_mod
 
@@ -68,14 +67,6 @@ def eigenspace(
 def fixed_field_basis(ctx: ExtensionContext, i: int) -> SubspaceSpec:
     """Basis of the fixed field of sigma^i; its dimension is gcd(n, i)."""
     return eigenspace(ctx, i, 1, label=f"L_{i}")
-
-
-def negation_eigenvector(ctx: ExtensionContext, t: int) -> FieldElement:
-    """First basis vector of the -1 eigenspace of sigma^t."""
-    space = eigenspace(ctx, t, -1)
-    if not space.basis:
-        raise NotInEigenspace(f"sigma^{t} has no -1 eigenvector over GF({ctx.p}^{ctx.n})")
-    return space.basis[0]
 
 
 def two_adic_shape(n: int) -> tuple[int, int]:

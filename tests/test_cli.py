@@ -196,6 +196,72 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["pass"] is True
 
 
+def buffered_env() -> dict:
+    """child_env with block-buffered standard streams, so that a report
+    still sits in the buffer when main returns."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("verify --theorem TC --p 3 --n 4", 0),
+    ("oracle --p 3 --n 4 --format text", 0),
+    ("verify --theorem TC --p 3 --n 4 --output {out}", 0),
+    ("oracle --p 9 --n 4", 1),  # not a prime
+    ("section6 --grid 2 --samples 5 --form 1,1,-2", 2),  # a failing certificate
+    ("section6 --grid 2 --samples 5 --form 1,1,-2 --format text --output {out}", 2),
+])
+def test_module_entry_matches_in_process_main(argv, code, tmp_path, capsys):
+    # python -m skewrank ends by os._exit after flushing: nothing may be lost or added
+    results = {}
+    for where in ("inproc", "child"):
+        out = tmp_path / f"{where}.txt"
+        args = argv.format(out=out).split()
+        if where == "inproc":
+            result = (main(args), *capsys.readouterr())
+        else:
+            proc = subprocess.run([sys.executable, "-m", "skewrank", *args], capture_output=True,
+                                  text=True, env=buffered_env(), timeout=60)
+            result = (proc.returncode, proc.stdout, proc.stderr)
+        results[where] = (*result, out.read_text() if out.exists() else None)
+    assert results["child"] == results["inproc"]
+    assert results["child"][0] == code
+
+
+@pytest.mark.parametrize("argv", ["verify --theorem TC --p 3 --n 4", "oracle --p 3 --n 4 --format text"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_with_one_line(argv, unbuffered):
+    # buffered, the report reaches the pipe only at the final flush; unbuffered, at the write
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "skewrank", *argv.split()], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the report: standard output is closed\n"
+
+
+def test_an_exhaustive_run_never_imports_numpy_random():
+    # the generator is created on the first sampled draw
+    script = """
+import sys
+from skewrank.cli import main
+assert main("verify --theorem TA --p 7 --n 6 --output /dev/null".split()) == 0
+assert "numpy.random" not in sys.modules
+assert main("verify --theorem TA --p 7 --n 6 --sample-cap 100 --output /dev/null".split()) == 0
+assert "numpy.random" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_prime_at_or_above_2_31_exits_one_naming_the_bound(capsys):
     # the primality test is exact only below 3.2e9, so the bound is checked first
     for p in ("2147483659", "2147483648", str(10**30 + 57)):  # 2**31 + 11 is prime

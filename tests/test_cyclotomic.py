@@ -74,9 +74,9 @@ def test_degeneracy_coefficient_matches_norm_extraction():
     for _ in range(300):
         tup = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(4))
         b = cy.CycloElement(tup)
-        norm = cy.norm_to_quadratic_subfield(b)
-        first, second = cy.quadratic_subfield_coordinates(norm)
-        assert cy.degeneracy_coefficient(*tup) == second
+        _, y, z, w = cy.norm_to_quadratic_subfield(b).coords
+        assert y == 0 and z == w  # x + z * (eta^2 + eta^3), in the quadratic subfield
+        assert cy.degeneracy_coefficient(*tup) == z
         assert cy.isotropy_form(*tup) == -cy.degeneracy_coefficient(*tup)
 
 
@@ -86,7 +86,8 @@ def test_norm_lands_in_the_quadratic_subfield():
         b = cy.CycloElement.of(*(rng.randint(-30, 30) for _ in range(4)))
         norm = cy.norm_to_quadratic_subfield(b)
         assert cy.cyclo_sigma(norm, 2) == norm
-        cy.quadratic_subfield_coordinates(norm)  # must not raise
+        _, y, z, w = norm.coords
+        assert y == 0 and z == w  # in the basis {1, eta^2 + eta^3} of that subfield
 
 
 def test_gram_rational_rank_trichotomy():

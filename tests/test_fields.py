@@ -4,11 +4,13 @@ import random
 import re
 from functools import lru_cache
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewrank import fields
 from skewrank.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -20,6 +22,8 @@ from skewrank.errors import (
 from skewrank.fields import ExtensionContext, find_irreducible
 
 from conftest import element_order, first_generator
+
+BIG_P = 2**31 - 1
 
 
 def brute_first_irreducible(p, n):
@@ -349,14 +353,58 @@ def test_each_branch_of_the_modulus_test_rejects(f, why):
         ExtensionContext(3, len(f) - 1, modulus=f)
 
 
+def per_context_search(p, n):
+    """The search as it was: a whole ExtensionContext per candidate, in the
+    odometer order of the lexicographic search, kept as the reference."""
+    lower = [1] + [0] * (n - 1)
+    while True:
+        cand = tuple(lower) + (1,)
+        try:
+            ExtensionContext(p, n, modulus=cand)
+            return cand
+        except InvalidModulus:
+            pass
+        i = n - 1
+        while lower[i] == p - 1:
+            lower[i] = 0
+            i -= 1
+        lower[i] += 1
+
+
+SEARCH_CASES = [(p, n) for p in (3, 5, 7, 11, 13) for n in range(2, 13)] + [
+    (3, 64), (1000003, 4), (BIG_P, 2), (BIG_P, 3), (BIG_P, 4),
+]
+
+
+@pytest.mark.parametrize("p,n", SEARCH_CASES)
+def test_find_irreducible_matches_the_per_context_search(p, n, monkeypatch):
+    expected = per_context_search(p, n)
+    built = []
+    init = ExtensionContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtensionContext, "__init__", counting_init)
+    fields._lex_irreducible.cache_clear()
+    assert find_irreducible(p, n) == expected
+    assert built == []  # the search tests rings, not contexts
+    fields._lex_irreducible.cache_clear()
+    c = ExtensionContext(p, n)
+    assert c.modulus == expected and len(built) == 1
+    # the tables the search handed over are those of the whole test on that modulus
+    explicit = ExtensionContext(p, n, modulus=expected)
+    assert np.array_equal(c._reduce_matrix, explicit._reduce_matrix)
+    assert np.array_equal(c.sigma_power_matrix(1), explicit.sigma_power_matrix(1))
+
+
 def test_find_irreducible_at_the_largest_accepted_prime():
     p = 2**31 - 1
     f = find_irreducible(p, 4)
     x = sympy.Symbol("x")
     assert sympy.Poly(list(reversed(f)), x, modulus=p).is_irreducible
 
-
-BIG_P = 2**31 - 1
 
 
 @lru_cache(maxsize=None)

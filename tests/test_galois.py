@@ -113,7 +113,7 @@ def test_fixed_field_is_multiplicatively_closed(ctx):
 
 def test_negation_eigenvector(ctx):
     c = ctx(3, 4)
-    j = galois.negation_eigenvector(c, 2)
+    j = galois.eigenspace(c, 2, -1).basis[0]
     assert c.frobenius_power(j, 2) == -j
 
 
