@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import factorize
 from .errors import InternalCheckError, InvalidArgument, NotSquareFree
-from .linalg import STACK_BYTES, dtype_for_bound, rref
+from .linalg import STACK_BYTES, rref
 from .report import Report
 
 _MINPOLY_FOLD = (-1, -1, -1, -1)  # eta^4 = -1 - eta - eta^2 - eta^3
@@ -386,6 +386,12 @@ _DEGENERACY_UPPER = np.array(
 _PARAMETRIZED_UPPER = _integer_matrix(
     [(2 if j > i else int(j == i)) * PARAMETRIZED_FORM[i][j] for j in range(3)] for i in range(3)
 )
+
+
+def dtype_for_bound(bound: int, max_terms: int):
+    """Dtype whose accumulators hold `max_terms` products of integers of
+    absolute value at most `bound`: int64, else Python integers."""
+    return np.int64 if max_terms * bound**2 < 2**63 else object
 
 
 def _max_abs(a: np.ndarray) -> int:

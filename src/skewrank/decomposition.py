@@ -16,7 +16,7 @@ from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
 from .forms import gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
-from .linalg import STACK_BYTES, rank_mod, rank_mod_batch, rref_mod
+from .linalg import STACK_BYTES, matmul_mod, rank_mod, rank_mod_batch, rref_mod
 from .report import Report
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
@@ -160,7 +160,7 @@ def rank_spectrum_check(
     if rng is None:
         rng = _SeededStream(0)
     rows, mode = _coefficient_rows(ctx.p, dim, limit, sample_cap, rng)
-    vectors = (rows.astype(ctx._dtype) @ basis_matrix) % ctx.p
+    vectors = matmul_mod(rows, basis_matrix, ctx.p)
     spectrum: dict[int, int] = {}
     for block in _blocks(vectors, ctx.n):
         _tally(spectrum, _block_ranks(ctx, block, i))
@@ -193,7 +193,7 @@ def build_component(ctx: ExtensionContext, i: int) -> np.ndarray:
         raise ValueError(f"component index must be in [1, {ctx.n}), got {i}")
     n, p = ctx.n, ctx.p
     upper = np.triu_indices(n, k=1)
-    vectors = gram_stack(ctx, np.eye(n, dtype=ctx._dtype), i)[:, upper[0], upper[1]]
+    vectors = gram_stack(ctx, np.eye(n, dtype=np.int64), i)[:, upper[0], upper[1]]
     _, pivots = rref_mod(vectors.T, p)
     expected = n // 2 if order_of(ctx, i) == 2 else n
     if len(pivots) != expected:
@@ -231,7 +231,7 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
     rng = _SeededStream(seed)
     stacked: list[np.ndarray] = []
     components: list[Report] = []
-    full = np.eye(n, dtype=ctx._dtype)  # all of L, in the power basis
+    full = np.eye(n, dtype=np.int64)  # all of L, in the power basis
     for i in component_representatives(n):
         rows = build_component(ctx, i)  # checks the dimension: n/2 or n
         stacked.append(rows)
@@ -492,7 +492,7 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     predicate_checked = 0
     predicate_disagreements = 0
     predicate_powers = [i for i in range(1, n) if order_of(ctx, i) > 2]
-    for block in _blocks(rows.astype(ctx._dtype, copy=False), n):
+    for block in _blocks(rows, n):
         predicates = _block_predicates(ctx, block, predicate_powers)
         for i in range(1, n):
             ranks = _block_ranks(ctx, block, i)

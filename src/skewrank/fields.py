@@ -1,16 +1,18 @@
 """Exact arithmetic in the extension tower GF(p) <= GF(p^n).
 
-Elements live in L = GF(p)[x]/(modulus) and are stored as length-n
+Elements live in L = GF(p)[x]/(modulus) and are stored as length-n int64
 coefficient vectors in the power basis {1, theta, ..., theta^(n-1)},
-theta a root of the monic irreducible modulus.  The map x -> x^p is
-cached as an n x n matrix over GF(p), so automorphism powers, traces
-and norms reduce to exact matrix-vector work.  Every modulus, supplied
-or found by the search, must pass Rabin's irreducibility test in its
-column form: x^(p^k) is that matrix applied k times to the x column,
-so x^(p^n) = x and the unit conditions on x^(p^(n/r)) - x are decided
-by matrix-vector steps in the same arithmetic.  The search tests each
-candidate on a bare quotient ring and hands the accepted tables to
-ExtensionContext, which builds them once.
+theta a root of the monic irreducible modulus; their products are
+linalg.contract_mod contractions, exact for every p < 2^31.  The map
+x -> x^p is cached as an n x n matrix over GF(p), so automorphism
+powers, traces and norms reduce to exact matrix-vector work.  Every
+modulus, supplied or found by the search, must pass Rabin's
+irreducibility test in its column form: x^(p^k) is that matrix applied
+k times to the x column, so x^(p^n) = x and the unit conditions on
+x^(p^(n/r)) - x are decided by matrix-vector steps in the same
+arithmetic.  The search tests each candidate on a bare quotient ring
+and hands the accepted tables to ExtensionContext, which builds them
+once.
 
 Determinism contract: the modulus defaults to the lexicographically
 smallest monic irreducible polynomial (coefficients compared from the
@@ -35,7 +37,7 @@ from .errors import (
     InvalidPrime,
     InvalidSubfield,
 )
-from .linalg import dtype_for, matmul_mod, rank_mod_batch, rref_mod
+from .linalg import contract_mod, matmul_mod, rank_mod_batch, rref_mod
 
 MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
 
@@ -134,7 +136,7 @@ class FieldElement:
 
     def vector(self) -> np.ndarray:
         """Coefficient vector as a fresh numpy array."""
-        return np.array(self.coeffs, dtype=self.ctx._dtype)
+        return np.array(self.coeffs, dtype=np.int64)
 
     def index(self) -> int:
         """Integer encoding: sum of coeffs[i] * p^i."""
@@ -227,8 +229,6 @@ class _QuotientRing:
         self.p = p
         self.n = n
         self.modulus = modulus
-        # 2n-1 terms feed reduction; 3n-2 feed the trace-of-power table.
-        self._dtype = dtype_for(p, max_terms=max(2 * n - 1, 1))
         if reduce_matrix is None:
             # coeffs of a degree-(2n-2) poly -> reduced vector
             reduce_matrix = self._theta_powers(2 * n - 1).T.copy()
@@ -237,17 +237,13 @@ class _QuotientRing:
     def _theta_powers(self, count: int) -> np.ndarray:
         """theta^0 .. theta^(count-1) in the power basis, one per row."""
         p, n = self.p, self.n
-        pows = np.zeros((count, n), dtype=self._dtype)
+        pows = np.zeros((count, n), dtype=np.int64)
         pows[0, 0] = 1
-        mod_low = np.array(self.modulus[:n], dtype=self._dtype)
+        mod_low = np.array(self.modulus[:n], dtype=np.int64)
         for t in range(1, count):
-            prev = pows[t - 1]
-            cur = np.zeros(n, dtype=self._dtype)
-            cur[1:] = prev[:-1]
-            top = prev[n - 1]
-            if top:
-                cur = (cur - top * mod_low) % p
-            pows[t] = cur
+            # shift up one place, then fold theta^n = -(c_0 + ... + c_(n-1) theta^(n-1))
+            pows[t, 1:] = pows[t - 1, :-1]
+            pows[t] = (pows[t] - pows[t - 1, n - 1] * mod_low) % p
         return pows
 
     def _frobenius_if_irreducible(self) -> np.ndarray:
@@ -264,13 +260,11 @@ class _QuotientRing:
         """
         p, n = self.p, self.n
         if n == 1:
-            return np.eye(1, dtype=self._dtype)
-        x = np.zeros(n, dtype=self._dtype)
-        x[1] = 1
+            return np.eye(1, dtype=np.int64)
+        x = np.eye(n, dtype=np.int64)[1]
         fp = self._vpow(x, p)  # x^p
         self._require_unit(fp - x, f"it has a root in GF({p})")
-        cols = [np.zeros(n, dtype=self._dtype)]
-        cols[0][0] = 1
+        cols = [np.eye(n, dtype=np.int64)[0]]
         for _ in range(1, n):
             cols.append(self._vmul(cols[-1], fp))
         frobenius = np.stack(cols, axis=1)
@@ -294,16 +288,14 @@ class _QuotientRing:
     # -- vector-level arithmetic (internal fast path) -------------------------
 
     def _vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            return (a * b) % self.p
-        conv = np.convolve(a, b) % self.p
+        conv = contract_mod(np.convolve, a, b, self.p, self.n)
         return matmul_mod(self._reduce_matrix, conv, self.p)
 
     def _mul_matrix(self, a: np.ndarray) -> np.ndarray:
         """M_a, the matrix of y -> a * y: the reduction matrix times the
         Toeplitz (multiply-by-a) matrix.  a is a unit iff M_a has rank n."""
         n = self.n
-        toeplitz = np.zeros((2 * n - 1, n), dtype=self._dtype)
+        toeplitz = np.zeros((2 * n - 1, n), dtype=np.int64)
         for j in range(n):
             toeplitz[j : j + n, j] = a % self.p
         return matmul_mod(self._reduce_matrix, toeplitz, self.p)
@@ -311,9 +303,7 @@ class _QuotientRing:
     def _vinv(self, a: np.ndarray) -> np.ndarray:
         """Solve a * x = 1 as the linear system M_a x = e_0."""
         n = self.n
-        system = np.zeros((n, n + 1), dtype=self._dtype)
-        system[:, :n] = self._mul_matrix(a)
-        system[0, n] = 1
+        system = np.hstack([self._mul_matrix(a), np.eye(n, 1, dtype=np.int64)])  # [M_a | e_0]
         m, pivots = rref_mod(system, self.p)
         if pivots != list(range(n)):
             raise DivisionByZero("inverse of zero")
@@ -323,8 +313,7 @@ class _QuotientRing:
         if e < 0:
             a = self._vinv(a)
             e = -e
-        result = np.zeros(self.n, dtype=self._dtype)
-        result[0] = 1
+        result = np.eye(self.n, dtype=np.int64)[0]
         base = a % self.p
         while e:
             if e & 1:
@@ -359,7 +348,7 @@ class ExtensionContext(_QuotientRing):
             super().__init__(p, n, modulus)
             frobenius = self._frobenius_if_irreducible()
         self.order = p**n
-        self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=self._dtype), 1: frobenius}
+        self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=np.int64), 1: frobenius}
         self._trace_maps: dict[int, np.ndarray] = {}
         self._tp_table: np.ndarray | None = None
         self._basis_grams: dict[int, np.ndarray] = {}
@@ -382,13 +371,15 @@ class ExtensionContext(_QuotientRing):
     def mul_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise products: outer products scatter-added into (B, 2n-1)
         convolutions, then the reduction matrix."""
-        p, n = self.p, self.n
-        dt = dtype_for(p, n)
-        a, b = a.astype(dt, copy=False), b.astype(dt, copy=False)
-        conv = np.zeros((a.shape[0], 2 * n - 1), dtype=dt)
-        for k in range(n):
-            conv[:, k : k + n] += a[:, k, None] * b
-        return matmul_mod(conv % p, self._reduce_matrix.T, p)
+        n = self.n
+
+        def convolve(a, b):
+            conv = np.zeros((a.shape[0], 2 * n - 1), dtype=np.int64)
+            for k in range(n):
+                conv[:, k : k + n] += a[:, k, None] * b
+            return conv
+
+        return matmul_mod(contract_mod(convolve, a, b, self.p, n), self._reduce_matrix.T, self.p)
 
     def frobenius_stack(self, a: np.ndarray, i: int) -> np.ndarray:
         """Row-wise sigma^i: the rows times the transposed Frobenius power."""
@@ -460,10 +451,8 @@ class ExtensionContext(_QuotientRing):
     def _trace_map(self, sub: int) -> np.ndarray:
         mat = self._trace_maps.get(sub)
         if mat is None:
-            acc = np.zeros((self.n, self.n), dtype=self._dtype)
-            for j in range(self.n // sub):
-                acc = (acc + self.sigma_power_matrix(sub * j)) % self.p
-            self._trace_maps[sub] = mat = acc
+            powers = (self.sigma_power_matrix(sub * j) for j in range(self.n // sub))
+            self._trace_maps[sub] = mat = sum(powers) % self.p
         return mat
 
     def _check_sub(self, sub: int) -> None:

@@ -24,7 +24,7 @@ from .errors import (
 from .fields import ExtensionContext, FieldElement
 from .galois import order_of, two_adic_shape
 # rank_mod ranks gram()'s output; perfbench/selftest.py checks this binding
-from .linalg import dtype_for, matmul_mod, rank_mod  # noqa: F401
+from .linalg import contract_mod, matmul_mod, rank_mod  # noqa: F401
 
 
 @dataclass
@@ -58,12 +58,9 @@ def gram_stack(ctx: ExtensionContext, vecs: np.ndarray, i: int) -> np.ndarray:
     p, n = ctx.p, ctx.n
     basis = ctx._basis_grams.get(i)
     if basis is None:
-        basis = np.stack([gram_entries(ctx, e, i) for e in np.eye(n, dtype=ctx._dtype)])
+        basis = np.stack([gram_entries(ctx, e, i) for e in np.eye(n, dtype=np.int64)])
         ctx._basis_grams[i] = basis
-    dt = dtype_for(p, n)
-    grams = np.tensordot(vecs.astype(dt, copy=False), basis.astype(dt, copy=False), axes=1)
-    grams %= p
-    return grams
+    return contract_mod(lambda v, g: np.tensordot(v, g, axes=1), vecs, basis, p, n)
 
 
 def gram(ctx: ExtensionContext, b: FieldElement, i: int) -> np.ndarray:

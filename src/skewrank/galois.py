@@ -31,8 +31,7 @@ class SubspaceSpec:
 
     def basis_matrix(self) -> np.ndarray:
         """Rows are the coefficient vectors of the basis elements."""
-        ctx = self.basis[0].ctx
-        return np.array([b.coeffs for b in self.basis], dtype=ctx._dtype)
+        return np.array([b.coeffs for b in self.basis], dtype=np.int64)
 
 
 def order_of(ctx: ExtensionContext, i: int) -> int:
@@ -59,7 +58,7 @@ def eigenspace(
         raise ValueError(f"eigenvalue must be +1 or -1, got {lam}")
     if not 1 <= t <= ctx.n:
         raise ValueError(f"automorphism power must be in [1, {ctx.n}], got {t}")
-    mat = (ctx.sigma_power_matrix(t) - lam * np.eye(ctx.n, dtype=ctx._dtype)) % ctx.p
+    mat = (ctx.sigma_power_matrix(t) - lam * np.eye(ctx.n, dtype=np.int64)) % ctx.p
     basis = [ctx.element(row) for row in nullspace_mod(mat, ctx.p)]
     return SubspaceSpec(label=label, basis=basis)
 

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over GF(p).
 
-Matrices are numpy arrays of nonnegative integers reduced mod p.  The
-int64 dtype is used whenever accumulated products provably fit in 64
-bits; otherwise arrays fall back to Python-integer (object) dtype, so
-results are exact for any modulus.  No floating point anywhere.
+Matrices are int64 numpy arrays of residues mod p, p < 2^31.  Every
+contraction of residues goes through contract_mod, the one place that
+decides how it stays below 2^63: in one pass when the sum of its
+products fits, else in two passes over 16-bit limbs of the left factor.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,27 +12,33 @@ from __future__ import annotations
 import numpy as np
 
 _INT64_LIMIT = 2**63
+_LIMB = 16  # bits of the low limb in contract_mod
 STACK_BYTES = 2**17  # batched kernels take rows in blocks whose int64 matrix stack fits this
 
 
-def dtype_for_bound(bound: int, max_terms: int):
-    """Dtype whose accumulators hold `max_terms` products of integers of
-    absolute value at most `bound`."""
-    if max_terms * bound**2 < _INT64_LIMIT:
-        return np.int64
-    return object
+def contract_mod(product, a: np.ndarray, b: np.ndarray, p: int, terms: int) -> np.ndarray:
+    """Exact product(a, b) % p for a bilinear integer product of residue
+    arrays whose every entry sums at most `terms` products a_j * b_k.
 
-
-def dtype_for(p: int, max_terms: int):
-    """Dtype whose accumulators hold `max_terms` products of residues mod p."""
-    return dtype_for_bound(p - 1, max_terms)
+    One int64 pass when terms * (p-1)^2 < 2^63.  Otherwise the left factor
+    splits into limbs a = lo + 2^16 * hi, a limb times a residue is below
+    2^47, and two passes recombine mod p (as in FFLAS/FFPACK, Dumas, Giorgi
+    and Pernet, ACM TOMS 35(3), 2008): exact for p < 2^31, terms <= 2^15.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if terms * (p - 1) ** 2 < _INT64_LIMIT:
+        out = product(a, b)
+        out %= p
+        return out
+    hi = product(a >> _LIMB, b) % p
+    lo = product(a & ((1 << _LIMB) - 1), b)
+    return (hi * ((1 << _LIMB) % p) + lo) % p
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p; inputs must already be reduced mod p."""
-    inner = a.shape[-1]
-    dt = dtype_for(p, inner)
-    return (a.astype(dt, copy=False) @ b.astype(dt, copy=False)) % p
+    return contract_mod(np.matmul, a, b, p, a.shape[-1])
 
 
 def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
@@ -52,7 +59,7 @@ def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
     it leaves them bounded by (p-1)*bound + (p-1)^2.  The whole trailing
     block is reduced only when that would reach 2^63.
     """
-    m = np.array(np.transpose(stack, (2, 0, 1)), dtype=dtype_for(p, 2), order="C")
+    m = np.array(np.transpose(stack, (2, 0, 1)), dtype=np.int64, order="C")
     m %= p
     cols, count, rows = m.shape
     full = min(rows, cols)

@@ -4,6 +4,12 @@ import pytest
 
 from skewrank.fields import ExtensionContext
 
+BIG_P = 2**31 - 1  # the largest accepted prime; 3 mod 4, so x^2 + 1 is irreducible
+# x^3 + x^2 + x + 3 has no root mod BIG_P and is dense, so every
+# accumulation sums several full-size products.  Explicit moduli skip the
+# O(p) modulus search.
+BIG_MODULI = {2: (1, 0, 1), 3: (3, 1, 1, 1)}
+
 
 @lru_cache(maxsize=None)
 def _ctx(p: int, n: int) -> ExtensionContext:

@@ -3,8 +3,10 @@
 The batched rank is played against rank_mod and sympy's DomainMatrix; the
 stacked Gram, field arithmetic and norm predicate against gram_entries,
 FieldElement arithmetic and is_degenerate_by_norm on every nonzero element
-of small fields; the stacked Frobenius and norm against the field algebra
-they must obey; and the census report against itself with one-row blocks.
+of small fields; every int64 contraction, up to p = 2^31 - 1, against the
+same contraction in Python integers; the stacked Frobenius and norm against
+the field algebra they must obey; and the census report against itself
+with one-row blocks.
 """
 
 import json
@@ -20,9 +22,9 @@ from skewrank import decomposition, forms
 from skewrank.errors import InternalCheckError, ZeroElement
 from skewrank.fields import ExtensionContext
 from skewrank.galois import order_of
-from skewrank.linalg import rank_mod, rank_mod_batch
+from skewrank.linalg import matmul_mod, rank_mod, rank_mod_batch
 
-BIG_P = 2147483647  # 2**31 - 1 = 3 mod 4, so x^2 + 1 is irreducible
+from conftest import BIG_MODULI, BIG_P
 
 
 def domain_rank(matrix, p):
@@ -113,7 +115,7 @@ def test_batched_rank_at_the_headroom_edge(p, size):
 
 
 def all_rows(c):
-    return np.array([b.coeffs for b in c.elements()], dtype=c._dtype)
+    return np.array([b.coeffs for b in c.elements()], dtype=np.int64)
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
@@ -200,57 +202,70 @@ def test_stacked_field_arithmetic_on_whole_fields(ctx, p, n):
         assert [tuple(v) for v in images] == [c.frobenius_power(b, i).coeffs for b in elements]
 
 
-# x^2 + 1 is irreducible as p = 3 mod 4; x^3 + x^2 + x + 3 has no root mod p
-# and is dense, so every accumulation sums several full-size products.
-# Explicit moduli skip the O(p) modulus search.
-BIG_MODULI = {2: (1, 0, 1), 3: (3, 1, 1, 1)}
-
-
-@pytest.fixture(scope="module", params=sorted(BIG_MODULI))
-def big_ctx(request):
-    c = ExtensionContext(BIG_P, request.param, modulus=BIG_MODULI[request.param])
-    assert c._dtype is object  # context arithmetic falls back to Python ints here
-    return c
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.lists(st.integers(0, BIG_P - 1), min_size=3, max_size=3)
-                .filter(lambda row: any(row[:2])), min_size=1, max_size=6))
-def test_stacks_stay_exact_in_object_dtype(big_ctx, coeffs):
-    c = big_ctx
-    coeffs = [row[: c.n] for row in coeffs]
-    vecs = np.array(coeffs, dtype=object)
-    elements = [c.element(row) for row in coeffs]
-    for i in range(1, c.n):
-        grams = forms.gram_stack(c, vecs, i)
-        ranks = rank_mod_batch(grams, BIG_P)
-        for vec, g, r in zip(vecs, grams, ranks):
-            scalar = forms.gram_entries(c, vec, i)
-            assert np.array_equal(g, scalar)
-            assert r == rank_mod(scalar, BIG_P) == domain_rank(scalar, BIG_P)
-        if order_of(c, i) > 2:
-            predicate = forms.norm_predicates(c, vecs, [i])[i]
-            assert predicate.tolist() == [forms.is_degenerate_by_norm(c, b, i) for b in elements]
-    products = c.mul_stack(vecs, vecs[::-1])
-    conjugates = c.frobenius_stack(vecs, 1)
-    norms = c.mul_stack(vecs, conjugates)
-    for i in range(2, c.n):
-        norms = c.mul_stack(norms, c.frobenius_stack(vecs, i))
-    for j, b in enumerate(elements):
-        assert tuple(products[j]) == (b * elements[-1 - j]).coeffs
-        assert tuple(norms[j]) == c.norm(b).coeffs
-        assert tuple(conjugates[j]) == c.frobenius_power(b, 1).coeffs
-
-
-@pytest.fixture(scope="module", params=[(3, 6), (5, 4), (7, 6), (BIG_P, 2), (BIG_P, 3)], ids=str)
+@pytest.fixture(scope="module", params=[(3, 6), (5, 4), (7, 6), (1000003, 3), (BIG_P, 2), (BIG_P, 3)],
+                ids=str)
 def kernel_ctx(request):
     p, n = request.param
     return ExtensionContext(p, n, modulus=BIG_MODULI[n] if p == BIG_P else None)
 
 
+def object_product(c, a, b):
+    """Reference of a * b: np.convolve and the reduction matrix in Python
+    integers, which never overflow."""
+    conv = np.convolve(np.array(a, dtype=object), np.array(b, dtype=object)) % c.p
+    return (c._reduce_matrix.astype(object) @ conv) % c.p
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_int64_kernels_match_the_object_dtype_reference(kernel_ctx, data):
+    """Every int64 contraction against the same contraction in Python
+    integers, the ranks against sympy, and the stacked kernels against the
+    scalar paths.  At 2^31 - 1 every contraction of more than two terms
+    takes contract_mod's two limb passes: all of them at n = 3, the
+    reduction matrix's at n = 2."""
+    c = kernel_ctx
+    p, n = c.p, c.n
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(lambda r: any(r[:2]))
+    coeffs = data.draw(st.lists(row, min_size=1, max_size=6))
+    vecs, exact = np.array(coeffs, dtype=np.int64), np.array(coeffs, dtype=object)
+    elements = [c.element(r) for r in coeffs]
+    frobenius = c.sigma_power_matrix(1).astype(object)
+    products = c.mul_stack(vecs, vecs[::-1])
+    conjugates = c.frobenius_stack(vecs, 1)
+    combined = matmul_mod(vecs, vecs.T, p)
+    for out in (products, conjugates, combined, c._vmul(vecs[0], vecs[-1])):
+        assert out.dtype == np.int64
+    assert np.array_equal(combined, (exact @ exact.T) % p)
+    assert np.array_equal(conjugates, (exact @ frobenius.T) % p)
+    for j, b in enumerate(elements):
+        reference = object_product(c, coeffs[j], coeffs[-1 - j])
+        assert np.array_equal(products[j], reference)
+        assert np.array_equal(c._vmul(vecs[j], vecs[-1 - j]), reference)
+        assert tuple(products[j]) == (b * elements[-1 - j]).coeffs
+        assert tuple(conjugates[j]) == c.frobenius_power(b, 1).coeffs
+    norms = c.mul_stack(vecs, conjugates)
+    for i in range(2, n):
+        norms = c.mul_stack(norms, c.frobenius_stack(vecs, i))
+    assert [tuple(v) for v in norms] == [c.norm(b).coeffs for b in elements]
+    for i in range(1, n):
+        grams = forms.gram_stack(c, vecs, i)
+        assert grams.dtype == np.int64
+        basis = np.array([forms.gram_entries(c, e, i) for e in np.eye(n, dtype=np.int64)], dtype=object)
+        assert np.array_equal(grams, np.tensordot(exact, basis, axes=1) % p)
+        ranks = rank_mod_batch(grams, p)
+        for vec, g, r in zip(vecs, grams, ranks):
+            scalar = forms.gram_entries(c, vec, i)
+            assert np.array_equal(g, scalar)
+            assert r == rank_mod(scalar, p) == domain_rank(scalar, p)
+        if order_of(c, i) > 2:
+            predicate = forms.norm_predicates(c, vecs, [i])[i]
+            assert predicate.tolist() == [forms.is_degenerate_by_norm(c, b, i) for b in elements]
+
+
 def scalar_norms(c, rows, sub):
     """Norms down to GF(p^sub) of a (B, n) stack, row by row on the scalar path."""
-    return np.array([c.norm(c.element(row), sub).coeffs for row in rows], dtype=c._dtype)
+    return np.array([c.norm(c.element(row), sub).coeffs for row in rows], dtype=np.int64)
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,7 +275,7 @@ def test_stacked_kernels_keep_the_field_algebra(kernel_ctx, data):
     p, n = c.p, c.n
     count = data.draw(st.integers(1, 5))
     row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
-    a, b = (np.array(data.draw(st.lists(row, min_size=count, max_size=count)), dtype=c._dtype)
+    a, b = (np.array(data.draw(st.lists(row, min_size=count, max_size=count)), dtype=np.int64)
             for _ in range(2))
     product = c.mul_stack(a, b)
     for i in range(n):
@@ -285,7 +300,7 @@ def test_stacked_kernels_keep_the_field_algebra(kernel_ctx, data):
 
 def test_stacked_kernels_reject_zero_rows(ctx):
     c = ctx(3, 5)
-    vecs = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=c._dtype)
+    vecs = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=np.int64)
     with pytest.raises(ZeroElement):
         forms.norm_predicates(c, vecs, [1])
 

@@ -478,3 +478,16 @@ def test_report_all_skips_a_remark_c_run_beyond_the_sample_cap(capsys):
     assert "RemarkC[i=3]" not in [r["check"] for r in doc["runs"]]
     reasons = {s["check"]: s["reason"] for s in doc["skipped"]}
     assert "120 odd exponents, more than the sample cap 100" in reasons["RemarkC[i=3]"]
+
+
+def test_ta_at_the_largest_prime_and_degree_62_within_its_budget():
+    # every GF(p) contraction of more than two terms takes the two int64 limb passes at this p
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewrank", "verify", "--theorem", "TA", "--p", "2147483647",
+         "--n", "62", "--sample-cap", "200"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["pass"] is True and doc["instance"] == {"a": 31, "alpha": 1, "k": 31, "l": 1,
+                                                       "n": 62, "p": 2147483647}

@@ -3,19 +3,21 @@
 rref_mod, nullspace_mod and rank_mod are played against sympy's
 DomainMatrix over GF(p), in int64 and object dtype, on rectangular and
 rank-deficient input; rref over Q against sympy.Matrix on random
-rational matrices.
+rational matrices; contract_mod against Python-integer contractions on
+both sides of its one-pass bound.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from skewrank.linalg import nullspace_mod, rank_mod, rref, rref_mod
+from skewrank.linalg import contract_mod, matmul_mod, nullspace_mod, rank_mod, rref, rref_mod
 
 PRIMES = [3, 1000003, 2**31 - 1]
 
@@ -100,3 +102,32 @@ def test_rational_rref_matches_sympy(m):
     assert len(pivots) == expect.rank()
     assert list(pivots) == list(expect_pivots)
     assert [[Fraction(int(x.p), int(x.q)) for x in row] for row in expect_form.tolist()] == form.tolist()
+
+
+EDGE_TERMS = 8  # one pass holds 8 products of residues exactly when p <= 2^30
+
+
+@pytest.mark.parametrize("p, passes", [
+    (3, 1), (1000003, 1),
+    (sympy.prevprime(2**30 + 1), 1),  # the largest prime taking one pass
+    (sympy.nextprime(2**30), 2),  # the smallest taking two limb passes
+    (2**31 - 1, 2),
+])
+def test_contract_mod_on_both_sides_of_the_headroom_edge(p, passes):
+    """Rows of p - 1 make every sum as large as EDGE_TERMS residue products
+    allow, so a pass that overflowed or a limb lost would show."""
+    rng = np.random.Generator(np.random.PCG64(p))
+    a = np.vstack([np.full((2, EDGE_TERMS), p - 1), rng.integers(0, p, size=(4, EDGE_TERMS))])
+    b = np.hstack([np.full((EDGE_TERMS, 2), p - 1), rng.integers(0, p, size=(EDGE_TERMS, 3))])
+    for product, x, y in ((np.matmul, a, b), (np.convolve, a[0], b[:, 0]), (np.convolve, a[3], b[:, 4])):
+        calls = []
+
+        def counted(u, v):
+            calls.append(u.dtype)
+            return product(u, v)
+
+        out = contract_mod(counted, x, y, p, EDGE_TERMS)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, product(x.astype(object), y.astype(object)) % p)
+        assert calls == [np.int64] * passes
+    assert np.array_equal(matmul_mod(a, b, p), (a.astype(object) @ b.astype(object)) % p)
