@@ -21,7 +21,7 @@ from typing import NoReturn
 
 from . import __version__
 from .arith import is_prime
-from .cyclotomic import verify_section6
+from .cyclotomic import check_section6_size, verify_section6
 from .decomposition import (
     EXHAUSTIVE_CEILING,
     FULL_FIELD_CEILING,
@@ -107,11 +107,8 @@ def _validate_common(args) -> None:
         raise InvalidArgument(f"seed must be >= 0, got {args.seed}")
     if not 1 <= args.sample_cap <= EXHAUSTIVE_CEILING:
         raise InvalidArgument(f"sample-cap must be in [1, {EXHAUSTIVE_CEILING}], got {args.sample_cap}")
-    # section6 with no grid point or no sample would pass having checked nothing
-    for name in ("grid", "samples"):
-        value = getattr(args, name, 1)
-        if value < 1:
-            raise InvalidArgument(f"{name} must be >= 1, got {value}")
+    if hasattr(args, "grid"):  # section6 and report-all, before any field is built
+        check_section6_size(args.grid, args.samples)
 
 
 def _config_dict(args) -> dict:

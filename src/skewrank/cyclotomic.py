@@ -19,9 +19,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorize
+from .decomposition import EXHAUSTIVE_CEILING
 from .errors import InternalCheckError, InvalidArgument, NotSquareFree
 from .linalg import STACK_BYTES, rref
 from .report import Report
+from .stream import RNG_NAME, Stream
 
 _MINPOLY_FOLD = (-1, -1, -1, -1)  # eta^4 = -1 - eta - eta^2 - eta^3
 
@@ -216,23 +218,41 @@ def legendre_certificate(form: TernaryForm | tuple[int, int, int]) -> dict[str, 
     }
 
 
+WITNESS_BOX = 2**24  # points of the box isotropic_witness may search
+
+
 def isotropic_witness(a: int, b: int, c: int) -> tuple[int, int, int] | None:
-    """First nonnegative solution of a*X^2 + b*Y^2 + c*Z^2 = 0 within
-    the bounds |X| <= sqrt|bc|, |Y| <= sqrt|ac|, |Z| <= sqrt|ab|, or
-    None.  For square-free pairwise-coprime coefficients a solvable
-    form always has a solution in that box, so None certifies
-    unsolvability."""
-    bx = math.isqrt(abs(b * c))
-    by = math.isqrt(abs(a * c))
-    bz = math.isqrt(abs(a * b))
-    ys = b * np.arange(by + 1, dtype=np.int64) ** 2
-    zs = c * np.arange(bz + 1, dtype=np.int64) ** 2
-    grid = ys[:, None] + zs[None, :]
+    """First nonzero solution (x, y, z), in lexicographic order, of
+    a*X^2 + b*Y^2 + c*Z^2 = 0 with 0 <= x <= sqrt|bc|, 0 <= y <= sqrt|ac|,
+    0 <= z <= sqrt|ab|, or None.  For square-free pairwise-coprime
+    coefficients a solvable form always has a solution in that box
+    (Holzer's bound), so None certifies unsolvability.
+
+    The box has about |abc| points; a zero coefficient, or a box of more
+    than WITNESS_BOX points, raises InvalidArgument before anything is
+    allocated.  Each side of a box within the bound is at most about
+    sqrt(WITNESS_BOX), since each bound is at most the product of the
+    other two.  The search takes one x at a time and every y at once,
+    and finds z among the squares up to sqrt|ab| by bisection.
+    """
+    if 0 in (a, b, c):
+        raise InvalidArgument("coefficients must be nonzero")
+    bx, by, bz = math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b))
+    if (bx + 1) * (by + 1) * (bz + 1) > WITNESS_BOX:
+        raise InvalidArgument(
+            f"the search box of ({a}, {b}, {c}) has {(bx + 1) * (by + 1) * (bz + 1)} points, "
+            f"more than {WITNESS_BOX}"
+        )
+    ys = np.arange(by + 1, dtype=np.int64)
+    squares = np.arange(bz + 1, dtype=np.int64) ** 2
     for x in range(bx + 1):
-        hits = np.argwhere(grid == -a * x * x)
-        for y, z in hits:
-            if x or y or z:
-                return (x, int(y), int(z))
+        z2, remainder = np.divmod(-a * x * x - b * ys * ys, c)  # c * z^2 must equal the rest
+        z = np.minimum(np.searchsorted(squares, z2), bz)
+        hit = (remainder == 0) & (squares[z] == z2)
+        hit[0] &= x > 0  # the zero vector
+        if hit.any():
+            y = int(hit.argmax())
+            return (x, y, int(z[y]))
     return None
 
 
@@ -512,7 +532,7 @@ def _subspace_block(
     return int((pfaffians != 0).sum()), bool(holds.all())
 
 
-def _random_blocks(rng: np.random.Generator, samples: int, size: int, width: int, nonzero: bool):
+def _random_blocks(rng: Stream, samples: int, size: int, width: int, nonzero: bool):
     """`samples` random rows of `width` fractions n/d, n in [-99, 99] and
     d in [1, 20], drawn fraction by fraction, numerator first, in blocks
     of at most `size` rows.  Yields each block scaled to integers, with
@@ -526,6 +546,20 @@ def _random_blocks(rng: np.random.Generator, samples: int, size: int, width: int
         if len(pairs):
             rows, scale = _clear_denominators(pairs[..., 0], pairs[..., 1])
             yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
+
+
+GRID_CEILING = 50  # the largest g with (2g + 1)^3 - 1 <= EXHAUSTIVE_CEILING grid points
+
+
+def check_section6_size(grid: int, samples: int) -> None:
+    """Raise InvalidArgument unless 1 <= grid <= GRID_CEILING and
+    1 <= samples <= EXHAUSTIVE_CEILING: an empty check would pass having
+    checked nothing, and each bound keeps its walk to at most 2^20 rows."""
+    for name, value, ceiling in (("grid", grid, GRID_CEILING), ("samples", samples, EXHAUSTIVE_CEILING)):
+        if value < 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {value}")
+        if value > ceiling:
+            raise InvalidArgument(f"{name} must be <= {ceiling}, got {value}")
 
 
 def verify_section6(
@@ -558,12 +592,9 @@ def verify_section6(
     the Fraction path (gram_rational, norm_to_quadratic_subfield and
     degeneracy_coefficient); a disagreement raises InternalCheckError.
     """
-    if grid < 1:
-        raise InvalidArgument(f"grid must be >= 1, got {grid}")
-    if samples < 1:
-        raise InvalidArgument(f"samples must be >= 1, got {samples}")
+    check_section6_size(grid, samples)
     form = TernaryForm(*form_override) if form_override is not None else None  # before any work
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Stream(seed)
     size = max(1, STACK_BYTES // (8 * 4 * 4))
 
     coefficient_failures = 0
@@ -619,7 +650,7 @@ def verify_section6(
         grid={"bound": grid, "checked": grid_checked, "rank4": grid_rank4},
         random={"checked": random_checked, "rank4": random_rank4},
         seed=seed,
-        rng="PCG64",
+        rng=RNG_NAME,
     )
 
 

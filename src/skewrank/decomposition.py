@@ -3,8 +3,8 @@
 Each verifier returns a Report: the theorem verifiers give per-subspace
 rank spectra (component Reports) plus a direct-sum certificate, the
 oracle a whole-field rank census.  Every enumeration is either
-exhaustive or drawn from a single seeded 64-bit generator, so reports
-are reproducible byte for byte.
+exhaustive or drawn from one seeded PCG64 stream (skewrank.stream), so
+reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .forms import gram_entries, gram_stack, is_degenerate_by_norm, norm_predica
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import STACK_BYTES, matmul_mod, rank_mod, rank_mod_batch, rref_mod
 from .report import Report
+from .stream import RNG_NAME, Stream
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
 FULL_FIELD_CEILING = 2**24  # cap for whole-field oracle enumeration
-RNG_NAME = "PCG64"
 
 
 def _theorem_report(
@@ -46,24 +46,7 @@ def _theorem_report(
 # enumeration helpers
 # ---------------------------------------------------------------------------
 
-class _SeededStream:
-    """The PCG64 stream of `seed`, created on the first draw, so a run
-    that samples nothing never imports numpy.random.  The components
-    that share one stream draw from it in turn, as from one generator."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._generator: np.random.Generator | None = None
-
-    def integers(self, *args, **kwargs) -> np.ndarray:
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.PCG64(self.seed))
-        return self._generator.integers(*args, **kwargs)
-
-
-def _coefficient_rows(
-    p: int, dim: int, limit: int, count: int, rng: np.random.Generator | _SeededStream
-) -> tuple[np.ndarray, str]:
+def _coefficient_rows(p: int, dim: int, limit: int, count: int, rng: Stream) -> tuple[np.ndarray, str]:
     """Coefficient rows of GF(p)^dim to evaluate, and the mode.
 
     Every nonzero tuple in counting order when there are at most `limit`
@@ -73,12 +56,12 @@ def _coefficient_rows(
     if p**dim - 1 <= limit:
         grid = np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1]
         return grid[1:], "exhaustive"  # drop the zero row
-    rows = rng.integers(0, p, size=(count, dim), dtype=np.int64)
+    rows = rng.integers(0, p, size=(count, dim))
     while True:
         zero = ~rows.any(axis=1)
         if not zero.any():
             return rows, "sampled"
-        rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim), dtype=np.int64)
+        rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim))
 
 
 def _block_size(n: int) -> int:
@@ -145,7 +128,7 @@ def rank_spectrum_check(
     label: str,
     allowed: set[int],
     sample_cap: int = 10_000,
-    rng: np.random.Generator | _SeededStream | None = None,
+    rng: Stream | None = None,
 ) -> Report:
     """Rank histogram of gram(b, i) over the span of basis_matrix rows.
 
@@ -158,7 +141,7 @@ def rank_spectrum_check(
     dim = basis_matrix.shape[0]
     limit = min(sample_cap, EXHAUSTIVE_CEILING)
     if rng is None:
-        rng = _SeededStream(0)
+        rng = Stream(0)
     rows, mode = _coefficient_rows(ctx.p, dim, limit, sample_cap, rng)
     vectors = matmul_mod(rows, basis_matrix, ctx.p)
     spectrum: dict[int, int] = {}
@@ -228,7 +211,7 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
     n, p = ctx.n, ctx.p
     if n < 2:
         raise WrongShape(f"n must be >= 2, got {n}")
-    rng = _SeededStream(seed)
+    rng = Stream(seed)
     stacked: list[np.ndarray] = []
     components: list[Report] = []
     full = np.eye(n, dtype=np.int64)  # all of L, in the power basis
@@ -302,7 +285,7 @@ def _split_report(
     """Certificate of a split of the i=1 component: every space keeps
     its expected constant rank, and together the spaces span L."""
     n, p = ctx.n, ctx.p
-    rng = _SeededStream(seed)
+    rng = Stream(seed)
     combined = np.vstack([s.basis_matrix() for s in spaces])
     direct_sum_ok = combined.shape[0] == n and rank_mod(combined, p) == n
     components = [
@@ -486,7 +469,7 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     p, n = ctx.p, ctx.n
     if n < 2:
         raise WrongShape(f"n must be >= 2, got {n}")
-    rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, _SeededStream(seed))
+    rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     degenerate_counts = {i: 0 for i in range(1, n)}
     predicate_checked = 0

@@ -298,6 +298,26 @@ def test_stacked_kernels_keep_the_field_algebra(kernel_ctx, data):
             outer = c.mul_stack(outer, c.frobenius_stack(norm_a, j))
         assert np.array_equal(outer, scalar_norms(c, a, 1))
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_trace_is_transitive_through_intermediate_fields(kernel_ctx, data):
+    c = kernel_ctx
+    p, n = c.p, c.n
+    b = c.element(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    absolute = c.trace(b)
+    assert absolute.in_prime_field()
+    for sub in (d for d in range(1, n + 1) if n % d == 0):
+        partial = c.trace(b, sub)
+        # Tr_{L/L_sub}(b) is the sum of the n/sub conjugates sigma^(sub*j)(b)
+        conjugates = [c.frobenius_power(b, sub * j) for j in range(n // sub)]
+        assert partial == sum(conjugates[1:], conjugates[0])
+        # it lies in GF(p^sub), the fixed field of sigma^sub
+        assert c.frobenius_power(partial, sub) == partial
+        # Tr_{L/K} = Tr_{L_sub/K} o Tr_{L/L_sub}, and on L_sub Tr_{L/K} is
+        # (n/sub) Tr_{L_sub/K}: so Tr_{L/K}(Tr_{L/L_sub}(b)) = (n/sub) Tr_{L/K}(b)
+        assert c.trace(partial).scalar() == (n // sub) * absolute.scalar() % p
+
+
 def test_stacked_kernels_reject_zero_rows(ctx):
     c = ctx(3, 5)
     vecs = np.array([[1, 0, 0, 0, 0], [0, 0, 0, 0, 0]], dtype=np.int64)

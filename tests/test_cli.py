@@ -83,6 +83,23 @@ def test_section6_rejects_empty_grid_and_samples(capsys):
     assert code == 1 and "samples must be >= 1" in err
 
 
+def test_oversized_grid_and_samples_exit_one_at_once():
+    # --grid 100000 walked 8e15 grid points; report-all built its field first
+    runs = (("section6 --grid 100000 --samples 1", "grid must be <= 50"),
+            ("section6 --grid 51", "grid must be <= 50"),
+            ("section6 --samples 1048577", "samples must be <= 1048576"),
+            ("report-all --p 1000003 --n 64 --grid 100000", "grid must be <= 50"),
+            ("report-all --p 3 --n 4 --samples 10000000000", "samples must be <= 1048576"))
+    for argv, condition in runs:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "skewrank", *argv.split()], capture_output=True,
+                              text=True, env=child_env(), timeout=10)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 1 and proc.stdout == "", argv
+        assert condition in proc.stderr and "Traceback" not in proc.stderr, argv
+        assert elapsed < 1.0, (argv, elapsed)
+
+
 def test_largest_accepted_prime_runs(capsys):
     # the modulus search used to scan all p residues per candidate
     for theorem, n in (("TC", "4"), ("direct-sum", "3")):
@@ -248,18 +265,49 @@ def test_closed_stdout_exits_one_with_one_line(argv, unbuffered):
 
 
 def test_an_exhaustive_run_never_imports_numpy_random():
-    # the generator is created on the first sampled draw
+    # nor does a sampled one: both draw from skewrank.stream
     script = """
 import sys
 from skewrank.cli import main
 assert main("verify --theorem TA --p 7 --n 6 --output /dev/null".split()) == 0
 assert "numpy.random" not in sys.modules
 assert main("verify --theorem TA --p 7 --n 6 --sample-cap 100 --output /dev/null".split()) == 0
-assert "numpy.random" in sys.modules
+assert "numpy.random" not in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+SAMPLED_RUNS = (
+    # the sampled invocations of the benchmark's verify-sweep workload
+    "verify --theorem TC --p 3 --n 16 --sample-cap 2000",
+    "verify --theorem direct-sum --p 5 --n 6 --sample-cap 2000",
+    "verify --theorem TC --p 1000003 --n 4 --sample-cap 500",
+    "verify --theorem direct-sum --p 1000003 --n 3 --sample-cap 500",
+    "section6 --grid 10 --samples 1000",
+    # a whole-field census too large to enumerate, and every check at once
+    "oracle --p 1000003 --n 3 --sample-cap 200",
+    "report-all --p 7 --n 12 --sample-cap 200 --grid 2 --samples 100",
+)
+
+
+def test_sampled_runs_import_neither_numpy_random_nor_openssl(tmp_path):
+    # numpy.random imports secrets, and through it hashlib's OpenSSL binding
+    script = f"""
+import sys
+from skewrank.cli import main
+out = {str(tmp_path / "report.json")!r}
+for argv in {SAMPLED_RUNS!r}:
+    assert main([*argv.split(), "--output", out]) == 0, argv
+    text = open(out).read()
+    assert '"sampled"' in text or '"random": {{' in text, argv  # each run drew from the stream
+print(sorted(name for name in ("numpy.random", "_hashlib") if name in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_prime_at_or_above_2_31_exits_one_naming_the_bound(capsys):

@@ -3,6 +3,7 @@ ternary-form certificates."""
 
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from skewrank import cyclotomic as cy
+from skewrank.decomposition import EXHAUSTIVE_CEILING
 from skewrank.errors import InternalCheckError, InvalidArgument, NotSquareFree
+from skewrank.stream import Stream
 
 ETA_C = cmath.exp(2j * cmath.pi / 5)
 
@@ -169,6 +172,45 @@ def test_isotropic_witness_examples():
     assert sol is not None
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the box bound was checked")
+
+
+def test_isotropic_witness_refuses_a_box_above_the_bound_before_allocating(monkeypatch):
+    # at FORM_BOUND the box has about 10^18 points; the old search allocated
+    # a sqrt|ac| x sqrt|ab| grid of 10^12 cells
+    monkeypatch.setattr(cy, "np", _NoNumpy())
+    for coeffs in ((10**6, 999_999, -999_997), (1, 1, -(2**23 + 5)), (1, -1, 0)):
+        with pytest.raises(InvalidArgument):
+            cy.isotropic_witness(*coeffs)
+
+
+def test_isotropic_witness_just_inside_the_bound():
+    # (1, 1, -c): a box of (isqrt(c) + 1)^2 * 2 points, searched in full when unsolvable
+    c = 7_999_999  # 3 mod 4 and square-free: X^2 + Y^2 = c Z^2 has no nonzero solution
+    bx = math.isqrt(c)
+    assert 2 * (bx + 1) ** 2 <= cy.WITNESS_BOX
+    assert cy.isotropic_witness(1, 1, -c) is None
+    assert cy.isotropic_witness(1, 1, -(c + 1)) == (400, 2800, 1)
+
+
+def grid_witness(a, b, c):
+    """The search isotropic_witness replaced: a full (y, z) grid per x."""
+    bx, by, bz = math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b))
+    grid = b * np.arange(by + 1)[:, None] ** 2 + c * np.arange(bz + 1)[None, :] ** 2
+    for x in range(bx + 1):
+        for y, z in np.argwhere(grid == -a * x * x):
+            if x or y or z:
+                return (x, int(y), int(z))
+    return None
+
+
+def test_isotropic_witness_matches_the_grid_search():
+    for a, b, c in itertools.product([v for v in range(-8, 9) if v], repeat=3):
+        assert cy.isotropic_witness(a, b, c) == grid_witness(a, b, c), (a, b, c)
+
+
 def test_legendre_cross_oracle_small_sweep():
     import sympy
 
@@ -270,6 +312,16 @@ def test_verify_section6_rejects_empty_grid_and_samples():
         cy.verify_section6(grid=1, samples=0)
 
 
+def test_verify_section6_rejects_oversized_grid_and_samples():
+    # the grid ceiling is the largest whose nonzero points fit the exhaustive ceiling
+    g = cy.GRID_CEILING
+    assert (2 * g + 1) ** 3 - 1 <= EXHAUSTIVE_CEILING < (2 * g + 3) ** 3 - 1
+    with pytest.raises(InvalidArgument, match=f"grid must be <= {g}, got {g + 1}"):
+        cy.verify_section6(grid=g + 1, samples=10)
+    with pytest.raises(InvalidArgument, match="samples must be <= 1048576"):
+        cy.verify_section6(grid=1, samples=EXHAUSTIVE_CEILING + 1)
+
+
 # --- integer kernels against the Fraction path -------------------------------
 
 SMALL_NUMERATORS = st.integers(-99, 99)
@@ -360,16 +412,17 @@ def scalar_random_blocks(rng, samples, size, width, nonzero):
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 9])
 def test_random_blocks_match_the_scalar_draw_loop(seed):
-    # one generator feeds every call in turn, as in verify_section6; each
-    # call spans several blocks, the last one short
-    new, old = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    # one stream feeds every call in turn, as in verify_section6; each
+    # call spans several blocks, the last one short.  The scalar loop
+    # draws from numpy's generator, the reference of skewrank.stream
+    new, old = Stream(seed), np.random.Generator(np.random.PCG64(seed))
     for samples, size, width, nonzero in ((23, 7, 4, False), (23, 7, 3, True), (300, 128, 3, True)):
         got = list(cy._random_blocks(new, samples, size, width, nonzero))
         want = list(scalar_random_blocks(old, samples, size, width, nonzero))
         assert len(got) == len(want) == -(-samples // size)
         for (rows, spot, scale), (ref_rows, ref_spot, ref_scale) in zip(got, want):
             assert np.array_equal(rows, ref_rows) and (spot, scale) == (ref_spot, ref_scale)
-    assert new.integers(2**62) == old.integers(2**62)  # both streams stop at the same draw
+    assert new.integers(0, 2**32, size=1)[0] == old.integers(2**32)  # both stop at the same word
 
 def test_section6_report_is_independent_of_block_size(monkeypatch):
     default = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
