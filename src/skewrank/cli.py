@@ -182,8 +182,10 @@ def _emit(args, report: Report) -> int:
 
 
 def _run_verify(args) -> Report:
-    _validate_instance(args.p, args.n)
     theorem = args.theorem
+    if args.i is not None and theorem != "RemarkC":
+        raise SkewrankError(f"--i applies only to --theorem RemarkC, not {theorem}")
+    _validate_instance(args.p, args.n)
     if theorem == "T1" and args.n % 2 == 0:
         raise SkewrankError("n must be odd for T1")
     if theorem == "T2" and args.n % 2 == 1:

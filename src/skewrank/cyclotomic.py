@@ -21,7 +21,7 @@ import numpy as np
 from .arith import factorize
 from .decomposition import EXHAUSTIVE_CEILING
 from .errors import InternalCheckError, InvalidArgument, NotSquareFree
-from .linalg import STACK_BYTES, rref
+from .linalg import block_rows, rref
 from .report import Report
 from .stream import RNG_NAME, Stream
 
@@ -386,8 +386,16 @@ def _pfaffian4(g) -> Fraction:
 # A block of rational rows is first scaled row by row by a common
 # denominator D.  That changes neither whether a Pfaffian vanishes nor
 # whether a homogeneous degree-2 identity holds (both sides scale by D^2).
-# Each accumulation takes its dtype from a bound on its actual inputs, so
-# it falls back to Python integers where int64 could overflow.
+# Every kernel computes in the dtype of its rows.  The program's rows are
+# int64 with entries below ENTRY_BOUND: grid coefficients are at most
+# GRID_CEILING, and a cleared fraction n/d at most 99 * 83980 < 2^23, 83980
+# being the largest lcm of four denominators in [1, 20].  The largest kernel
+# value is the Pfaffian, 3 * (15 * 2^23)^2 < 2^55.5, 15 being the largest
+# column sum of |subspace_basis_grams()|.  Object rows (tests only) stay exact.
+
+NUMERATORS = (-99, 99)  # closed ranges of the random fractions n/d
+DENOMINATORS = (1, 20)
+ENTRY_BOUND = 2**23
 
 def _integer_matrix(rows) -> np.ndarray:
     return np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
@@ -408,33 +416,15 @@ _PARAMETRIZED_UPPER = _integer_matrix(
 )
 
 
-def dtype_for_bound(bound: int, max_terms: int):
-    """Dtype whose accumulators hold `max_terms` products of integers of
-    absolute value at most `bound`: int64, else Python integers."""
-    return np.int64 if max_terms * bound**2 < 2**63 else object
-
-
-def _max_abs(a: np.ndarray) -> int:
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _linear_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    dt = dtype_for_bound(max(_max_abs(rows), _max_abs(mat)), mat.shape[0])
-    return rows.astype(dt, copy=False) @ mat.astype(dt)
-
-
 def _quadratic_rows(rows: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """x^T upper x for every row x."""
-    dt = dtype_for_bound(_max_abs(rows), int(np.abs(upper).sum()))
-    x = rows.astype(dt, copy=False)
-    return ((x @ upper.astype(dt)) * x).sum(axis=1)
+    return ((rows @ upper) * rows).sum(axis=1)
 
 
-def _clear_denominators(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _clear_denominators(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer rows D * nums / dens, D the lcm of the row's denominators, and each D."""
-    scale = [math.lcm(*row) for row in dens.tolist()]
-    rows = [[s * n // d for n, d in zip(nr, dr)] for s, nr, dr in zip(scale, nums.tolist(), dens.tolist())]
-    return np.array(rows, dtype=object).reshape(nums.shape), scale
+    scale = np.lcm.reduce(dens, axis=1)
+    return nums * (scale[:, None] // dens), scale
 
 
 def subspace_basis_grams() -> np.ndarray:
@@ -448,11 +438,8 @@ def subspace_basis_grams() -> np.ndarray:
 def combined_gram_stack(rows: np.ndarray, basis_grams: np.ndarray) -> np.ndarray:
     """(B, 4, 4) Grams of the integer combinations, one per row of a
     (B, k) block, of the k elements whose Grams are basis_grams.  The
-    Gram is linear in b, so this is one contraction with the basis
-    Grams; the dtype leaves room for the three products of a Pfaffian."""
-    bound = _max_abs(rows) * _max_abs(np.abs(basis_grams).sum(axis=0))
-    dt = dtype_for_bound(bound, 3)
-    return np.tensordot(rows.astype(dt, copy=False), basis_grams.astype(dt), axes=1)
+    Gram is linear in b, so this is one contraction with the basis Grams."""
+    return np.tensordot(rows, basis_grams, axes=1)
 
 
 def pfaffian_stack(grams: np.ndarray) -> np.ndarray:
@@ -463,14 +450,11 @@ def pfaffian_stack(grams: np.ndarray) -> np.ndarray:
 
 def norm_to_quadratic_subfield_stack(rows: np.ndarray) -> np.ndarray:
     """b * sigma^2(b) in Z[eta] for every integer coordinate row b."""
-    conj = _linear_rows(rows, _SIGMA2_MATRIX)
-    # an output coordinate sums at most 16 of the products a_i * conj_j
-    dt = dtype_for_bound(max(_max_abs(rows), _max_abs(conj)), 16)
-    a, conj = rows.astype(dt, copy=False), conj.astype(dt, copy=False)
-    conv = np.zeros((len(a), 7), dtype=dt)
+    conj = rows @ _SIGMA2_MATRIX
+    conv = np.zeros((len(rows), 7), dtype=rows.dtype)
     for k in range(4):
-        conv[:, k : k + 4] += a[:, k, None] * conj
-    return conv @ _FOLD.astype(dt)
+        conv[:, k : k + 4] += rows[:, k, None] * conj
+    return conv @ _FOLD
 
 
 def _grid_rows(bound: int, size: int):
@@ -500,8 +484,8 @@ def _coefficient_block(rows: np.ndarray, spot: tuple, spot_scale: int) -> tuple[
     reference = norm_to_quadratic_subfield(CycloElement(spot))
     square = spot_scale**2
     if (
-        any(c * square != v for c, v in zip(reference.coords, norms[0]))
-        or degeneracy_coefficient(*spot) * square != coeffs[0]
+        [c * square for c in reference.coords] != norms[0].tolist()
+        or degeneracy_coefficient(*spot) * square != int(coeffs[0])
     ):
         raise InternalCheckError(f"integer norm kernel disagrees with the Fraction path at b = {spot}")
     sign_ok = isotropy_form(*spot) == -degeneracy_coefficient(*spot)
@@ -517,14 +501,14 @@ def _subspace_block(
     raises InternalCheckError."""
     grams = combined_gram_stack(rows, basis_grams)
     pfaffians = pfaffian_stack(grams)
-    coords = _linear_rows(rows, _SUBSPACE_COORDS)
+    coords = rows @ _SUBSPACE_COORDS
     holds = _quadratic_rows(coords, _DEGENERACY_UPPER) == -_quadratic_rows(rows, _PARAMETRIZED_UPPER)
     b = subspace_element(*spot)
     entries, rank = gram_rational(b)
     square = spot_scale**2
     if (
-        not (np.array(entries, dtype=object) * spot_scale == grams[0]).all()
-        or _pfaffian4(entries) * square != pfaffians[0]
+        [[e * spot_scale for e in row] for row in entries] != grams[0].tolist()
+        or _pfaffian4(entries) * square != int(pfaffians[0])
         or (rank == 4) != (pfaffians[0] != 0)
         or (degeneracy_coefficient(*b.coords) == -parametrized_value(*spot)) != holds[0]
     ):
@@ -533,19 +517,20 @@ def _subspace_block(
 
 
 def _random_blocks(rng: Stream, samples: int, size: int, width: int, nonzero: bool):
-    """`samples` random rows of `width` fractions n/d, n in [-99, 99] and
-    d in [1, 20], drawn fraction by fraction, numerator first, in blocks
-    of at most `size` rows.  Yields each block scaled to integers, with
-    its first row as fractions and that row's scale; `nonzero` drops
-    zero rows."""
+    """`samples` random rows of `width` fractions n/d, n in NUMERATORS and
+    d in DENOMINATORS, drawn fraction by fraction, numerator first, in
+    blocks of at most `size` rows.  Yields each block scaled to int64,
+    with its first row as fractions and that row's scale, both in Python
+    integers; `nonzero` drops zero rows."""
+    low, high = (NUMERATORS[0], DENOMINATORS[0]), (NUMERATORS[1] + 1, DENOMINATORS[1] + 1)
     for start in range(0, samples, size):
         count = min(size, samples - start)
-        pairs = rng.integers((-99, 1), (100, 21), size=(count, width, 2))
+        pairs = rng.integers(low, high, size=(count, width, 2))
         if nonzero:
             pairs = pairs[pairs[..., 0].any(axis=1)]
         if len(pairs):
             rows, scale = _clear_denominators(pairs[..., 0], pairs[..., 1])
-            yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
+            yield rows, tuple(Fraction(n, d) for n, d in pairs[0].tolist()), int(scale[0])
 
 
 GRID_CEILING = 50  # the largest g with (2g + 1)^3 - 1 <= EXHAUSTIVE_CEILING grid points
@@ -587,15 +572,15 @@ def verify_section6(
     testing hook for exercising the failure path).  It must be a valid
     TernaryForm, which is checked before step 1.
 
-    Steps 1 and 4 run on integer arrays, in blocks of rows sized from
-    linalg.STACK_BYTES.  In every block the first row is recomputed by
+    Steps 1 and 4 run on int64 arrays, in blocks of rows sized by
+    linalg.block_rows.  In every block the first row is recomputed by
     the Fraction path (gram_rational, norm_to_quadratic_subfield and
     degeneracy_coefficient); a disagreement raises InternalCheckError.
     """
     check_section6_size(grid, samples)
     form = TernaryForm(*form_override) if form_override is not None else None  # before any work
     rng = Stream(seed)
-    size = max(1, STACK_BYTES // (8 * 4 * 4))
+    size = block_rows(4)
 
     coefficient_failures = 0
     sign_ok = True

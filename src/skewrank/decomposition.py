@@ -16,7 +16,7 @@ from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
 from .forms import gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
-from .linalg import STACK_BYTES, matmul_mod, rank_mod, rank_mod_batch, rref_mod
+from .linalg import block_rows, matmul_mod, rank_mod, rank_mod_batch, rref_mod
 from .report import Report
 from .stream import RNG_NAME, Stream
 
@@ -64,14 +64,9 @@ def _coefficient_rows(p: int, dim: int, limit: int, count: int, rng: Stream) -> 
         rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim))
 
 
-def _block_size(n: int) -> int:
-    """Rows per block: one (B, n, n) stack of int64 Grams fits STACK_BYTES."""
-    return max(1, STACK_BYTES // (8 * n * n))
-
-
 def _blocks(vectors: np.ndarray, n: int):
-    """Consecutive row blocks of _block_size(n) rows."""
-    size = _block_size(n)
+    """Consecutive row blocks of block_rows(n) rows."""
+    size = block_rows(n)
     for start in range(0, len(vectors), size):
         yield vectors[start : start + size]
 
@@ -418,7 +413,7 @@ def remark_C_check(
     u = slice_generator(ctx, csize)
     # u^0 .. u^(B-1) as rows, doubled by one stacked product per step;
     # the block of exponents s0 .. s0+B-1 is then this table times u^s0
-    size = min(_block_size(n), csize)
+    size = min(block_rows(n), csize)
     table = ctx.one().vector()[None, :]
     step = u.vector()[None, :]
     while len(table) < size:

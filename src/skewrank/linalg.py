@@ -16,6 +16,11 @@ _LIMB = 16  # bits of the low limb in contract_mod
 STACK_BYTES = 2**17  # batched kernels take rows in blocks whose int64 matrix stack fits this
 
 
+def block_rows(n: int) -> int:
+    """Rows per block of a batched kernel: one (B, n, n) int64 stack fits STACK_BYTES."""
+    return max(1, STACK_BYTES // (8 * n * n))
+
+
 def contract_mod(product, a: np.ndarray, b: np.ndarray, p: int, terms: int) -> np.ndarray:
     """Exact product(a, b) % p for a bilinear integer product of residue
     arrays whose every entry sums at most `terms` products a_j * b_k.
@@ -140,8 +145,6 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=m.dtype)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for j, pc in enumerate(pivots):
-            basis[row, pc] = (-m[j, f]) % p
+    basis[:, free] = np.eye(len(free), dtype=m.dtype)
+    basis[:, pivots] = (-m[: len(pivots), free]).T % p
     return basis

@@ -36,3 +36,17 @@ def element_order(c: ExtensionContext, b) -> int:
 def first_generator(c: ExtensionContext):
     """First element in counting order generating the unit group."""
     return next(b for b in c.elements() if element_order(c, b) == c.order - 1)
+
+
+def block_lengths(monkeypatch, owner, name: str, arg: int) -> list[int]:
+    """Replace owner.name by a wrapper that appends len() of its
+    positional argument `arg` to the returned list at every call."""
+    lengths: list[int] = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        lengths.append(len(args[arg]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return lengths

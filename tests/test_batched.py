@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from skewrank import decomposition, forms
+from skewrank import decomposition, forms, linalg
 from skewrank.errors import InternalCheckError, ZeroElement
 from skewrank.fields import ExtensionContext
 from skewrank.galois import order_of
 from skewrank.linalg import matmul_mod, rank_mod, rank_mod_batch
 
-from conftest import BIG_MODULI, BIG_P
+from conftest import BIG_MODULI, BIG_P, block_lengths
 
 
 def domain_rank(matrix, p):
@@ -331,28 +331,41 @@ def report_bytes(report):
 
 def test_oracle_report_is_independent_of_block_size(ctx, monkeypatch):
     c = ctx(3, 5)
+    blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
     default = report_bytes(decomposition.oracle_survey(c))
-    monkeypatch.setattr(decomposition, "STACK_BYTES", 1)  # one row per block
+    assert max(blocks) == 242  # every unit in one block
+    blocks.clear()
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
     assert report_bytes(decomposition.oracle_survey(c)) == default
+    assert set(blocks) == {1}
 
 
 def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):
     c = ctx(5, 4)
     monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)  # force a sampled census
+    blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
     oracle = report_bytes(decomposition.oracle_survey(c, seed=3, sample_cap=150))
     direct = report_bytes(decomposition.verify_direct_sum(c, seed=3, sample_cap=150))
     assert json.loads(oracle)["mode"] == "sampled"
-    monkeypatch.setattr(decomposition, "STACK_BYTES", 1)
+    assert max(blocks) == 150
+    blocks.clear()
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)
     assert report_bytes(decomposition.oracle_survey(c, seed=3, sample_cap=150)) == oracle
     assert report_bytes(decomposition.verify_direct_sum(c, seed=3, sample_cap=150)) == direct
+    assert set(blocks) == {1}
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3])
 def test_remark_c_report_is_independent_of_block_size(ctx, monkeypatch, rows_per_block):
     c = ctx(11, 16)
+    # the eigenspace test takes each whole block of exponents, odd and even
+    blocks = block_lengths(monkeypatch, ExtensionContext, "frobenius_stack", 1)
     default = report_bytes(decomposition.remark_C_check(c, 3))
-    monkeypatch.setattr(decomposition, "STACK_BYTES", 8 * 16 * 16 * rows_per_block)
+    assert max(blocks) == linalg.block_rows(16) == 64
+    blocks.clear()
+    monkeypatch.setattr(linalg, "STACK_BYTES", 8 * 16 * 16 * rows_per_block)
     assert report_bytes(decomposition.remark_C_check(c, 3)) == default
+    assert max(blocks) == rows_per_block
 
 
 def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch):

@@ -147,6 +147,14 @@ def test_remark_c_verify(capsys):
     assert degenerate["checked"] == 40
 
 
+@pytest.mark.parametrize("theorem,n", [("TA", "6"), ("TC", "4"), ("direct-sum", "4"), ("T2", "4")])
+def test_eigenspace_index_with_another_theorem_exits_one_naming_it(capsys, theorem, n):
+    # --i selects the RemarkC slice; any other verifier would ignore it
+    code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--p", "3", "--n", n, "--i", "7")
+    assert code == 1 and out == ""
+    assert "--i applies only to --theorem RemarkC" in err and "Traceback" not in err
+
+
 def test_reports_match_the_recorded_benchmark_references(capsys):
     # the benchmark's reference reports, by SHA-256 of stdout at seed 0
     references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"

@@ -13,9 +13,12 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from skewrank import cyclotomic as cy
+from skewrank import linalg
 from skewrank.decomposition import EXHAUSTIVE_CEILING
 from skewrank.errors import InternalCheckError, InvalidArgument, NotSquareFree
 from skewrank.stream import Stream
+
+from conftest import block_lengths
 
 ETA_C = cmath.exp(2j * cmath.pi / 5)
 
@@ -390,6 +393,109 @@ def test_norm_stack_matches_norm_to_quadratic_subfield(rows):
         assert cy.degeneracy_coefficient(*tup) * d * d == coeff
 
 
+def test_cleared_entries_stay_below_the_kernel_bound():
+    # n/d times the lcm D of its row's four denominators is at most |n| * D
+    lo, hi = cy.DENOMINATORS
+    largest_lcm = max(math.lcm(*row) for row in itertools.combinations_with_replacement(range(lo, hi + 1), 4))
+    worst = max(max(map(abs, cy.NUMERATORS)) * largest_lcm, cy.GRID_CEILING)
+    assert (largest_lcm, worst) == (83980, 8314020)
+    assert worst < cy.ENTRY_BOUND
+    # the Pfaffian sums three products of two Gram entries
+    column_sum = int(np.abs(cy.subspace_basis_grams()).sum(axis=0).max())
+    assert column_sum == 15
+    assert 3 * (column_sum * cy.ENTRY_BOUND) ** 2 < 2**63
+
+
+def test_int64_clearing_matches_the_python_integer_loop():
+    # the drawn ranges, with the largest lcm of four denominators in every sign pattern
+    draws = np.random.Generator(np.random.PCG64(11)).integers(
+        (cy.NUMERATORS[0], cy.DENOMINATORS[0]), (cy.NUMERATORS[1] + 1, cy.DENOMINATORS[1] + 1), size=(300, 4, 2)
+    )
+    edge = [[(sign * cy.NUMERATORS[1], d) for sign, d in zip(signs, (13, 17, 19, 20))]
+            for signs in itertools.product((-1, 1), repeat=4)]
+    pairs = np.concatenate([draws, np.array(edge, dtype=np.int64)])
+    rows, scale = cy._clear_denominators(pairs[..., 0], pairs[..., 1])
+    want_scale = [math.lcm(*row) for row in pairs[..., 1].tolist()]
+    want_rows = [[s * n // d for n, d in row] for s, row in zip(want_scale, pairs.tolist())]
+    assert rows.dtype == scale.dtype == np.int64
+    assert (rows.tolist(), scale.tolist()) == (want_rows, want_scale)
+
+
+# the Section-6 kernels, each on rows of the width it takes
+SECTION6_KERNELS = {
+    "combined_gram_stack": (3, lambda rows: cy.combined_gram_stack(rows, cy.subspace_basis_grams())),
+    "pfaffian_stack": (3, lambda rows: cy.pfaffian_stack(cy.combined_gram_stack(rows, cy.subspace_basis_grams()))),
+    "subspace_coordinates": (3, lambda rows: rows @ cy._SUBSPACE_COORDS),
+    "degeneracy_on_the_subspace": (
+        3, lambda rows: cy._quadratic_rows(rows @ cy._SUBSPACE_COORDS, cy._DEGENERACY_UPPER)
+    ),
+    "parametrized_form": (3, lambda rows: cy._quadratic_rows(rows, cy._PARAMETRIZED_UPPER)),
+    "norm_to_quadratic_subfield_stack": (4, cy.norm_to_quadratic_subfield_stack),
+    "degeneracy_coefficient": (4, lambda rows: cy._quadratic_rows(rows, cy._DEGENERACY_UPPER)),
+}
+
+
+@pytest.mark.parametrize("name", SECTION6_KERNELS)
+def test_int64_kernels_match_object_rows_at_the_headroom_edge(name):
+    width, kernel = SECTION6_KERNELS[name]
+    edge = cy.ENTRY_BOUND - 1
+    signs = np.array(list(itertools.product((-1, 1), repeat=width)), dtype=np.int64)
+    inside = np.random.Generator(np.random.PCG64(7)).integers(-edge, edge + 1, size=(200, width))
+    rows = np.concatenate([edge * signs, inside])
+    got = kernel(rows)
+    want = kernel(rows.astype(object))
+    assert got.dtype == np.int64 and want.dtype == object
+    assert got.tolist() == want.tolist()
+
+
+# numerators that no int64 holds, and ones whose products overflow it
+HUGE_ROWS = [
+    [(2**70 + 1, 3), (-(2**69), 7), (5, 1), (2**40 - 1, 20)],
+    [(-(2**70), 19), (2**41, 17), (-(2**40), 13), (1, 2)],
+    [(3, 4), (0, 1), (2**66, 9), (-7, 11)],
+]
+
+
+def test_kernels_stay_exact_on_object_rows():
+    nums, dens = split(HUGE_ROWS)
+    scaled, scale = cy._clear_denominators(nums, dens)
+    assert scaled.dtype == object
+    fractions = [fractions_of(row) for row in HUGE_ROWS]
+    assert scaled.tolist() == [[f * d for f in row] for row, d in zip(fractions, scale)]
+    basis = np.array([cy.gram_rational(e)[0] for e in cy._BASIS], dtype=object).astype(np.int64)
+    pfaffians = cy.pfaffian_stack(cy.combined_gram_stack(scaled, basis))
+    norms = cy.norm_to_quadratic_subfield_stack(scaled)
+    coeffs = cy._quadratic_rows(scaled, cy._DEGENERACY_UPPER)
+    for row, d, pf, norm, coeff in zip(fractions, scale, pfaffians, norms, coeffs):
+        b = cy.CycloElement(row)
+        assert pf == cy._pfaffian4(cy.gram_rational(b)[0]) * d * d
+        assert list(norm) == [c * d * d for c in cy.norm_to_quadratic_subfield(b).coords]
+        assert coeff == cy.degeneracy_coefficient(*row) * d * d
+    assert cy._coefficient_block(scaled, fractions[0], scale[0]) == (0, True)
+    sub_nums, sub_dens = nums[:, :3], dens[:, :3]
+    sub_rows, sub_scale = cy._clear_denominators(sub_nums, sub_dens)
+    spot = fractions_of(HUGE_ROWS[0][:3])
+    assert cy._subspace_block(sub_rows, cy.subspace_basis_grams(), spot, sub_scale[0]) == (3, True)
+
+
+def test_the_fraction_path_gets_python_integers(monkeypatch):
+    calls = []
+    for name in ("_coefficient_block", "_subspace_block"):
+        original = getattr(cy, name)
+
+        def spy(rows, *args, original=original):
+            calls.append((rows.dtype, args[-2], args[-1]))
+            return original(rows, *args)
+
+        monkeypatch.setattr(cy, name, spy)
+    cy.verify_section6(grid=2, samples=40, seed=3)
+    assert len(calls) == 3  # the coefficient draws, the grid and the subspace draws
+    for dtype, spot, scale in calls:
+        assert dtype == np.int64 and type(scale) is int
+        for c in spot:
+            assert type(c) is int or (type(c) is Fraction and type(c.numerator) is type(c.denominator) is int)
+
+
 def test_grid_rows_cover_the_nonzero_grid_in_counting_order():
     rows = np.concatenate(list(cy._grid_rows(2, 7)))
     expected = [c for c in itertools.product(range(-2, 3), repeat=3) if any(c)]
@@ -425,9 +531,15 @@ def test_random_blocks_match_the_scalar_draw_loop(seed):
     assert new.integers(0, 2**32, size=1)[0] == old.integers(2**32)  # both stop at the same word
 
 def test_section6_report_is_independent_of_block_size(monkeypatch):
+    grams = block_lengths(monkeypatch, cy, "combined_gram_stack", 0)
+    norms = block_lengths(monkeypatch, cy, "norm_to_quadratic_subfield_stack", 0)
     default = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
-    monkeypatch.setattr(cy, "STACK_BYTES", 1)  # one row per block
+    assert (max(grams), max(norms)) == (5**3 - 1, 30)  # the grid, then the draws, in one block each
+    grams.clear()
+    norms.clear()
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
     assert cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict() == default
+    assert set(grams) == set(norms) == {1}
 
 
 @pytest.mark.parametrize("kernel,tampered", [
