@@ -46,6 +46,12 @@ def _theorem_report(
 # enumeration helpers
 # ---------------------------------------------------------------------------
 
+def _counting_rows(p: int, dim: int, start: int, stop: int) -> np.ndarray:
+    """Rows start .. stop-1 of GF(p)^dim in counting order: row v holds
+    the base-p digits of v, least significant first."""
+    return np.stack(np.unravel_index(np.arange(start, stop), (p,) * dim)[::-1], axis=1)
+
+
 def _coefficient_rows(p: int, dim: int, limit: int, count: int, rng: Stream) -> tuple[np.ndarray, str]:
     """Coefficient rows of GF(p)^dim to evaluate, and the mode.
 
@@ -54,8 +60,7 @@ def _coefficient_rows(p: int, dim: int, limit: int, count: int, rng: Stream) -> 
     all-zero draw redrawn ("sampled").
     """
     if p**dim - 1 <= limit:
-        grid = np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1]
-        return grid[1:], "exhaustive"  # drop the zero row
+        return _counting_rows(p, dim, 1, p**dim), "exhaustive"
     rows = rng.integers(0, p, size=(count, dim))
     while True:
         zero = ~rows.any(axis=1)
@@ -104,8 +109,15 @@ def _block_predicates(ctx: ExtensionContext, block: np.ndarray, powers) -> dict[
     return predicates
 
 
-def _tally(histogram: dict[int, int], ranks: np.ndarray) -> None:
-    for r, count in enumerate(np.bincount(ranks).tolist()):
+def _tally(histogram: dict[int, int], ranks: np.ndarray, weights: np.ndarray | None = None) -> None:
+    """Add each rank to the histogram, once or as many times as its int64
+    weight says (np.bincount would sum the weights in float64)."""
+    if weights is None:
+        counts = np.bincount(ranks)
+    else:
+        counts = np.zeros(int(ranks.max(initial=0)) + 1, dtype=np.int64)
+        np.add.at(counts, ranks, weights)
+    for r, count in enumerate(counts.tolist()):
         if count:
             histogram[r] = histogram.get(r, 0) + count
 
@@ -456,43 +468,146 @@ def remark_C_check(
     return _theorem_report("RemarkC", ctx, components, membership_ok, seed)
 
 
+def _orbit_representatives(
+    ctx: ExtensionContext, rows: np.ndarray, inverse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that are least in counting order in their orbit under
+    sigma and scaling by GF(p)^x, and the sizes of those orbits.
+
+    The least of the multiples c*w of a nonzero w is w divided by its
+    most significant nonzero digit, so the least of an orbit is the least
+    of the n images sigma^k(b), each divided by its own leading digit
+    (`inverse` holds 1/c mod p at c).  A row is kept when it equals that
+    least image.  Its orbit size is n(p - 1) over the number of images
+    that reduce to the row itself, the order of its stabiliser.
+    """
+    p, n = ctx.p, ctx.n
+    digits = p ** np.arange(n)
+    own = rows @ digits
+    images = np.stack([ctx.frobenius_stack(rows, k) for k in range(n)], axis=1)  # (B, n, n)
+    leading = np.zeros(images.shape[:2], dtype=np.int64)
+    for digit in np.moveaxis(images, 2, 0):  # least significant first: the last nonzero one stays
+        leading = np.where(digit != 0, digit, leading)
+    index = (images * inverse[leading][..., None] % p) @ digits  # (B, n)
+    keep = index.min(axis=1) == own
+    fixed = (index[keep] == own[keep, None]).sum(axis=1)
+    return rows[keep], n * (p - 1) // fixed
+
+
+def _orbit_blocks(ctx: ExtensionContext):
+    """Blocks of block_rows(n) orbit representatives of L^x under sigma
+    and GF(p)^x, in counting order, each with its orbit sizes.
+
+    Only elements whose most significant nonzero digit is 1 can be the
+    least of their orbit: the index ranges [p^t, 2p^t).  They are
+    enumerated in counting order in blocks of the same size, so memory
+    stays at one block of rows; representatives are held until a block
+    is full.  Raises InternalCheckError, once the walk is done, unless
+    the orbit sizes add up to p^n - 1.
+    """
+    p, n, q = ctx.p, ctx.n, ctx.order
+    size = block_rows(n)
+    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
+    reps, weights = np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    total = 0
+    for t in range(n):
+        for start in range(p**t, 2 * p**t, size):
+            rows = _counting_rows(p, n, start, min(start + size, 2 * p**t))
+            found, sizes = _orbit_representatives(ctx, rows, inverse)
+            total += int(sizes.sum())
+            reps, weights = np.concatenate([reps, found]), np.concatenate([weights, sizes])
+            if len(reps) >= size:
+                yield reps[:size], weights[:size]
+                reps, weights = reps[size:], weights[size:]
+    if len(reps):
+        yield reps, weights
+    if total != q - 1:
+        raise InternalCheckError(f"orbit sizes add up to {total}, not {q - 1}")
+
+
+def _check_orbit_identities(
+    ctx: ExtensionContext, vec: np.ndarray, i: int, rank: int, predicate: bool | None
+) -> None:
+    """The identities the orbit census rests on, for one representative b
+    by the scalar path: 2b and sigma(b) at i, and b at n - i, have the
+    rank that the stacked kernel gave b at i, and where the norm
+    predicate applies (`predicate` is not None) the same predicate.  A
+    difference raises InternalCheckError."""
+    p, n = ctx.p, ctx.n
+    moves = {
+        "2b": (2 * vec % p, i),
+        "sigma(b)": (ctx.frobenius_stack(vec[None], 1)[0], i),
+        f"b at i={n - i}": (vec, n - i),
+    }
+    for name, (moved, j) in moves.items():
+        same = rank_mod(gram_entries(ctx, moved, j), p) == rank
+        if predicate is not None:
+            same &= is_degenerate_by_norm(ctx, ctx.element(moved), j) == predicate
+        if not same:
+            raise InternalCheckError(
+                f"orbit identity fails for b={ctx.element(vec)}, i={i}: {name} differs"
+            )
+
+
 def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
-    """Enumerate b over the unit group and tabulate rank(gram(b, i)) for
-    every i in 1..n-1, asserting the predicted supports and cross-
-    validating the norm predicate against the rank wherever it applies.
+    """Tabulate rank(gram(b, i)) over the unit group for every i in
+    1..n-1, asserting the predicted supports and cross-validating the
+    norm predicate against the rank wherever it applies.
+
+    An exhaustive census (p^n - 1 <= FULL_FIELD_CEILING) ranks one
+    representative per orbit of L^x under sigma and GF(p)^x, counted
+    with its orbit size, and only for i <= n/2.  This rests on three
+    identities: the form of c*b is c times the form of b; the form of
+    sigma(b) is congruent to the form of b; and the form of
+    (b, sigma^(n-i)) is minus the form of (sigma^i(b), sigma^i), so over
+    a whole orbit the census at n - i is the census at i.  The last
+    representative of every block is checked against all three by the
+    scalar path (_check_orbit_identities).  A sampled census ranks every
+    drawn element for every i, unweighted: identity (c) holds only over
+    whole orbits.  `checked` counts elements either way.
     """
     p, n = ctx.p, ctx.n
     if n < 2:
         raise WrongShape(f"n must be >= 2, got {n}")
-    rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))
+    if ctx.order - 1 <= FULL_FIELD_CEILING:
+        mode, checked, blocks = "exhaustive", ctx.order - 1, _orbit_blocks(ctx)
+        powers = range(1, n // 2 + 1)
+    else:
+        rows, mode = _coefficient_rows(p, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))
+        checked = len(rows)
+        blocks = ((block, None) for block in _blocks(rows, n))
+        powers = range(1, n)
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
-    degenerate_counts = {i: 0 for i in range(1, n)}
-    predicate_checked = 0
-    predicate_disagreements = 0
-    predicate_powers = [i for i in range(1, n) if order_of(ctx, i) > 2]
-    for block in _blocks(rows, n):
-        predicates = _block_predicates(ctx, block, predicate_powers)
-        for i in range(1, n):
+    disagreements = {i: 0 for i in powers if order_of(ctx, i) > 2}  # the predicate's powers
+    for block, weights in blocks:
+        predicates = _block_predicates(ctx, block, list(disagreements))
+        for i in powers:
             ranks = _block_ranks(ctx, block, i)
-            _tally(histograms[i], ranks)
-            degenerate = ranks < n
-            degenerate_counts[i] += int(degenerate.sum())
-            if i not in predicates:
-                continue
-            predicate_checked += len(block)
-            predicate_disagreements += int((predicates[i] != degenerate).sum())
+            predicate = predicates.get(i)
+            if mode == "exhaustive":
+                last = None if predicate is None else bool(predicate[-1])
+                _check_orbit_identities(ctx, block[-1], i, int(ranks[-1]), last)
+            _tally(histograms[i], ranks, weights)
+            if predicate is not None:
+                mismatch = predicate != (ranks < n)
+                disagreements[i] += int(mismatch.sum() if weights is None else weights[mismatch].sum())
+    for i in range(powers.stop, n):  # identity (c): only i <= n/2 was ranked
+        histograms[i] = dict(histograms[n - i])
+        if n - i in disagreements:
+            disagreements[i] = disagreements[n - i]
     support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)
                      for i in range(1, n))
+    predicate_disagreements = sum(disagreements.values())
     report = Report(
         conditions={"support_ok": support_ok, "predicates agree": predicate_disagreements == 0},
         theorem="oracle",
         instance={"p": p, "n": n},
         mode=mode,
-        checked=len(rows),
+        checked=checked,
         histograms=histograms,
         support_ok=support_ok,
-        degenerate_counts=degenerate_counts,
-        predicate_checked=predicate_checked,
+        degenerate_counts={i: sum(k for r, k in histograms[i].items() if r < n) for i in range(1, n)},
+        predicate_checked=checked * len(disagreements),
         predicate_disagreements=predicate_disagreements,
         seed=seed,
         rng=RNG_NAME,

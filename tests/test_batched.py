@@ -333,11 +333,23 @@ def test_oracle_report_is_independent_of_block_size(ctx, monkeypatch):
     c = ctx(3, 5)
     blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
     default = report_bytes(decomposition.oracle_survey(c))
-    assert max(blocks) == 242  # every unit in one block
+    # the 242 units fall into 24 orbits of size 10 and {1, 2}: all 25
+    # representatives in one block, ranked at i = 1, 2 only
+    assert blocks == [25, 25]
     blocks.clear()
     monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
     assert report_bytes(decomposition.oracle_survey(c)) == default
-    assert set(blocks) == {1}
+    assert set(blocks) == {1} and len(blocks) == 50
+
+
+@pytest.mark.parametrize("p,n,grams", [(3, 7, 471), (7, 4, 210)])
+def test_exhaustive_census_ranks_one_gram_per_orbit_and_power(ctx, monkeypatch, p, n, grams):
+    # (3, 7): 157 representatives for 2186 units, times i = 1, 2, 3, against
+    # 2186 * 6 = 13116 Grams ranked one per element; (7, 4): 105 times
+    # i = 1, 2, against 7200
+    blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
+    decomposition.oracle_survey(ctx(p, n))
+    assert sum(blocks) == grams
 
 
 def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):
