@@ -349,7 +349,6 @@ class ExtensionContext(_QuotientRing):
             frobenius = self._frobenius_if_irreducible()
         self.order = p**n
         self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=np.int64), 1: frobenius}
-        self._trace_maps: dict[int, np.ndarray] = {}
         self._tp_table: np.ndarray | None = None
         self._basis_grams: dict[int, np.ndarray] = {}
 
@@ -410,9 +409,6 @@ class ExtensionContext(_QuotientRing):
             raise InvalidDegree("prime field has no generator theta")
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
 
-    def power_basis(self) -> list[FieldElement]:
-        return [FieldElement(self, tuple(int(c) for c in row)) for row in self._theta_powers(self.n)]
-
     def from_index(self, v: int) -> FieldElement:
         """Element with coefficients the base-p digits of v (c0 least significant)."""
         if not 0 <= v < self.order:
@@ -422,12 +418,6 @@ class ExtensionContext(_QuotientRing):
             v, d = divmod(v, self.p)
             coeffs.append(d)
         return FieldElement(self, tuple(coeffs))
-
-    def elements(self, include_zero: bool = False):
-        """All field elements in counting order (deterministic)."""
-        start = 0 if include_zero else 1
-        for v in range(start, self.order):
-            yield self.from_index(v)
 
     # -- Galois operations -------------------------------------------------------
 
@@ -448,22 +438,9 @@ class ExtensionContext(_QuotientRing):
         vec = matmul_mod(self.sigma_power_matrix(i), b.vector(), self.p)
         return self._wrap(vec)
 
-    def _trace_map(self, sub: int) -> np.ndarray:
-        mat = self._trace_maps.get(sub)
-        if mat is None:
-            powers = (self.sigma_power_matrix(sub * j) for j in range(self.n // sub))
-            self._trace_maps[sub] = mat = sum(powers) % self.p
-        return mat
-
     def _check_sub(self, sub: int) -> None:
         if sub < 1 or self.n % sub != 0:
             raise InvalidSubfield(f"{sub} does not divide the degree {self.n}")
-
-    def trace(self, b: FieldElement, sub: int = 1) -> FieldElement:
-        """Trace of b down to the index-`sub` subfield GF(p^sub)."""
-        self._own(b)
-        self._check_sub(sub)
-        return self._wrap(matmul_mod(self._trace_map(sub), b.vector(), self.p))
 
     def norm(self, b: FieldElement, sub: int = 1) -> FieldElement:
         """Norm of b down to GF(p^sub): product of sigma^(sub*j) images."""
@@ -486,6 +463,7 @@ class ExtensionContext(_QuotientRing):
     def trace_power_table(self) -> np.ndarray:
         """tp[u] = tr(theta^u) in GF(p), for u = 0..3n-3."""
         if self._tp_table is None:
-            tau = self._trace_map(1)[0]  # trace lands in K = span{1}
+            # row 0 of the trace map, the sum of the sigma^j: the trace lands in K = span{1}
+            tau = sum(self.sigma_power_matrix(j)[0] for j in range(self.n)) % self.p
             self._tp_table = matmul_mod(self._theta_powers(3 * self.n - 2), tau, self.p)
         return self._tp_table

@@ -50,13 +50,15 @@ def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
     """Row ranks over GF(p) of every matrix in a (B, R, C) stack.
 
     Fraction-free elimination, one column c at a time across the whole
-    stack: each matrix takes as pivot its first not-yet-used row with a
-    nonzero entry in c, and every row r becomes pivot * r - r[c] *
-    pivot_row.  Pivot rows and columns up to c are never read again, so
-    the step runs in place on the columns right of c, and matrices
-    without a pivot in c scale by 1 instead.  Stops once every matrix
-    has a full set of pivots.  The stack is held column-major, (C, B, R),
-    so the columns right of c are one contiguous block.
+    stack: each matrix takes as pivot its first row with an entry in c
+    that is nonzero mod p, and every row r becomes pivot * r - r[c] *
+    pivot_row.  That step leaves the pivot row itself = 0 mod p right of
+    c, so no later column picks it again.  Columns up to c are never
+    read again, so the step runs in place on the columns right of c,
+    and matrices without a pivot in c scale by 1 instead.  Stops once
+    every matrix has a full set of pivots.  The stack is held
+    column-major, (C, B, R), so the columns right of c are one
+    contiguous block.
 
     Reduction mod p is delayed (Dumas, Giorgi and Pernet, FFLAS/FFPACK,
     ACM TOMS 35(3), 2008): a step reduces only column c and the pivot
@@ -68,7 +70,6 @@ def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
     m %= p
     cols, count, rows = m.shape
     full = min(rows, cols)
-    used = np.zeros((count, rows), dtype=bool)
     ranks = np.zeros(count, dtype=np.int64)
     every = np.arange(count)
     bound = p - 1
@@ -80,11 +81,10 @@ def rank_mod_batch(stack: np.ndarray, p: int) -> np.ndarray:
             rest %= p
             bound = p - 1
         col = m[c] % p
-        cand = (col != 0) & ~used
+        cand = col != 0
         has = cand.any(axis=1)
         piv = cand.argmax(axis=1)
         prow = m[c:, every, piv] % p  # (C - c, B): each matrix's pivot row from column c on
-        used[every[has], piv[has]] = True
         ranks += has
         rest *= np.where(has, prow[0], 1)[None, :, None]
         rest -= prow[1:, :, None] * col[None]

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skewrank.fields import ExtensionContext
@@ -22,6 +27,23 @@ def ctx():
     return _ctx
 
 
+def power_basis(c: ExtensionContext) -> list:
+    """1, theta, ..., theta^(n-1): the unit coordinate vectors."""
+    return [c.element(row) for row in np.eye(c.n, dtype=np.int64)]
+
+
+def elements(c: ExtensionContext, include_zero: bool = False):
+    """Every element of c, the nonzero ones unless include_zero, in counting order."""
+    return (c.from_index(v) for v in range(0 if include_zero else 1, c.order))
+
+
+def trace(c: ExtensionContext, b, sub: int = 1):
+    """Trace of b down to GF(p^sub), sub | n: the sum of its n/sub
+    conjugates sigma^(sub*j)(b)."""
+    conjugates = [c.frobenius_power(b, sub * j) for j in range(c.n // sub)]
+    return sum(conjugates[1:], conjugates[0])
+
+
 def element_order(c: ExtensionContext, b) -> int:
     """Multiplicative order of b != 0, from sympy's factorization of p^n - 1."""
     import sympy
@@ -35,7 +57,7 @@ def element_order(c: ExtensionContext, b) -> int:
 
 def first_generator(c: ExtensionContext):
     """First element in counting order generating the unit group."""
-    return next(b for b in c.elements() if element_order(c, b) == c.order - 1)
+    return next(b for b in elements(c) if element_order(c, b) == c.order - 1)
 
 
 def block_lengths(monkeypatch, owner, name: str, arg: int) -> list[int]:
@@ -50,3 +72,18 @@ def block_lengths(monkeypatch, owner, name: str, arg: int) -> list[int]:
 
     monkeypatch.setattr(owner, name, spy)
     return lengths
+
+
+def child_peak_mib(code: str) -> float:
+    """Peak resident set, in MiB, of a fresh interpreter that runs `code`
+    with the package on its path: the child's own ru_maxrss, by
+    os.wait4.  A child that exits nonzero fails the calling test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
+    err = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stderr.close()
+    assert proc.returncode == 0, err.decode(errors="replace")
+    return usage.ru_maxrss / 1024

@@ -5,8 +5,9 @@ stacked Gram, field arithmetic and norm predicate against gram_entries,
 FieldElement arithmetic and is_degenerate_by_norm on every nonzero element
 of small fields; every int64 contraction, up to p = 2^31 - 1, against the
 same contraction in Python integers; the stacked Frobenius and norm against
-the field algebra they must obey; and the census report against itself
-with one-row blocks.
+the field algebra they must obey; the streamed row blocks against the
+rows drawn in one call; and the census report against itself with
+one-row blocks.
 """
 
 import json
@@ -23,8 +24,9 @@ from skewrank.errors import InternalCheckError, ZeroElement
 from skewrank.fields import ExtensionContext
 from skewrank.galois import order_of
 from skewrank.linalg import matmul_mod, rank_mod, rank_mod_batch
+from skewrank.stream import Stream
 
-from conftest import BIG_MODULI, BIG_P, block_lengths
+from conftest import BIG_MODULI, BIG_P, block_lengths, elements, trace
 
 
 def domain_rank(matrix, p):
@@ -94,6 +96,29 @@ def test_batched_rank_exact_near_the_int64_limit(rows, cols, count, seed):
     check_rank_stack(BIG_P, rows, cols, count, seed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([3, 11, BIG_P]),
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_rank_with_forced_low_rank(p, rows, cols, count, seed, data):
+    # zeroed rows and columns and repeated rows (some scaled) leave many
+    # entries that are 0 mod p, among them every earlier pivot row's
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stack = rng.integers(0, p, size=(count, rows, cols))
+    row, col = st.integers(0, rows - 1), st.integers(0, cols - 1)
+    for m in stack:
+        m[data.draw(st.lists(row, max_size=rows))] = 0
+        m[:, data.draw(st.lists(col, max_size=cols))] = 0
+        for src, dst, scale in data.draw(st.lists(st.tuples(row, row, st.integers(1, p - 1)), max_size=rows)):
+            m[dst] = scale * m[src] % p
+    assert rank_mod_batch(stack, p).tolist() == [rank_mod(m, p) for m in stack]
+
+
 # entries p - 1 make every unreduced product as large as a residue allows,
 # and low-rank matrices must end in rows that are zero mod p; the sizes take
 # each p past the point where rank_mod_batch must reduce the trailing block
@@ -115,7 +140,7 @@ def test_batched_rank_at_the_headroom_edge(p, size):
 
 
 def all_rows(c):
-    return np.array([b.coeffs for b in c.elements()], dtype=np.int64)
+    return np.array([b.coeffs for b in elements(c)], dtype=np.int64)
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
@@ -187,19 +212,19 @@ def test_norm_predicates_across_subfields(ctx):
 def test_stacked_field_arithmetic_on_whole_fields(ctx, p, n):
     c = ctx(p, n)
     vecs = all_rows(c)
-    elements = list(c.elements())
+    every = list(elements(c))
     shifted = np.roll(vecs, 1, axis=0)
     products = c.mul_stack(vecs, shifted)
-    for j, b in enumerate(elements):
-        assert tuple(products[j]) == (b * elements[j - 1]).coeffs
+    for j, b in enumerate(every):
+        assert tuple(products[j]) == (b * every[j - 1]).coeffs
     for sub in (d for d in range(1, n + 1) if n % d == 0):
         norms = vecs  # the product of the n/sub conjugates sigma^(sub*j)
         for j in range(1, n // sub):
             norms = c.mul_stack(norms, c.frobenius_stack(vecs, sub * j))
-        assert [tuple(v) for v in norms] == [c.norm(b, sub).coeffs for b in elements]
+        assert [tuple(v) for v in norms] == [c.norm(b, sub).coeffs for b in every]
     for i in range(n):
         images = c.frobenius_stack(vecs, i)
-        assert [tuple(v) for v in images] == [c.frobenius_power(b, i).coeffs for b in elements]
+        assert [tuple(v) for v in images] == [c.frobenius_power(b, i).coeffs for b in every]
 
 
 @pytest.fixture(scope="module", params=[(3, 6), (5, 4), (7, 6), (1000003, 3), (BIG_P, 2), (BIG_P, 3)],
@@ -304,18 +329,15 @@ def test_trace_is_transitive_through_intermediate_fields(kernel_ctx, data):
     c = kernel_ctx
     p, n = c.p, c.n
     b = c.element(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
-    absolute = c.trace(b)
+    absolute = trace(c, b)
     assert absolute.in_prime_field()
     for sub in (d for d in range(1, n + 1) if n % d == 0):
-        partial = c.trace(b, sub)
-        # Tr_{L/L_sub}(b) is the sum of the n/sub conjugates sigma^(sub*j)(b)
-        conjugates = [c.frobenius_power(b, sub * j) for j in range(n // sub)]
-        assert partial == sum(conjugates[1:], conjugates[0])
+        partial = trace(c, b, sub)
         # it lies in GF(p^sub), the fixed field of sigma^sub
         assert c.frobenius_power(partial, sub) == partial
         # Tr_{L/K} = Tr_{L_sub/K} o Tr_{L/L_sub}, and on L_sub Tr_{L/K} is
         # (n/sub) Tr_{L_sub/K}: so Tr_{L/K}(Tr_{L/L_sub}(b)) = (n/sub) Tr_{L/K}(b)
-        assert c.trace(partial).scalar() == (n // sub) * absolute.scalar() % p
+        assert trace(c, partial).scalar() == (n // sub) * absolute.scalar() % p
 
 
 def test_stacked_kernels_reject_zero_rows(ctx):
@@ -365,6 +387,43 @@ def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):
     assert report_bytes(decomposition.oracle_survey(c, seed=3, sample_cap=150)) == oracle
     assert report_bytes(decomposition.verify_direct_sum(c, seed=3, sample_cap=150)) == direct
     assert set(blocks) == {1}
+
+
+def one_call_rows(p, dim, limit, count, rng):
+    """The row source that the blocks replace: every row at once, in the
+    np.indices order when exhaustive, else one draw of all rows and then
+    rounds redrawing the all-zero ones."""
+    if p**dim - 1 <= limit:
+        return np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1][1:], "exhaustive"
+    rows = rng.integers(0, p, size=(count, dim))
+    while (zero := ~rows.any(axis=1)).any():
+        rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim))
+    return rows, "sampled"
+
+
+# (3, 1) draws a zero row a third of the time, its redraws too; n = 6 sets
+# the block size, and small STACK_BYTES make chunks of 36 and 252 rows
+@pytest.mark.parametrize("p, dim, limit, count", [
+    (3, 1, 0, 700), (3, 1, 2, 700), (3, 4, 79, 0), (3, 4, 79, 300), (3, 4, 80, 300), (5, 3, 100, 1000),
+    (7, 3, 400, 50),
+])
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
+def test_row_blocks_match_the_one_call_rows(monkeypatch, p, dim, limit, count, rows_per_block):
+    n = 6
+    if rows_per_block:
+        monkeypatch.setattr(linalg, "STACK_BYTES", 8 * n * n * rows_per_block)
+    size = linalg.block_rows(n)
+    for seed in range(3):
+        ours, theirs = Stream(seed), Stream(seed)
+        expect, expect_mode = one_call_rows(p, dim, limit, count, theirs)
+        mode, checked, blocks = decomposition._row_blocks(p, dim, n, limit, count, ours)
+        # the stream is left where the one call leaves it, before any block is taken
+        assert np.array_equal(ours.integers(0, 7, size=3), theirs.integers(0, 7, size=3))
+        blocks = list(blocks)
+        assert (mode, checked) == (expect_mode, len(expect))
+        assert all(len(block) == size for block in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks or [np.zeros((0, dim), np.int64)]), expect)
+        assert np.array_equal(ours.integers(0, 2**32, size=5), theirs.integers(0, 2**32, size=5))
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3])

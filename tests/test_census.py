@@ -29,7 +29,7 @@ from skewrank.errors import InternalCheckError
 from skewrank.galois import order_of
 from skewrank.linalg import rank_mod
 
-from conftest import _ctx, block_lengths
+from conftest import _ctx, block_lengths, elements
 
 # SHA-256 of `oracle --p P --n N` on stdout, from the census that ranked
 # every nonzero element for every i in 1..n-1
@@ -181,7 +181,7 @@ def test_representatives_are_the_least_of_their_orbits(ctx, monkeypatch, p, n, s
     if stack_bytes:
         monkeypatch.setattr(linalg, "STACK_BYTES", stack_bytes)  # one row per block
     orbits = {}
-    for b in c.elements():
+    for b in elements(c):
         orbit = set()
         image = b
         for _ in range(n):

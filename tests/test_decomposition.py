@@ -7,7 +7,7 @@ from skewrank import decomposition as dec
 from skewrank import forms, galois
 from skewrank.errors import HypothesisViolation, WrongShape
 
-from conftest import first_generator
+from conftest import BIG_P, elements, first_generator, power_basis
 
 
 def test_build_component_dimensions(ctx):
@@ -29,12 +29,25 @@ def test_build_component_grams_are_independent(ctx):
     assert dec.rank_mod(rows, 3) == len(rows)
 
 
+@pytest.mark.parametrize("p,n", [(3, 12), (BIG_P, 8)])
+def test_certificate_rank_is_the_scalar_rank(ctx, p, n):
+    mat = np.vstack([dec.build_component(ctx(p, n), i) for i in dec.component_representatives(n)])
+    assert mat.shape == (n * (n - 1) // 2,) * 2
+    duplicated = mat.copy()
+    duplicated[-1] = duplicated[0]
+    for m in (mat, duplicated, np.vstack([mat, mat[:1]])):
+        assert dec.rank_mod_batch(m[None], p)[0] == dec.rank_mod(m, p)
+    assert dec.rank_mod(mat, p) == len(mat) and dec._is_basis(mat, p)
+    assert dec.rank_mod(duplicated, p) == len(mat) - 1 and not dec._is_basis(duplicated, p)
+    assert not dec._is_basis(np.vstack([mat, mat[:1]]), p)  # not square
+
+
 def greedy_component(c, i):
     """The per-row selection build_component replaced: keep each
     power-basis Gram whose upper triangle raises the rank of those kept."""
     upper = np.triu_indices(c.n, k=1)
     kept = []
-    for b in c.power_basis():
+    for b in power_basis(c):
         row = forms.gram(c, b, i)[upper]
         if dec.rank_mod(np.array(kept + [row]), c.p) == len(kept) + 1:
             kept.append(row)
@@ -93,7 +106,7 @@ def test_find_nondegenerate_b_is_the_first_full_rank_element(ctx, p, n):
     for i in range(1, n):
         if galois.order_of(c, i) % 2:
             continue
-        first = next(b for b in c.elements() if dec.rank_mod(forms.gram(c, b, i), p) == n)
+        first = next(b for b in elements(c) if dec.rank_mod(forms.gram(c, b, i), p) == n)
         assert first.index() >= p  # the nonzero scalars are degenerate
         assert dec.find_nondegenerate_b(c, i) == first
 
@@ -244,7 +257,7 @@ def test_oracle_degenerate_set_is_the_small_power_torsion(ctx):
     c = ctx(3, 4)
     e = (3 - 1) * (3**2 + 1)
     one = c.one()
-    torsion = sum(1 for b in c.elements() if b**e == one)
+    torsion = sum(1 for b in elements(c) if b**e == one)
     assert torsion == 20
 
 
