@@ -2,16 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .cyclotomic import (
-    CycloElement,
-    TernaryForm,
-    degeneracy_coefficient,
-    diagonalize_ternary,
-    gram_rational,
-    isotropic_witness,
-    legendre_solvable,
-    verify_section6,
-)
 from .decomposition import (
     build_component,
     find_nondegenerate_b,
@@ -32,6 +22,28 @@ from .forms import (
 )
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of
 from .report import Report
+
+# Section 6 over Q(eta_5) needs fractions and decimal, which no GF(p) run
+# uses: its names load with skewrank.cyclotomic on first access (PEP 562)
+_CYCLOTOMIC = frozenset({
+    "CycloElement",
+    "TernaryForm",
+    "degeneracy_coefficient",
+    "diagonalize_ternary",
+    "gram_rational",
+    "isotropic_witness",
+    "legendre_solvable",
+    "verify_section6",
+})
+
+
+def __getattr__(name: str):
+    if name in _CYCLOTOMIC:
+        from . import cyclotomic
+
+        return getattr(cyclotomic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CycloElement",

@@ -8,6 +8,8 @@ Commands:
 
 Exit codes: 0 pass, 1 usage or hypothesis error, 2 verification failure.
 JSON is the stable contract; the text format is a readable summary.
+Only section6 and report-all import the Section-6 layer (cyclotomic, and
+with it fractions and decimal); the other commands never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import NoReturn
 
 from . import __version__
 from .arith import is_prime
-from .cyclotomic import check_section6_size, verify_section6
 from .decomposition import (
     EXHAUSTIVE_CEILING,
     FULL_FIELD_CEILING,
@@ -108,7 +109,9 @@ def _validate_common(args) -> None:
     if not 1 <= args.sample_cap <= EXHAUSTIVE_CEILING:
         raise InvalidArgument(f"sample-cap must be in [1, {EXHAUSTIVE_CEILING}], got {args.sample_cap}")
     if hasattr(args, "grid"):  # section6 and report-all, before any field is built
-        check_section6_size(args.grid, args.samples)
+        from . import cyclotomic
+
+        cyclotomic.check_section6_size(args.grid, args.samples)
 
 
 def _config_dict(args) -> dict:
@@ -156,8 +159,9 @@ def _text_block(report: Report) -> list[str]:
         for i, h in doc["histograms"].items():
             spec = ",".join(f"{r}:{k}" for r, k in h.items())
             lines.append(f"i={i}: {{{spec}}}")
-    if "direct_sum_ok" in doc:
-        lines.append(f"direct sum certificate: {'ok' if doc['direct_sum_ok'] else 'FAIL'}")
+    if "direct_sum_ok" in doc:  # for RemarkC, the membership of u^s in E_i exactly for odd s
+        label = "slice membership" if doc["theorem"] == "RemarkC" else "direct sum certificate"
+        lines.append(f"{label}: {'ok' if doc['direct_sum_ok'] else 'FAIL'}")
     if "anisotropic" in doc:
         lines.append(f"anisotropic: {str(doc['anisotropic']).lower()}")
     lines.append("PASS" if report.passed else "FAIL: " + ", ".join(report.failed))
@@ -207,6 +211,8 @@ def _run_oracle(args) -> Report:
 
 
 def _run_section6(args) -> Report:
+    from . import cyclotomic
+
     override = None
     if args.form is not None:
         parts = args.form.split(",")
@@ -216,13 +222,15 @@ def _run_section6(args) -> Report:
             override = ()
         if len(override) != 3:
             raise SkewrankError("--form needs three comma-separated integers")
-    return verify_section6(grid=args.grid, samples=args.samples, seed=args.seed,
-                           form_override=override)
+    return cyclotomic.verify_section6(grid=args.grid, samples=args.samples, seed=args.seed,
+                                      form_override=override)
 
 
 def _run_report_all(args) -> Report:
     """Every check applicable at (p, n), each run tagged with its check
     name; passes when there is at least one run and every run passes."""
+    from . import cyclotomic
+
     _validate_instance(args.p, args.n)
     ctx = ExtensionContext(args.p, args.n)
     runs: list[Report] = []
@@ -247,7 +255,8 @@ def _run_report_all(args) -> Report:
             attempt(f"RemarkC[i={idx}]", lambda idx=idx: remark_C_check(ctx, idx, **common))
     if ctx.order <= FULL_FIELD_CEILING:
         attempt("oracle", lambda: oracle_survey(ctx, **common))
-    attempt("section6", lambda: verify_section6(grid=args.grid, samples=args.samples, seed=args.seed))
+    attempt("section6", lambda: cyclotomic.verify_section6(grid=args.grid, samples=args.samples,
+                                                           seed=args.seed))
     return Report(conditions={"runs": runs}, theorem="report-all", runs=runs, skipped=skipped)
 
 

@@ -564,7 +564,10 @@ def verify_section6(
     3. That form diagonalizes by an exact congruence to <1, 1, -3/2>,
        square-free rescale (1, 1, -6), which the residue conditions
        show has no nontrivial rational zero: every nonzero rational
-       combination of the basis therefore has a rank-4 form.
+       combination of the basis therefore has a rank-4 form.  The
+       search of isotropic_witness must agree, finding no zero in its
+       box; a disagreement raises InternalCheckError.  A form whose box
+       exceeds WITNESS_BOX skips this search.
     4. An integer grid with coefficients in [-grid, grid] plus random
        rational combinations confirm rank 4 pointwise.
 
@@ -595,6 +598,16 @@ def verify_section6(
         form = TernaryForm(*diag.squarefree_form)
     legendre = legendre_certificate(form)
     anisotropic = not all(legendre.values())
+    try:  # Holzer's bound: no witness in the box exactly when anisotropic
+        witness = isotropic_witness(*form.triple())
+    except InvalidArgument:  # a box beyond WITNESS_BOX, from a form_override only
+        pass
+    else:
+        if (witness is None) != anisotropic:
+            raise InternalCheckError(
+                f"the residue conditions and the witness search disagree on {form.triple()}: "
+                f"anisotropic={anisotropic}, witness={witness}"
+            )
 
     # grid + random sampling; Gram is linear in b, so combine basis Grams
     basis_grams = subspace_basis_grams()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Integral, Rational
 
 
 class Report:
@@ -46,7 +46,9 @@ def _holds(value) -> bool:
 def _json(value):
     """JSON form of a field: int-keyed dicts in increasing key order with
     string keys, string-keyed dicts in insertion order, tuples as lists,
-    Fractions as strings, nested Reports as their own JSON."""
+    Fractions as strings, nested Reports as their own JSON.  A Fraction
+    is known by its numbers ABC, so fractions is loaded only by the
+    Section-6 layer that makes them."""
     if isinstance(value, Report):
         return value.to_json_dict()
     if isinstance(value, dict):
@@ -56,6 +58,6 @@ def _json(value):
         return {str(key): _json(item) for key, item in items}
     if isinstance(value, (list, tuple)):
         return [_json(item) for item in value]
-    if isinstance(value, Fraction):
+    if isinstance(value, Rational) and not isinstance(value, Integral):  # a Fraction
         return str(value)
     return value

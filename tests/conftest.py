@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import skewrank
 from skewrank.fields import ExtensionContext
 
 BIG_P = 2**31 - 1  # the largest accepted prime; 3 mod 4, so x^2 + 1 is irreducible
@@ -74,13 +75,17 @@ def block_lengths(monkeypatch, owner, name: str, arg: int) -> list[int]:
     return lengths
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that finds the package where this process found it."""
+    src = str(Path(skewrank.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def child_peak_mib(code: str) -> float:
     """Peak resident set, in MiB, of a fresh interpreter that runs `code`
     with the package on its path: the child's own ru_maxrss, by
     os.wait4.  A child that exits nonzero fails the calling test."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=child_env(), stderr=subprocess.PIPE)
     err = proc.stderr.read()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)

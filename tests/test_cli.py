@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-import skewrank
-from skewrank import cli
+from skewrank import cli, cyclotomic
 from skewrank.cli import main
+
+from conftest import child_env
 
 
 def run_cli(capsys, *argv):
@@ -203,12 +204,6 @@ def test_report_all_small_instance(capsys):
     assert "direct-sum" in names and "TC" in names and "oracle" in names and "section6" in names
     assert any(s["check"] == "TA" for s in doc["skipped"])  # n/2 even here
     assert doc["pass"] is True
-
-
-def child_env() -> dict:
-    """The environment of a child interpreter that finds the package where this process found it."""
-    src = str(Path(skewrank.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def test_module_entry_point_runs():
@@ -433,7 +428,7 @@ instance: p=11 n=16 a=2 l=3 alpha=4 k=1
 label                                       dim expected       mode  checked  spectrum
 E3 slice: odd exponents divisible by 3        0       14 exhaustive       40  {14:40} ok
 E3 slice: odd exponents not divisible by 3    0       16 exhaustive       80  {16:80} ok
-direct sum certificate: ok
+slice membership: ok
 PASS
 """),
     "verify --theorem TA --p 7 --n 6": (0, """\
@@ -487,8 +482,8 @@ def test_report_all_text_prints_every_run_and_every_skipped_check(capsys):
 
 
 def test_report_all_text_names_the_failed_conditions_of_each_run(capsys, monkeypatch):
-    real = cli.verify_section6
-    monkeypatch.setattr(cli, "verify_section6", lambda **kw: real(form_override=(1, 1, -2), **kw))
+    real = cyclotomic.verify_section6
+    monkeypatch.setattr(cyclotomic, "verify_section6", lambda **kw: real(form_override=(1, 1, -2), **kw))
     code, out, _ = run_cli(capsys, "report-all", "--p", "3", "--n", "4", "--grid", "1",
                            "--samples", "5", "--format", "text")
     assert code == 2

@@ -301,6 +301,35 @@ def test_verify_section6_tampered_form_fails():
     assert not report.passed
 
 
+def test_anisotropy_is_cross_checked_by_the_witness_search(monkeypatch):
+    # the certified form and the isotropic override keep their reports ...
+    assert cy.verify_section6(grid=1, samples=5).anisotropic
+    assert not cy.verify_section6(grid=1, samples=5, form_override=(1, 1, -2)).anisotropic
+    # ... and a search that contradicts the residue conditions is caught on both
+    real = cy.isotropic_witness
+    monkeypatch.setattr(cy, "isotropic_witness", lambda *abc: (1, 0, 0) if real(*abc) is None else None)
+    for override in (None, (1, 1, -2)):
+        with pytest.raises(InternalCheckError, match="witness search disagree"):
+            cy.verify_section6(grid=1, samples=5, form_override=override)
+
+
+def test_anisotropy_cross_check_skips_a_box_beyond_the_witness_bound(monkeypatch):
+    calls = []
+    real = cy.isotropic_witness
+
+    def spy(*abc):
+        calls.append(abc)
+        return real(*abc)
+
+    monkeypatch.setattr(cy, "isotropic_witness", spy)
+    form = (7, 11, -999983)  # a box of 3317 * 2646 * 9 points
+    report = cy.verify_section6(grid=1, samples=5, form_override=form)
+    assert calls == [form]
+    assert report.anisotropic == (not cy.legendre_solvable(form))
+    with pytest.raises(InvalidArgument, match="more than"):
+        real(*form)
+
+
 def test_section6_report_is_deterministic():
     a = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
     b = cy.verify_section6(grid=2, samples=30, seed=5).to_json_dict()
