@@ -6,7 +6,8 @@ Commands:
     section6   certificate chain for the rational 3-dimensional subspace
     report-all every check applicable to an instance, in one document
 
-Exit codes: 0 pass, 1 usage or hypothesis error, 2 verification failure.
+Exit codes: 0 pass, 1 usage, hypothesis or internal-check error,
+2 verification failure.
 JSON is the stable contract; the text format is a readable summary.
 Only section6 and report-all import the Section-6 layer (cyclotomic, and
 with it fractions and decimal); the other commands never load it.
@@ -33,7 +34,7 @@ from .decomposition import (
     verify_theorem_A,
     verify_theorem_C,
 )
-from .errors import InvalidArgument, SkewrankError
+from .errors import HypothesisViolation, InvalidArgument, SkewrankError, WrongShape
 from .fields import MAX_PRIME, ExtensionContext
 from .galois import two_adic_shape
 from .report import Report
@@ -228,7 +229,9 @@ def _run_section6(args) -> Report:
 
 def _run_report_all(args) -> Report:
     """Every check applicable at (p, n), each run tagged with its check
-    name; passes when there is at least one run and every run passes."""
+    name; passes when there is at least one run and every run passes.
+    A check whose instance has the wrong shape or violates its
+    hypotheses is listed as skipped; any other error ends the run."""
     from . import cyclotomic
 
     _validate_instance(args.p, args.n)
@@ -239,7 +242,7 @@ def _run_report_all(args) -> Report:
     def attempt(name, fn):
         try:
             report = fn()
-        except SkewrankError as exc:
+        except (WrongShape, HypothesisViolation) as exc:
             skipped.append({"check": name, "reason": str(exc)})
             return
         report.check = name

@@ -9,8 +9,6 @@ reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from . import linalg
@@ -56,19 +54,19 @@ def _counting_rows(p: int, dim: int, start: int, stop: int) -> np.ndarray:
 
 
 def _row_blocks(p: int, dim: int, n: int, limit: int, count: int, rng: Stream):
-    """Mode, row count and the block_rows(n)-row blocks of the
-    coefficient rows of GF(p)^dim to evaluate.
+    """Mode, row count and the blocks of at most block_rows(n) coefficient
+    rows of GF(p)^dim to evaluate.
 
     Every nonzero tuple in counting order when there are at most `limit`
     of them ("exhaustive"), else `count` draws from `rng` with any
-    all-zero draw redrawn ("sampled").  Sampled rows and the stream after
-    them are those of one call drawing all rows, then rounds redrawing
-    the rows still zero, but no more than a chunk of whole blocks, at
-    most STACK_BYTES of values, is held at a time.  A draw gives the same
-    values split over calls or not, so this draws the chunks once to find
-    the zero rows and draw their replacements, which leaves `rng` where
-    the one call leaves it; the blocks replay the chunks from a copy of
-    `rng` taken before, with the replacements put in.
+    all-zero draw redrawn ("sampled").  Sampled rows are drawn in chunks
+    of whole blocks, at most STACK_BYTES of values, and each chunk's
+    nonzero rows are yielded, so a chunk gives at most one short block;
+    drawing goes on until `count` nonzero rows are kept.  A draw gives
+    the same values split over calls or not, so the rows, as a multiset,
+    and `rng` after the last block are those of one call drawing all
+    rows, then rounds redrawing the rows still zero.  `rng` advances only
+    as blocks are taken: take every block before drawing from it again.
     """
     size = block_rows(n)
     if p**dim - 1 <= limit:
@@ -77,23 +75,12 @@ def _row_blocks(p: int, dim: int, n: int, limit: int, count: int, rng: Stream):
         return "exhaustive", p**dim - 1, blocks
     chunk = max(size, linalg.STACK_BYTES // (8 * dim) // size * size)
 
-    def chunks(stream: Stream):
-        for start in range(0, count, chunk):
-            yield start, stream.integers(0, p, size=(min(chunk, count - start), dim))
-
-    saved = copy.copy(rng)
-    zero = np.array([start + r for start, rows in chunks(rng)
-                     for r in np.flatnonzero(~rows.any(axis=1)).tolist()], dtype=np.int64)
-    redrawn = np.zeros((len(zero), dim), dtype=np.int64)
-    pending = np.arange(len(zero))
-    while len(pending):
-        redrawn[pending] = rng.integers(0, p, size=(len(pending), dim))
-        pending = pending[~redrawn[pending].any(axis=1)]
-
     def blocks():
-        for start, rows in chunks(saved):
-            hit = (zero >= start) & (zero < start + len(rows))
-            rows[zero[hit] - start] = redrawn[hit]
+        left = count
+        while left:
+            rows = rng.integers(0, p, size=(min(chunk, left), dim))
+            rows = rows[rows.any(axis=1)]
+            left -= len(rows)
             for offset in range(0, len(rows), size):
                 yield rows[offset : offset + size]
 

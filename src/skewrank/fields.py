@@ -77,7 +77,7 @@ def _lex_irreducible(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.nd
     ring's tables (read-only, shared by every context of (p, n)) and
     does not test the modulus again.
 
-    Trip bound: the odometer visits each monic candidate with nonzero
+    Trip bound: the scan visits each monic candidate with nonzero
     constant term at most once, so it tests at most (p - 1) * p^(n-1)
     rings.  It stops well before: GF(p) has irreducibles of every
     degree, about p^n / n of them, and the search tries 45 candidates
@@ -85,23 +85,16 @@ def _lex_irreducible(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.nd
     """
     if n == 1:
         return _tables_if_irreducible(_QuotientRing(p, 1, (0, 1)))
-    # Odometer over (c0, ..., c_{n-1}) with the last coefficient moving
-    # fastest == increasing lexicographic order compared from c0.  Every
-    # candidate with c0 = 0 is divisible by x, so the scan starts at c0 = 1.
-    lower = [0] * n
-    lower[0] = 1
-    while True:
+    # Candidate v has the base-p digits (c0, ..., c_{n-1}) of v, c0 most
+    # significant, so increasing v is increasing lexicographic order
+    # compared from c0.  Every candidate with c0 = 0 is divisible by x, so
+    # the scan starts at v = p^(n-1), where c0 = 1.
+    for v in range(p ** (n - 1), p**n):
+        lower = tuple(v // p**k % p for k in reversed(range(n)))
         try:
-            return _tables_if_irreducible(_QuotientRing(p, n, tuple(lower) + (1,)))
+            return _tables_if_irreducible(_QuotientRing(p, n, lower + (1,)))
         except InvalidModulus:
             pass
-        i = n - 1
-        while i >= 1 and lower[i] == p - 1:
-            lower[i] = 0
-            i -= 1
-        if i == 0 and lower[0] == p - 1:
-            raise InvalidModulus(f"no irreducible of degree {n} over GF({p})")  # unreachable
-        lower[i] += 1
 
 
 def _tables_if_irreducible(ring: "_QuotientRing") -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:

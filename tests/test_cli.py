@@ -8,9 +8,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from skewrank import cli, cyclotomic
+from skewrank import cli, cyclotomic, decomposition
 from skewrank.cli import main
 
 from conftest import child_env
@@ -377,6 +378,48 @@ def test_ta_and_remark_c_reports_match_the_recorded_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# SHA-256 of stdout of sampled walks: how rows are drawn and cut into blocks
+# may change, the reports may not. TC (3, 8) at cap 1 draws an all-zero row,
+# and so redraws it, at seeds 0, 2, 3 and 8
+SAMPLED_REPORT_SHA256 = {
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 0":
+        "38a357661ec077bf6b5190d90371d35a142aec7678a227338711f74a30c562b5",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 1":
+        "94e7817b31b220356a4257f856ba126a943dab192696c1855e2d5385ba42941b",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 2":
+        "059eca0a2de69a94f8ac81719bd3faefb8c305b8da7a9f729a336c30493d8c4a",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 3":
+        "e3fe32c9aab725a150952b99ab7e1d1a64c30ff50f61ce6cd3081be6dc084a1a",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 4":
+        "a18c63aadbc0d6bd7d1a7a6ab176722a893d18a5550f9f96cfad753ee3efca0a",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 5":
+        "d0ca86d92745620a9f40f373ce4ab0722007639d84727287db7dbd9d29b248a9",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 6":
+        "1401b3d4792bb6e4151bff48e628dcd2bdacb878bd398aba2ea295a49eb3122f",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 7":
+        "1f1254c0fd9669e1d7ec52f588b896a917b5576fdbbcf6abd3ea7b649f08c784",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 8":
+        "1d2d11bda3cbf0125d7b05d1ce4bdbd6f4458d09b7d0008c94c389067e53a0c1",
+    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 9":
+        "3f7bc10455045c02d8c47c1798ebb40a698a2da67248cbb2650c9c17f0749358",
+    "oracle --p 3 --n 16 --sample-cap 200 --seed 0":
+        "74a29ec62670dbbd7fce41ecf3f4327a8854a9cee90f14c17f3d2eda6746cfaf",
+    "oracle --p 3 --n 16 --sample-cap 200 --seed 1":
+        "c0c200cb0135806bfc82d99aac5e1c2d4b9e27012005194857e90467c3980b9e",
+    "oracle --p 3 --n 16 --sample-cap 200 --seed 2":
+        "3d5f6a610f32bb98ec7dab0daa426dc847e7316cfc2eec92344ebc0af7504f98",
+    "verify --theorem direct-sum --p 5 --n 6 --sample-cap 2000 --seed 1":
+        "2c7b9ed454420f0b0fa4f414d66072a43ff0e230016edf66fa8b37867b66f328",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLED_REPORT_SHA256))
+def test_sampled_reports_match_the_recorded_digests(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLED_REPORT_SHA256[argv]
+
+
 def test_theorem_a_at_a_large_prime_never_factors_the_unit_group():
     # factoring p^30 - 1 here used to hang; the scan for j accepts theta at once
     proc = subprocess.run(
@@ -491,6 +534,16 @@ def test_report_all_text_names_the_failed_conditions_of_each_run(capsys, monkeyp
     section6 = lines.index("run section6  check=Section6")
     assert lines[section6 + 1 : section6 + 3] == ["  anisotropic: false", "  FAIL: anisotropic"]
     assert lines[-1] == "FAIL: runs"
+
+
+def test_report_all_exits_one_on_an_internal_check_error(capsys, monkeypatch):
+    # a failed cross-check is a fault of the program, not a reason to skip a run
+    monkeypatch.setattr(decomposition, "rank_mod_batch", lambda stack, p: np.zeros(len(stack), dtype=int))
+    code, out, err = run_cli(capsys, "report-all", "--p", "3", "--n", "6", "--grid", "1",
+                             "--samples", "5")
+    assert (code, out) == (1, "")
+    assert "error: stacked Gram rank disagrees with the scalar path" in err
+    assert run_cli(capsys, "verify", "--theorem", "direct-sum", "--p", "3", "--n", "6") == (1, "", err)
 
 
 def test_sampled_oracle_text_says_so(capsys):
