@@ -15,7 +15,7 @@ from . import linalg
 from .arith import factorize
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement
-from .forms import gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
+from .forms import degeneracy_witness, gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import block_rows, matmul_mod, rank_mod, rank_mod_batch, rref_mod
 from .report import Report
@@ -427,7 +427,9 @@ def remark_C_check(
     s, and the form of u^s is degenerate exactly when l divides s.
     Both the norm predicate and the actual rank are checked, on blocks of
     exponents by the stacked kernels with the scalar path recomputing the
-    first odd exponent of each block.  The walk is exhaustive: a slice
+    first odd exponent of each block.  That exponent is also decided by
+    forms.degeneracy_witness; a different answer raises
+    InternalCheckError.  The walk is exhaustive: a slice
     with more than sample_cap odd exponents raises HypothesisViolation
     (remark_C_slice) before the generator is sought.
     """
@@ -460,6 +462,9 @@ def remark_C_check(
         odd_rows, expect = block[odd], s[odd] % l == 0
         ranks = _block_ranks(ctx, odd_rows, 1)
         degenerate = _block_predicates(ctx, odd_rows, [1])[1]
+        first = ctx.element(odd_rows[0])  # a third decision: Remark C's eta^(2^i_index) = 1
+        if degeneracy_witness(ctx, first, i_index).is_degenerate != degenerate[0]:
+            raise InternalCheckError(f"degeneracy witness and norm predicate disagree for b={first}")
         pattern_ok &= np.array_equal(degenerate, expect) and np.array_equal(ranks < n, degenerate)
         _tally(spectra[True], ranks[expect])
         _tally(spectra[False], ranks[~expect])

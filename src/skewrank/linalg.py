@@ -13,12 +13,14 @@ import numpy as np
 
 _INT64_LIMIT = 2**63
 _LIMB = 16  # bits of the low limb in contract_mod
-STACK_BYTES = 2**17  # batched kernels take rows in blocks whose int64 matrix stack fits this
+STACK_BYTES = 2**17  # batched kernels take rows in blocks sized by this (block_rows)
 
 
 def block_rows(n: int) -> int:
-    """Rows per block of a batched kernel: one (B, n, n) int64 stack fits STACK_BYTES."""
-    return max(1, STACK_BYTES // (8 * n * n))
+    """Rows per block of a batched kernel: one (B, n, n) int64 stack fits
+    STACK_BYTES, but at least STACK_BYTES / 2^11 rows (64, the block at
+    n = 16), so large n still amortises each block's scalar spot check."""
+    return max(1, STACK_BYTES >> 11, STACK_BYTES // (8 * n * n))
 
 
 def contract_mod(product, a: np.ndarray, b: np.ndarray, p: int, terms: int) -> np.ndarray:

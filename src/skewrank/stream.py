@@ -2,9 +2,10 @@
 
 `Stream(seed).integers(low, high, size)` returns, call after call, what
 numpy's `Generator(PCG64(seed)).integers(low, high, size)` returns for
-int64 output and 1 <= high - low <= 2^32, without importing numpy's
-random package and, through it, OpenSSL.  The stream is defined here,
-so reports do not depend on numpy's Generator algorithms:
+one integer range per call, 1 <= high - low <= 2^32, and int64 output,
+without importing numpy's random package and, through it, OpenSSL.  The
+stream is defined here, so reports do not depend on numpy's Generator
+algorithms:
 
 - Seeding.  SeedSequence's pool hash of the seed's 32-bit words, then
   4 uint64 words w0..w3 of its generate_state; PCG's setseq init with
@@ -19,11 +20,14 @@ so reports do not depend on numpy's Generator algorithms:
 - Bounded integers.  Lemire's rule ("Fast Random Integer Generation in
   an Interval", ACM TOMACS 29(1), 2019) maps a word u to
   m = u * (high - low), rejects u while m mod 2^32 < 2^32 mod
-  (high - low), and returns low + (m >> 32).  A range of one value
-  draws no word.
+  (high - low), and returns low + (m >> 32).  It is the one draw rule:
+  a call maps all its words by one range; a range of one value draws no
+  word.  A caller that needs two ranges makes two calls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -89,13 +93,6 @@ def _seed_state(seed: int) -> tuple[int, int]:
     return w[0] << 64 | w[1], w[2] << 64 | w[3]
 
 
-def _output(state: int) -> int:
-    """XSL-RR 128/64 of one LCG state."""
-    x = (state >> 64 ^ state) & _MASK64
-    rot = state >> 122
-    return (x >> rot | x << (64 - rot)) & _MASK64
-
-
 def _mulhi(x: np.ndarray, c: int) -> np.ndarray:
     """High 64 bits of x * c for uint64 x and a 64-bit constant c, from
     products of 32-bit halves, each below 2^64."""
@@ -115,11 +112,12 @@ def _affine(hi: np.ndarray, lo: np.ndarray, mult: int, add: int) -> tuple[np.nda
     return _mulhi(lo, mult & _MASK64) + lo * mh + hi * ml + ah + carry, low
 
 
-def _words(state: int, inc: int, count: int) -> np.ndarray:
+def _words(state: int, inc: int, count: int) -> tuple[np.ndarray, int]:
     """The 2 * count uint32 words, as uint64, of the next count outputs
-    after `state`.  State j + k is state j under the k-step map
-    s -> A_k s + C_k, so each doubling fills states k + 1 .. 2k from
-    states 1 .. k by one vectorised map, then squares the map."""
+    after `state`, and the state of the last output.  State j + k is
+    state j under the k-step map s -> A_k s + C_k, so each doubling fills
+    states k + 1 .. 2k from states 1 .. k by one vectorised map, then
+    squares the map."""
     hi, lo = np.empty(count, np.uint64), np.empty(count, np.uint64)
     first = (state * _MULTIPLIER + inc) & _MASK128
     hi[0], lo[0] = first >> 64, first & _MASK64
@@ -134,19 +132,7 @@ def _words(state: int, inc: int, count: int) -> np.ndarray:
     out = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
     words = np.empty(2 * count, np.uint64)
     words[0::2], words[1::2] = out & _LOW32, out >> _SHIFT32
-    return words
-
-
-def _advance(state: int, inc: int, steps: int) -> int:
-    """The LCG state `steps` steps after `state`, by binary powering of the step map."""
-    mult, add = _MULTIPLIER, inc
-    acc_mult, acc_add = 1, 0
-    while steps:
-        if steps & 1:
-            acc_mult, acc_add = acc_mult * mult & _MASK128, (acc_add * mult + add) & _MASK128
-        mult, add = mult * mult & _MASK128, (mult * add + add) & _MASK128
-        steps >>= 1
-    return (acc_mult * state + acc_add) & _MASK128
+    return words, int(hi[-1]) << 64 | int(lo[-1])
 
 
 class Stream:
@@ -159,37 +145,25 @@ class Stream:
         self._state = (((self._inc + initstate) & _MASK128) * _MULTIPLIER + self._inc) & _MASK128
         self._half: int | None = None  # the high word of the last output, not yet drawn
 
-    def _peek(self, count: int) -> np.ndarray:
-        """The next `count` words, as uint64, without drawing them."""
-        head = [] if self._half is None else [self._half]
-        rest = count - len(head)
-        if rest <= 0:
-            return np.array(head[:count], dtype=np.uint64)
-        words = _words(self._state, self._inc, (rest + 1) // 2)
-        return np.concatenate([np.array(head, dtype=np.uint64), words])[:count]
-
-    def _skip(self, count: int) -> None:
-        """Draw `count` words and drop them."""
-        if count and self._half is not None:
-            self._half, count = None, count - 1
-        if count:
-            self._state = _advance(self._state, self._inc, (count + 1) // 2)
-            if count % 2:
-                self._half = _output(self._state) >> 32
-
     def _take(self, count: int) -> np.ndarray:
-        words = self._peek(count)
-        self._skip(count)
+        """Draw the next `count` >= 1 words, as uint64."""
+        words = np.array([] if self._half is None else [self._half], dtype=np.uint64)
+        self._half, rest = None, count - len(words)
+        if rest > 0:
+            fresh, self._state = _words(self._state, self._inc, (rest + 1) // 2)
+            if rest % 2:
+                self._half = int(fresh[-1])
+            words = np.concatenate([words, fresh[:rest]])
         return words
 
     def _bounded(self, span: int, count: int) -> np.ndarray:
-        """`count` draws from [0, span) by Lemire's rule, all with one span.
+        """`count` draws from [0, span) by Lemire's rule.
 
         Each round draws one word per value still missing and keeps the
         accepted ones, in order; the last word of the last round is
         accepted, so no word past the final value is drawn.
         """
-        if span == 1:
+        if span == 1 or not count:
             return np.zeros(count, dtype=np.uint64)
         threshold, parts = np.uint64((1 << 32) % span), []
         while count:
@@ -199,47 +173,11 @@ class Stream:
             count -= len(m)
         return np.concatenate(parts)
 
-    def _bounded_each(self, spans: np.ndarray) -> np.ndarray:
-        """One draw from [0, span) per entry of a uint64 array of spans,
-        in order, by Lemire's rule.
-
-        Each pass maps the next words to the remaining entries at once,
-        keeps the values before the first rejected word, and draws that
-        entry on its own before the next pass.
-        """
-        out = np.zeros(len(spans), dtype=np.uint64)
-        active = np.flatnonzero(spans > 1)  # a span of 1 draws no word
-        spans = spans[active]
-        thresholds = np.uint64(1 << 32) % spans
-        values = np.empty(len(spans), dtype=np.uint64)
-        done = 0
-        while done < len(spans):
-            m = self._peek(len(spans) - done) * spans[done:]
-            accepted = (m & _LOW32) >= thresholds[done:]
-            good = len(m) if accepted.all() else int(accepted.argmin())
-            values[done : done + good] = m[:good] >> _SHIFT32
-            self._skip(good)
-            done += good
-            if done < len(spans):
-                values[done] = self._bounded(int(spans[done]), 1)[0]
-                done += 1
-        out[active] = values
-        return out
-
-    def integers(self, low, high, size) -> np.ndarray:
-        """int64 draws from [low, high) of shape `size`, low and high
-        broadcast against it, as Generator.integers(low, high, size)
-        draws them: in C order, 1 <= high - low <= 2^32 everywhere."""
+    def integers(self, low: int, high: int, size) -> np.ndarray:
+        """int64 draws from [low, high) of shape `size`, in C order, as
+        Generator.integers(low, high, size) draws them for integers
+        low and high with 1 <= high - low <= 2^32."""
+        if not 1 <= high - low <= 1 << 32:
+            raise ValueError(f"the range high - low must lie in [1, 2^32], got {low}, {high}")
         size = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        lows = np.broadcast_to(np.asarray(low, dtype=np.int64), size)
-        spans = (np.broadcast_to(np.asarray(high, dtype=np.int64), size) - lows).ravel()
-        if not ((spans >= 1) & (spans <= 1 << 32)).all():
-            raise ValueError(f"every range high - low must lie in [1, 2^32], got {low}, {high}")
-        if not spans.size:
-            return np.zeros(size, dtype=np.int64)
-        spans = spans.astype(np.uint64)
-        if (spans == spans[0]).all():
-            draws = self._bounded(int(spans[0]), len(spans))
-        else:
-            draws = self._bounded_each(spans)
-        return lows + draws.astype(np.int64).reshape(size)
+        return low + self._bounded(high - low, math.prod(size)).astype(np.int64).reshape(size)

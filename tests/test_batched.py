@@ -451,6 +451,30 @@ def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch):
         decomposition.remark_C_check(ctx(11, 16), 3)
 
 
+def test_remark_c_checks_the_degeneracy_witness_once_per_block(ctx, monkeypatch):
+    calls = []
+    real = forms.degeneracy_witness
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(decomposition, "degeneracy_witness", spy)
+    assert decomposition.remark_C_check(ctx(11, 16), 3).passed
+    # 240 exponents in blocks of 64: the witness decides u^s at s = 1, 65, 129
+    # and 193, degenerate exactly when l = 3 divides s
+    assert [w.is_degenerate for w in calls] == [False, False, True, False]
+
+    def flipped(*args):
+        witness = real(*args)
+        witness.is_degenerate = not witness.is_degenerate
+        return witness
+
+    monkeypatch.setattr(decomposition, "degeneracy_witness", flipped)
+    with pytest.raises(InternalCheckError, match="degeneracy witness and norm predicate disagree"):
+        decomposition.remark_C_check(ctx(11, 16), 3)
+
+
 def test_scalar_spot_check_catches_a_wrong_stacked_predicate(ctx, monkeypatch):
     c = ctx(3, 4)
     real = forms.norm_predicates

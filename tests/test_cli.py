@@ -131,6 +131,15 @@ def test_section6_command(capsys):
     assert doc["squarefree_form"] == [1, 1, -6]
 
 
+def test_section6_fails_when_every_random_combination_is_zero(capsys, monkeypatch):
+    # the zero draws are dropped, so a check of none of them must not pass
+    monkeypatch.setattr(cyclotomic, "NUMERATORS", (0, 0))
+    code, out, _ = run_cli(capsys, "section6", "--grid", "1", "--samples", "3", "--format", "text")
+    assert (code, out.splitlines()[-1]) == (2, "FAIL: random")
+    report = cyclotomic.verify_section6(grid=1, samples=3)
+    assert report.random == {"checked": 0, "rank4": 0} and report.failed == ["random"]
+
+
 def test_section6_tampered_form_exits_two(capsys):
     code, out, _ = run_cli(capsys, "section6", "--grid", "2", "--samples", "5",
                            "--form", "1,1,-2")
@@ -380,7 +389,8 @@ def test_ta_and_remark_c_reports_match_the_recorded_digests(capsys):
 
 # SHA-256 of stdout of sampled walks: how rows are drawn and cut into blocks
 # may change, the reports may not. TC (3, 8) at cap 1 draws an all-zero row,
-# and so redraws it, at seeds 0, 2, 3 and 8
+# and so redraws it, at seeds 0, 2, 3 and 8. Section 6 reports counts, not
+# its random fractions, so the order in which it draws them may change too
 SAMPLED_REPORT_SHA256 = {
     "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 0":
         "38a357661ec077bf6b5190d90371d35a142aec7678a227338711f74a30c562b5",
@@ -410,6 +420,18 @@ SAMPLED_REPORT_SHA256 = {
         "3d5f6a610f32bb98ec7dab0daa426dc847e7316cfc2eec92344ebc0af7504f98",
     "verify --theorem direct-sum --p 5 --n 6 --sample-cap 2000 --seed 1":
         "2c7b9ed454420f0b0fa4f414d66072a43ff0e230016edf66fa8b37867b66f328",
+    "section6 --grid 2 --samples 300 --seed 0":
+        "b2face3dc19d45e8da2a813b1a91ac2c032abcf951267105ec49363ac01389b4",
+    "section6 --grid 2 --samples 300 --seed 1":
+        "ac7efe473eba70b5bc31254a3a419515cdd25232a67f34b0a80b6d53bade3abe",
+    "section6 --grid 2 --samples 300 --seed 2":
+        "20aa5de9610fa6f55e9288822ba32c5d843586895700cc4e46b01f19116996c7",
+    "section6 --grid 2 --samples 300 --seed 3":
+        "ceaf8363ce391b69fef6f28eec2a17ce032cd5c4c592aebd98fa646e3e2c77e1",
+    "section6 --grid 2 --samples 300 --seed 4":
+        "cd0b1d4fe55d9ed04136144bfffe9cb1c11e9f0b63273077839cc5ff9bf67c47",
+    "section6 --grid 1 --samples 1":
+        "fa9be71d51ebe5e52fce3464b16f063bdc1e886954406b813c383aaef5822262",
 }
 
 

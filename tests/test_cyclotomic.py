@@ -532,17 +532,24 @@ def test_grid_rows_cover_the_nonzero_grid_in_counting_order():
 
 
 
+def scalar_draws(rng, low, high, count, width):
+    """A (count, width) block of draws from [low, high), one scalar call each."""
+    draws = [int(rng.integers(low, high)) for _ in range(count * width)]
+    return np.array(draws, dtype=np.int64).reshape(count, width)
+
+
 def scalar_random_blocks(rng, samples, size, width, nonzero):
-    """The draw loop _random_blocks replaced: two scalar draws per fraction."""
+    """_random_blocks by scalar draws: per block every numerator, then every denominator."""
     for start in range(0, samples, size):
         count = min(size, samples - start)
-        draws = [(int(rng.integers(-99, 100)), int(rng.integers(1, 21))) for _ in range(count * width)]
-        pairs = np.array(draws, dtype=np.int64).reshape(count, width, 2)
+        nums = scalar_draws(rng, -99, 100, count, width)
+        dens = scalar_draws(rng, 1, 21, count, width)
         if nonzero:
-            pairs = pairs[pairs[..., 0].any(axis=1)]
-        if len(pairs):
-            rows, scale = cy._clear_denominators(pairs[..., 0], pairs[..., 1])
-            yield rows, tuple(Fraction(int(n), int(d)) for n, d in pairs[0]), scale[0]
+            keep = nums.any(axis=1)
+            nums, dens = nums[keep], dens[keep]
+        if len(nums):
+            rows, scale = cy._clear_denominators(nums, dens)
+            yield rows, tuple(Fraction(int(n), int(d)) for n, d in zip(nums[0], dens[0])), scale[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 9])

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from skewrank.linalg import contract_mod, matmul_mod, nullspace_mod, rank_mod, rref, rref_mod
+from skewrank import linalg
+from skewrank.linalg import block_rows, contract_mod, matmul_mod, nullspace_mod, rank_mod, rref, rref_mod
 
 PRIMES = [3, 1000003, 2**31 - 1]
 
@@ -131,3 +132,11 @@ def test_contract_mod_on_both_sides_of_the_headroom_edge(p, passes):
         assert np.array_equal(out, product(x.astype(object), y.astype(object)) % p)
         assert calls == [np.int64] * passes
     assert np.array_equal(matmul_mod(a, b, p), (a.astype(object) @ b.astype(object)) % p)
+
+
+def test_block_rows_fill_the_stack_up_to_n_16_and_keep_64_rows_above(monkeypatch):
+    # one (B, n, n) int64 stack in 2^17 bytes is 2^14 // n^2 rows: 64 at n = 16
+    assert [block_rows(n) for n in range(1, 17)] == [2**14 // (n * n) for n in range(1, 17)]
+    assert {block_rows(n) for n in range(17, 65)} == {64}
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # how the tests force one-row blocks
+    assert {block_rows(n) for n in range(1, 65)} == {1}
