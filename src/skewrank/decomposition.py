@@ -4,7 +4,10 @@ Each verifier returns a Report: the theorem verifiers give per-subspace
 rank spectra (component Reports) plus a direct-sum certificate, the
 oracle a whole-field rank census.  Every enumeration is either
 exhaustive or drawn from one seeded PCG64 stream (skewrank.stream), so
-reports are reproducible byte for byte.
+reports are reproducible byte for byte.  Each GF(p) walk (a subspace's
+rows, the orbit census, the sampled census, the RemarkC slice) is a
+source of row blocks for one driver, _ranked_blocks, which ranks and
+spot-checks them; a walk keeps only its tallies and its own checks.
 """
 
 from __future__ import annotations
@@ -87,37 +90,33 @@ def _row_blocks(p: int, dim: int, n: int, limit: int, count: int, rng: Stream):
     return "sampled", count, blocks()
 
 
-def _block_ranks(ctx: ExtensionContext, block: np.ndarray, i: int) -> np.ndarray:
-    """Gram ranks of a block of coefficient rows by the stacked kernels.
-
-    The block's first row is recomputed by the scalar path; a different
-    Gram or rank raises InternalCheckError.
+def _ranked_blocks(ctx: ExtensionContext, blocks, powers, predicate_powers=()):
+    """The driver under every GF(p) walk.  For each (rows, tag) block of
+    nonzero elements, yields (rows, tag, ranks, predicates): {i: Gram
+    ranks} for i in `powers` by gram_stack and rank_mod_batch, and {i:
+    norm predicate} for i in `predicate_powers` by norm_predicates; the
+    tag (orbit sizes, exponents or None) is passed through.  The block's
+    first row is recomputed by the scalar path (gram_entries, rank_mod,
+    is_degenerate_by_norm); a difference raises InternalCheckError.
     """
-    grams = gram_stack(ctx, block, i)
-    ranks = rank_mod_batch(grams, ctx.p)
-    scalar = gram_entries(ctx, block[0], i)
-    if not np.array_equal(scalar, grams[0]) or rank_mod(scalar, ctx.p) != ranks[0]:
-        raise InternalCheckError(
-            f"stacked Gram rank disagrees with the scalar path for b={ctx.element(block[0])}, i={i}"
-        )
-    return ranks
-
-
-def _block_predicates(ctx: ExtensionContext, block: np.ndarray, powers) -> dict[int, np.ndarray]:
-    """Norm predicate of a block of nonzero rows for every power, by the
-    stacked kernel.
-
-    For every power the block's first row is recomputed by the scalar
-    path; a different answer raises InternalCheckError.
-    """
-    predicates = norm_predicates(ctx, block, powers)
-    first = ctx.element(block[0])
-    for i, predicate in predicates.items():
-        if is_degenerate_by_norm(ctx, first, i) != predicate[0]:
-            raise InternalCheckError(
-                f"stacked norm predicate disagrees with the scalar path for b={first}, i={i}"
-            )
-    return predicates
+    p = ctx.p
+    for rows, tag in blocks:
+        first, ranks = ctx.element(rows[0]), {}
+        predicates = norm_predicates(ctx, rows, predicate_powers)
+        for i, predicate in predicates.items():
+            if is_degenerate_by_norm(ctx, first, i) != predicate[0]:
+                raise InternalCheckError(
+                    f"stacked norm predicate disagrees with the scalar path for b={first}, i={i}"
+                )
+        for i in powers:
+            grams = gram_stack(ctx, rows, i)
+            ranks[i] = rank_mod_batch(grams, p)
+            scalar = gram_entries(ctx, rows[0], i)
+            if not np.array_equal(scalar, grams[0]) or rank_mod(scalar, p) != ranks[i][0]:
+                raise InternalCheckError(
+                    f"stacked Gram rank disagrees with the scalar path for b={first}, i={i}"
+                )
+        yield rows, tag, ranks, predicates
 
 
 def _tally(histogram: dict[int, int], ranks: np.ndarray, weights: np.ndarray | None = None) -> None:
@@ -141,9 +140,9 @@ def _is_basis(mat: np.ndarray, p: int) -> bool:
 
 
 def _spectrum_ok(spectrum: dict[int, int], allowed: set[int], mode: str) -> bool:
-    """The pass rule of every rank spectrum: its support lies inside
-    `allowed`, and an exhaustive run attains all of `allowed`."""
-    return set(spectrum) <= allowed and (mode != "exhaustive" or set(spectrum) == allowed)
+    """The pass rule of every rank spectrum: it is not empty, its support
+    lies inside `allowed`, and an exhaustive run attains all of `allowed`."""
+    return bool(spectrum) and set(spectrum) <= allowed and (mode != "exhaustive" or set(spectrum) == allowed)
 
 
 def rank_spectrum_check(
@@ -168,9 +167,10 @@ def rank_spectrum_check(
     if rng is None:
         rng = Stream(0)
     mode, checked, blocks = _row_blocks(ctx.p, dim, ctx.n, limit, sample_cap, rng)
+    elements = ((matmul_mod(block, basis_matrix, ctx.p), None) for block in blocks)
     spectrum: dict[int, int] = {}
-    for block in blocks:
-        _tally(spectrum, _block_ranks(ctx, matmul_mod(block, basis_matrix, ctx.p), i))
+    for _, _, ranks, _ in _ranked_blocks(ctx, elements, [i]):
+        _tally(spectrum, ranks[i])
     return Report(
         conditions={"spectrum": _spectrum_ok(spectrum, allowed, mode)},
         label=label,
@@ -244,13 +244,7 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
         stacked.append(rows)
         o = order_of(ctx, i)
         label = "B^1" if o == 2 else f"A^{i}"
-        check = rank_spectrum_check(
-            ctx, i, full,
-            label=label,
-            allowed=_allowed_ranks(n, o),
-            sample_cap=sample_cap,
-            rng=rng,
-        )
+        check = rank_spectrum_check(ctx, i, full, label, _allowed_ranks(n, o), sample_cap, rng)
         check.dimension = len(rows)  # of the form space, not the parameter space
         components.append(check)
     direct_sum_ok = _is_basis(np.vstack(stacked), p)  # of all n(n-1)/2 skew-forms
@@ -307,17 +301,11 @@ def _split_report(
     """Certificate of a split of the i=1 component: every space keeps
     its expected constant rank, and together the spaces span L."""
     rng = Stream(seed)
-    direct_sum_ok = _is_basis(np.vstack([s.basis_matrix() for s in spaces]), ctx.p)
     components = [
-        rank_spectrum_check(
-            ctx, 1, s.basis_matrix(),
-            label=s.label,
-            allowed={s.expected_rank},
-            sample_cap=sample_cap,
-            rng=rng,
-        )
+        rank_spectrum_check(ctx, 1, s.basis_matrix(), s.label, {s.expected_rank}, sample_cap, rng)
         for s in spaces
     ]
+    direct_sum_ok = _is_basis(np.vstack([s.basis_matrix() for s in spaces]), ctx.p)
     return _theorem_report(theorem, ctx, components, direct_sum_ok, seed)
 
 
@@ -425,13 +413,12 @@ def remark_C_check(
     C = {b : b^(2(q^t - 1)) = 1} with t = n/2^i_index is cyclic with a
     deterministic generator u; u^s lies in E_{i_index} exactly for odd
     s, and the form of u^s is degenerate exactly when l divides s.
-    Both the norm predicate and the actual rank are checked, on blocks of
-    exponents by the stacked kernels with the scalar path recomputing the
-    first odd exponent of each block.  That exponent is also decided by
-    forms.degeneracy_witness; a different answer raises
-    InternalCheckError.  The walk is exhaustive: a slice
-    with more than sample_cap odd exponents raises HypothesisViolation
-    (remark_C_slice) before the generator is sought.
+    Both the norm predicate and the rank of each odd exponent are
+    checked (_ranked_blocks); the first of each block is also decided by
+    forms.degeneracy_witness, and a different answer raises
+    InternalCheckError.  The walk is exhaustive: a slice with more than
+    sample_cap odd exponents raises HypothesisViolation (remark_C_slice)
+    before the generator is sought.
     """
     p, n = ctx.p, ctx.n
     t = remark_C_slice(p, n, i_index, sample_cap)
@@ -446,22 +433,26 @@ def remark_C_check(
     while len(table) < size:
         table = np.vstack([table, ctx.mul_stack(table, np.broadcast_to(step, table.shape))])
         step = ctx.mul_stack(step, step)
-    table, shift, start = table[:size], u**size, ctx.one()
-    spectra: dict[bool, dict[int, int]] = {True: {}, False: {}}
+    table, shift = table[:size], u**size
     membership_ok = pattern_ok = True
-    for s0 in range(0, csize, size):
-        rows = table[: csize - s0]
-        block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
-        start = start * shift
-        s = np.arange(s0, s0 + len(block))
-        odd = s % 2 == 1
-        in_eigenspace = (ctx.frobenius_stack(block, t) == (-block) % p).all(axis=1)
-        membership_ok &= np.array_equal(in_eigenspace, odd)
-        if not odd.any():
-            continue
-        odd_rows, expect = block[odd], s[odd] % l == 0
-        ranks = _block_ranks(ctx, odd_rows, 1)
-        degenerate = _block_predicates(ctx, odd_rows, [1])[1]
+
+    def odd_blocks():  # each block's odd u^s and s, once all of it is tested for membership
+        nonlocal membership_ok
+        start = ctx.one()
+        for s0 in range(0, csize, size):
+            rows = table[: csize - s0]
+            block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
+            start = start * shift
+            s = np.arange(s0, s0 + len(block))
+            odd = s % 2 == 1
+            in_eigenspace = (ctx.frobenius_stack(block, t) == (-block) % p).all(axis=1)
+            membership_ok &= np.array_equal(in_eigenspace, odd)
+            if odd.any():
+                yield block[odd], s[odd]
+
+    spectra: dict[bool, dict[int, int]] = {True: {}, False: {}}
+    for odd_rows, s, rank_of, predicate_of in _ranked_blocks(ctx, odd_blocks(), [1], [1]):
+        ranks, degenerate, expect = rank_of[1], predicate_of[1], s % l == 0
         first = ctx.element(odd_rows[0])  # a third decision: Remark C's eta^(2^i_index) = 1
         if degeneracy_witness(ctx, first, i_index).is_degenerate != degenerate[0]:
             raise InternalCheckError(f"degeneracy witness and norm predicate disagree for b={first}")
@@ -596,11 +587,9 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
         powers = range(1, n)
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     disagreements = {i: 0 for i in powers if order_of(ctx, i) > 2}  # the predicate's powers
-    for block, weights in blocks:
-        predicates = _block_predicates(ctx, block, list(disagreements))
+    for block, weights, rank_of, predicates in _ranked_blocks(ctx, blocks, powers, list(disagreements)):
         for i in powers:
-            ranks = _block_ranks(ctx, block, i)
-            predicate = predicates.get(i)
+            ranks, predicate = rank_of[i], predicates.get(i)
             if mode == "exhaustive":
                 last = None if predicate is None else bool(predicate[-1])
                 _check_orbit_identities(ctx, block[-1], i, int(ranks[-1]), last)

@@ -180,4 +180,6 @@ class Stream:
         if not 1 <= high - low <= 1 << 32:
             raise ValueError(f"the range high - low must lie in [1, 2^32], got {low}, {high}")
         size = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        if min(size, default=0) < 0:
+            raise ValueError("negative dimensions are not allowed")
         return low + self._bounded(high - low, math.prod(size)).astype(np.int64).reshape(size)

@@ -353,7 +353,7 @@ def report_bytes(report):
 
 def test_oracle_report_is_independent_of_block_size(ctx, monkeypatch):
     c = ctx(3, 5)
-    blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     default = report_bytes(decomposition.oracle_survey(c))
     # the 242 units fall into 24 orbits of size 10 and {1, 2}: all 25
     # representatives in one block, ranked at i = 1, 2 only
@@ -369,7 +369,7 @@ def test_exhaustive_census_ranks_one_gram_per_orbit_and_power(ctx, monkeypatch, 
     # (3, 7): 157 representatives for 2186 units, times i = 1, 2, 3, against
     # 2186 * 6 = 13116 Grams ranked one per element; (7, 4): 105 times
     # i = 1, 2, against 7200
-    blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     decomposition.oracle_survey(ctx(p, n))
     assert sum(blocks) == grams
 
@@ -377,7 +377,7 @@ def test_exhaustive_census_ranks_one_gram_per_orbit_and_power(ctx, monkeypatch, 
 def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):
     c = ctx(5, 4)
     monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)  # force a sampled census
-    blocks = block_lengths(monkeypatch, decomposition, "_block_ranks", 1)
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     oracle = report_bytes(decomposition.oracle_survey(c, seed=3, sample_cap=150))
     direct = report_bytes(decomposition.verify_direct_sum(c, seed=3, sample_cap=150))
     assert json.loads(oracle)["mode"] == "sampled"
@@ -442,13 +442,27 @@ def test_remark_c_report_is_independent_of_block_size(ctx, monkeypatch, rows_per
     assert max(blocks) == rows_per_block
 
 
-def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch):
-    c = ctx(3, 4)
+# every walk that _ranked_blocks serves; with the census ceiling at 100
+# (set by the tests below) the 80 units of (3, 4) are still walked by
+# orbits, and the 624 of (5, 4) are sampled
+WALKS = {
+    "direct-sum": lambda ctx: decomposition.verify_direct_sum(ctx(3, 4)),
+    "TA": lambda ctx: decomposition.verify_theorem_A(ctx(3, 6)),
+    "TC": lambda ctx: decomposition.verify_theorem_C(ctx(3, 8), sample_cap=50),
+    "orbit census": lambda ctx: decomposition.oracle_survey(ctx(3, 4)),
+    "sampled census": lambda ctx: decomposition.oracle_survey(ctx(5, 4), sample_cap=50),
+    "RemarkC": lambda ctx: decomposition.remark_C_check(ctx(11, 16), 3),
+}
+# the walks that ask the driver for norm predicates too
+PREDICATE_WALKS = ["orbit census", "sampled census", "RemarkC"]
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch, walk):
+    monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)
     monkeypatch.setattr(decomposition, "rank_mod_batch", lambda stack, p: np.zeros(len(stack), dtype=int))
-    with pytest.raises(InternalCheckError, match="scalar path"):
-        decomposition.oracle_survey(c)
-    with pytest.raises(InternalCheckError, match="scalar path"):
-        decomposition.remark_C_check(ctx(11, 16), 3)
+    with pytest.raises(InternalCheckError, match="stacked Gram rank disagrees with the scalar path"):
+        WALKS[walk](ctx)
 
 
 def test_remark_c_checks_the_degeneracy_witness_once_per_block(ctx, monkeypatch):
@@ -475,12 +489,11 @@ def test_remark_c_checks_the_degeneracy_witness_once_per_block(ctx, monkeypatch)
         decomposition.remark_C_check(ctx(11, 16), 3)
 
 
-def test_scalar_spot_check_catches_a_wrong_stacked_predicate(ctx, monkeypatch):
-    c = ctx(3, 4)
+@pytest.mark.parametrize("walk", PREDICATE_WALKS)
+def test_scalar_spot_check_catches_a_wrong_stacked_predicate(ctx, monkeypatch, walk):
+    monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)
     real = forms.norm_predicates
     monkeypatch.setattr(decomposition, "norm_predicates",
                         lambda *args: {i: ~v for i, v in real(*args).items()})
-    with pytest.raises(InternalCheckError, match="scalar path"):
-        decomposition.oracle_survey(c)
-    with pytest.raises(InternalCheckError, match="scalar path"):
-        decomposition.remark_C_check(ctx(11, 16), 3)
+    with pytest.raises(InternalCheckError, match="stacked norm predicate disagrees with the scalar path"):
+        WALKS[walk](ctx)

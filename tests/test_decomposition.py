@@ -1,5 +1,8 @@
 """Component assembly and the theorem verifiers at small instances."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from skewrank import decomposition as dec
 from skewrank import forms, galois
 from skewrank.errors import HypothesisViolation, WrongShape
 
-from conftest import BIG_P, elements, first_generator, power_basis
+from conftest import BIG_P, child_env, elements, first_generator, power_basis
 
 
 def test_build_component_dimensions(ctx):
@@ -283,6 +286,47 @@ def test_spectrum_pass_rule(ctx):
     assert dec._spectrum_ok({4: 5}, {2, 4}, "sampled")
     assert not dec._spectrum_ok({4: 5}, {2, 4}, "exhaustive")
     assert not dec._spectrum_ok({}, {4}, "exhaustive")
+    assert not dec._spectrum_ok({}, {4}, "sampled")
+
+
+@pytest.mark.parametrize("verify, p, n", [
+    (dec.verify_direct_sum, 3, 6), (dec.verify_theorem_A, 3, 6), (dec.verify_theorem_C, 3, 8),
+])
+def test_a_zero_sample_cap_does_not_pass_vacuously(ctx, verify, p, n):
+    report = verify(ctx(p, n), sample_cap=0)
+    assert not report.passed and report.direct_sum_ok
+    for comp in report.components:
+        assert (comp.mode, comp.checked, comp.rank_spectrum, comp.passed) == ("sampled", 0, {}, False)
+
+
+def test_a_zero_sample_cap_census_does_not_pass_vacuously(ctx, monkeypatch):
+    monkeypatch.setattr(dec, "FULL_FIELD_CEILING", 100)
+    report = dec.oracle_survey(ctx(5, 4), sample_cap=0)
+    assert (report.mode, report.checked, report.passed) == ("sampled", 0, False)
+    assert report.failed == ["support_ok"] and all(h == {} for h in report.histograms.values())
+
+
+NEGATIVE_CAP = """
+import resource
+resource.setrlimit(resource.RLIMIT_DATA, (2**30, 2**30))
+from skewrank.decomposition import verify_theorem_C
+from skewrank.fields import ExtensionContext
+try:
+    verify_theorem_C(ExtensionContext(3, 8), sample_cap=-5)
+except ValueError as error:
+    assert str(error) == "negative dimensions are not allowed", error
+else:
+    raise SystemExit("a negative sample cap gave a report")
+"""
+
+
+def test_a_negative_sample_cap_raises_at_once():
+    # a cap of -5 once drew empty (-5, 1) row blocks in an endless loop
+    # that grew past 5 GiB; the data limit and the timeout turn a relapse
+    # into a failure, not a hang
+    proc = subprocess.run([sys.executable, "-c", NEGATIVE_CAP], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_report_json_shape(ctx):

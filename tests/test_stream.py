@@ -99,6 +99,16 @@ def test_ranges_outside_one_to_2_32_are_rejected(low, high):
         Stream(0).integers(low, high, size=(3, 2))
 
 
+@pytest.mark.parametrize("size", [-1, (-5, 4), (0, -1), (3, -2)])
+def test_negative_dimensions_are_rejected_as_numpys_generator_rejects_them(size):
+    stream, reference = Stream(0), np.random.Generator(np.random.PCG64(0))
+    for draw in (stream, reference):
+        with pytest.raises(ValueError, match="negative dimensions are not allowed"):
+            draw.integers(0, 3, size=size)
+    # and the rejected call draws no word
+    assert stream.integers(0, 3, size=5).tolist() == reference.integers(0, 3, size=5).tolist()
+
+
 def test_negative_seed_is_rejected():
     with pytest.raises(ValueError, match="seed"):
         Stream(-1)
