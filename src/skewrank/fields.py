@@ -3,9 +3,11 @@
 Elements live in L = GF(p)[x]/(modulus) and are stored as length-n int64
 coefficient vectors in the power basis {1, theta, ..., theta^(n-1)},
 theta a root of the monic irreducible modulus; their products are
-linalg.contract_mod contractions, exact for every p < 2^31.  The map
-x -> x^p is cached as an n x n matrix over GF(p), so automorphism
-powers, traces and norms reduce to exact matrix-vector work.  Every
+linalg.contract_mod contractions, exact for every p < 2^31.
+ExtensionContext builds its tables once, read-only: the n powers of
+x -> x^p as n x n matrices over GF(p) and the traces tr(theta^u), so
+automorphism powers, traces, norms and Gram matrices reduce to exact
+matrix work and a context never changes after construction.  Every
 modulus, supplied or found by the search, must pass Rabin's
 irreducibility test in its column form: x^(p^k) is that matrix applied
 k times to the x column, so x^(p^n) = x and the unit conditions on
@@ -98,11 +100,10 @@ def _lex_irreducible(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.nd
 
 
 def _tables_if_irreducible(ring: "_QuotientRing") -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The ring's modulus, reduction matrix and Frobenius matrix, made
+    """The ring's modulus, reduction matrix and Frobenius matrix, all
     read-only, once the modulus passes Rabin's test."""
     frobenius = ring._frobenius_if_irreducible()
-    for table in (ring._reduce_matrix, frobenius):
-        table.flags.writeable = False
+    frobenius.flags.writeable = False
     return ring.modulus, ring._reduce_matrix, frobenius
 
 
@@ -225,6 +226,7 @@ class _QuotientRing:
         if reduce_matrix is None:
             # coeffs of a degree-(2n-2) poly -> reduced vector
             reduce_matrix = self._theta_powers(2 * n - 1).T.copy()
+            reduce_matrix.flags.writeable = False
         self._reduce_matrix = reduce_matrix
 
     def _theta_powers(self, count: int) -> np.ndarray:
@@ -319,12 +321,15 @@ class _QuotientRing:
 class ExtensionContext(_QuotientRing):
     """Immutable ambient data of L = GF(p^n) over K = GF(p).
 
-    Construction precomputes the Frobenius matrix and the reduction
-    matrix; everything downstream is a pure function of this object, so
-    it is safe to share across threads.  Without a modulus it takes both
-    tables from the modulus search, which has already tested them; a
-    supplied modulus gets the whole of Rabin's test.  n = 1 is accepted
-    and denotes the prime field itself.
+    Construction builds every table the context holds, all read-only:
+    the reduction matrix, the (n, n, n) stack of Frobenius powers
+    sigma^0 .. sigma^(n-1) and the trace table tr(theta^(k+t)) for
+    k < n, t < 2n-1.  Nothing is filled in later, so everything
+    downstream is a pure function of this object and it is safe to
+    share across threads.  Without a modulus it takes the reduction and
+    Frobenius matrices from the modulus search, which has already tested
+    them; a supplied modulus gets the whole of Rabin's test.  n = 1 is
+    accepted and denotes the prime field itself.
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
@@ -341,9 +346,18 @@ class ExtensionContext(_QuotientRing):
             super().__init__(p, n, modulus)
             frobenius = self._frobenius_if_irreducible()
         self.order = p**n
-        self._frob_powers: dict[int, np.ndarray] = {0: np.eye(n, dtype=np.int64), 1: frobenius}
-        self._tp_table: np.ndarray | None = None
-        self._basis_grams: dict[int, np.ndarray] = {}
+        sigma = np.empty((n, n, n), dtype=np.int64)
+        sigma[0] = np.eye(n, dtype=np.int64)
+        for k in range(1, n):
+            sigma[k] = matmul_mod(sigma[k - 1], frobenius, p)
+        # row 0 of the trace map, the sum of the sigma^i: the trace lands in K = span{1}
+        tau = sigma[:, 0].sum(axis=0) % p
+        tp = matmul_mod(self._theta_powers(3 * n - 2), tau, p)  # tp[u] = tr(theta^u)
+        # _trace_table[k][t] = tr(theta^(k+t)) for k < n, t < 2n-1
+        self._sigma_powers = sigma
+        self._trace_table = tp[np.arange(n)[:, None] + np.arange(2 * n - 1)]
+        for table in (self._sigma_powers, self._trace_table):
+            table.flags.writeable = False
 
     # -- identity -----------------------------------------------------------
 
@@ -415,13 +429,8 @@ class ExtensionContext(_QuotientRing):
     # -- Galois operations -------------------------------------------------------
 
     def sigma_power_matrix(self, i: int) -> np.ndarray:
-        """Matrix of x -> x^(p^i) in the power basis; cached per context."""
-        i %= self.n
-        mat = self._frob_powers.get(i)
-        if mat is None:
-            mat = matmul_mod(self.sigma_power_matrix(i - 1), self._frob_powers[1], self.p)
-            self._frob_powers[i] = mat
-        return mat
+        """Matrix of x -> x^(p^i) in the power basis (read-only)."""
+        return self._sigma_powers[i % self.n]
 
     def frobenius_power(self, b: FieldElement, i: int) -> FieldElement:
         """sigma^i(b) = b^(p^i), applied as a linear map."""
@@ -450,13 +459,3 @@ class ExtensionContext(_QuotientRing):
     def _own(self, b: FieldElement) -> None:
         if b.ctx != self:
             raise ContextMismatch("element belongs to a different context")
-
-    # -- trace-of-power table used by the Gram fast path ------------------------
-
-    def trace_power_table(self) -> np.ndarray:
-        """tp[u] = tr(theta^u) in GF(p), for u = 0..3n-3."""
-        if self._tp_table is None:
-            # row 0 of the trace map, the sum of the sigma^j: the trace lands in K = span{1}
-            tau = sum(self.sigma_power_matrix(j)[0] for j in range(self.n)) % self.p
-            self._tp_table = matmul_mod(self._theta_powers(3 * self.n - 2), tau, self.p)
-        return self._tp_table

@@ -1,11 +1,14 @@
 """Alternating forms tr(b(x*sigma^i(y) - sigma^i(x)*y)) and their ranks.
 
-The Gram matrix of such a form in the power basis factors through the
-symmetric "trace of a triple product" matrix Q[r][c] = tr(b*theta^(r+c)),
-which is Hankel: the whole n x n Gram matrix costs one matrix-vector
-product, one fancy-index and one matrix product.  Degeneracy is decided
-two independent ways (rank, and the norm-quotient criterion) which the
-test suite plays against each other.
+The Gram matrix of such a form in the power basis is Q*S_i - (Q*S_i)^T,
+S_i the matrix of sigma^i and Q[r][c] = tr(b*theta^(r+c)) the symmetric
+"trace of a triple product" matrix, which is Hankel.  Both paths read
+the context's trace table T[k][t] = tr(theta^(k+t)) and compute Q
+differently: a stack of rows takes h[t] = tr(b*theta^t) as one product
+with T and gathers h into Hankel form; the scalar reference takes
+Q = M_b^T * T (M_b the multiply-by-b matrix), with no gather.  Degeneracy
+is decided two independent ways (rank, and the norm-quotient criterion)
+which the test suite plays against each other.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
 from .fields import ExtensionContext, FieldElement
 from .galois import order_of, two_adic_shape
 # rank_mod ranks gram()'s output; perfbench/selftest.py checks this binding
-from .linalg import contract_mod, matmul_mod, rank_mod  # noqa: F401
+from .linalg import matmul_mod, rank_mod  # noqa: F401
 
 
 @dataclass
@@ -38,29 +41,22 @@ class DegeneracyWitness:
 
 
 def gram_entries(ctx: ExtensionContext, bvec: np.ndarray, i: int) -> np.ndarray:
-    """Gram matrix entries for the coefficient vector bvec; fast path."""
+    """Gram matrix of the coefficient vector bvec: Q = M_b^T * T on the
+    square part of the trace table, then Q*S_i minus its transpose."""
     p, n = ctx.p, ctx.n
-    tp = ctx.trace_power_table()
-    # h[t] = tr(b * theta^t) for t = 0..2n-2
-    idx = np.arange(2 * n - 1)[:, None] + np.arange(n)[None, :]
-    h = matmul_mod(tp[idx], bvec, p)
-    q = h[np.arange(n)[:, None] + np.arange(n)[None, :]]
+    q = matmul_mod(ctx._mul_matrix(bvec).T, ctx._trace_table[:, :n], p)
     g = matmul_mod(q, ctx.sigma_power_matrix(i), p)
     return (g - g.T) % p
 
 
 def gram_stack(ctx: ExtensionContext, vecs: np.ndarray, i: int) -> np.ndarray:
-    """Gram matrices of a (B, n) stack of coefficient rows, as (B, n, n).
-
-    b -> gram(b, i) is K-linear, so the stack is one contraction of the
-    rows with the Grams of the power basis (cached per context and i).
-    """
+    """Gram matrices of a (B, n) stack of coefficient rows, as (B, n, n):
+    h = rows * trace table, (B, 2n-1), gathered into the Hankel stack
+    Q[:, r, c] = h[:, r+c], then Q*S_i minus its transpose."""
     p, n = ctx.p, ctx.n
-    basis = ctx._basis_grams.get(i)
-    if basis is None:
-        basis = np.stack([gram_entries(ctx, e, i) for e in np.eye(n, dtype=np.int64)])
-        ctx._basis_grams[i] = basis
-    return contract_mod(lambda v, g: np.tensordot(v, g, axes=1), vecs, basis, p, n)
+    h = matmul_mod(vecs, ctx._trace_table, p)
+    g = matmul_mod(h[:, np.arange(n)[:, None] + np.arange(n)], ctx.sigma_power_matrix(i), p)
+    return (g - g.transpose(0, 2, 1)) % p
 
 
 def gram(ctx: ExtensionContext, b: FieldElement, i: int) -> np.ndarray:

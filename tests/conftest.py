@@ -81,14 +81,25 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
+# A process's ru_maxrss starts at the resident set of the process that
+# forked it (Linux keeps the high-water mark of the image it replaces at
+# exec), and the test process grows over a run.  So the code runs in a
+# grandchild forked by this bare interpreter, which reports its peak.
+PEAK_OF_GRANDCHILD = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-c", sys.argv[1]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def child_peak_mib(code: str) -> float:
     """Peak resident set, in MiB, of a fresh interpreter that runs `code`
-    with the package on its path: the child's own ru_maxrss, by
-    os.wait4.  A child that exits nonzero fails the calling test."""
-    proc = subprocess.Popen([sys.executable, "-c", code], env=child_env(), stderr=subprocess.PIPE)
-    err = proc.stderr.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stderr.close()
-    assert proc.returncode == 0, err.decode(errors="replace")
-    return usage.ru_maxrss / 1024
+    with the package on its path: its own ru_maxrss, by os.wait4 in the
+    small interpreter that started it.  A child that exits nonzero fails
+    the calling test."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_GRANDCHILD, code], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) / 1024

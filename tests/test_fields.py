@@ -1,5 +1,6 @@
 """Field tower arithmetic: oracles first, then invariants."""
 
+import copy
 import random
 import re
 from functools import lru_cache
@@ -10,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewrank import fields
+from skewrank import decomposition, fields
 from skewrank.errors import (
     ContextMismatch,
     DivisionByZero,
@@ -469,3 +470,25 @@ def test_field_axioms(fields_and_elements):
     assert (a * b) * e == a * (b * e) and a * b == b * a
     assert a * (b + e) == a * b + a * e
     assert d * d.inverse() == c.one()
+
+
+def context_state(c):
+    """vars(c), each array as its shape, dtype and bytes, the rest deep-copied."""
+    return {
+        k: (v.shape, v.dtype.str, v.tobytes()) if isinstance(v, np.ndarray) else copy.deepcopy(v)
+        for k, v in vars(c).items()
+    }
+
+
+# (1, 0, 0, 0, 0, 2, 0, 1) is x^7 + 2x^5 + 1, irreducible over GF(3) and
+# not the default modulus, so its context builds its own reduction matrix
+@pytest.mark.parametrize("modulus", [None, (1, 0, 0, 0, 0, 2, 0, 1)])
+def test_a_context_never_changes(modulus):
+    c = ExtensionContext(3, 7, modulus)
+    arrays = {k: v for k, v in vars(c).items() if isinstance(v, np.ndarray)}
+    assert {"_reduce_matrix", "_sigma_powers", "_trace_table"} <= set(arrays)
+    assert not [k for k, v in arrays.items() if v.flags.writeable]
+    before = context_state(c)
+    assert decomposition.oracle_survey(c).passed
+    assert decomposition.verify_direct_sum(c).passed
+    assert context_state(c) == before

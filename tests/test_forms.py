@@ -15,9 +15,10 @@ from skewrank.errors import (
     NotInEigenspace,
     ZeroElement,
 )
+from skewrank.fields import ExtensionContext
 from skewrank.linalg import rank_mod
 
-from conftest import element_order, elements, power_basis, trace
+from conftest import BIG_MODULI, BIG_P, element_order, elements, power_basis, trace
 
 
 def gram_reference(c, b, i):
@@ -60,6 +61,26 @@ def test_gram_matches_direct_formula(ctx):
             for i in range(1, n):
                 fast = forms.gram(c, b, i)
                 assert np.array_equal(fast, gram_reference(c, b, i) % p)
+
+
+@pytest.mark.parametrize("p,n,modulus,powers", [
+    (3, 17, None, (1, 8, 16)),
+    (BIG_P, 3, BIG_MODULI[3], (1, 2)),  # contract_mod's limb passes
+])
+def test_stack_and_scalar_grams_match_the_defining_formula(p, n, modulus, powers):
+    """Both Gram paths against tr(b(x*sigma^i(y) - sigma^i(x)*y)) entry by
+    entry, past the exhaustive census at n = 17 and at the largest prime."""
+    c = ExtensionContext(p, n, modulus)
+    rng = random.Random(n)
+    rows = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(3)], dtype=np.int64)
+    rows[0] = p - 1  # the largest residues, so the products overflow int64 without limbs
+    for i in powers:
+        stack = forms.gram_stack(c, rows, i)
+        assert stack.shape == (3, n, n)
+        for row, g in zip(rows, stack):
+            reference = gram_reference(c, c.element(row), i)
+            assert np.array_equal(g, reference)
+            assert np.array_equal(forms.gram_entries(c, row, i), reference)
 
 
 def test_gram_zero_and_linearity(ctx):
