@@ -233,8 +233,6 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
     odd order, support inside {n - 2n/ord, n} for even order.
     """
     n, p = ctx.n, ctx.p
-    if n < 2:
-        raise WrongShape(f"n must be >= 2, got {n}")
     rng = Stream(seed)
     stacked: list[np.ndarray] = []
     components: list[Report] = []
@@ -576,8 +574,6 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     whole orbits.  `checked` counts elements either way.
     """
     p, n = ctx.p, ctx.n
-    if n < 2:
-        raise WrongShape(f"n must be >= 2, got {n}")
     if ctx.order - 1 <= FULL_FIELD_CEILING:
         mode, checked, blocks = "exhaustive", ctx.order - 1, _orbit_blocks(ctx)
         powers = range(1, n // 2 + 1)

@@ -8,13 +8,12 @@ ExtensionContext builds its tables once, read-only: the n powers of
 x -> x^p as n x n matrices over GF(p) and the traces tr(theta^u), so
 automorphism powers, traces, norms and Gram matrices reduce to exact
 matrix work and a context never changes after construction.  Every
-modulus, supplied or found by the search, must pass Rabin's
-irreducibility test in its column form: x^(p^k) is that matrix applied
-k times to the x column, so x^(p^n) = x and the unit conditions on
-x^(p^(n/r)) - x are decided by matrix-vector steps in the same
-arithmetic.  The search tests each candidate on a bare quotient ring
-and hands the accepted tables to ExtensionContext, which builds them
-once.
+modulus, found by the search or supplied, passes Rabin's
+irreducibility test in the constructor, in its column form: x^(p^k) is
+that matrix applied k times to the x column, so x^(p^n) = x and the
+unit conditions on x^(p^(n/r)) - x are decided by matrix-vector steps
+in the same arithmetic.  The search runs the same test on a bare
+quotient ring per candidate and returns only the modulus.
 
 Determinism contract: the modulus defaults to the lexicographically
 smallest monic irreducible polynomial (coefficients compared from the
@@ -44,21 +43,6 @@ from .linalg import contract_mod, matmul_mod, rank_mod_batch, rref_mod
 MAX_PRIME = 2**31  # residue products must fit 64-bit intermediates
 
 
-def find_irreducible(p: int, n: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree n over GF(p).
-
-    Candidate lower coefficient tuples (c0, ..., c_{n-1}) are compared
-    from the constant term up; the first one that passes Rabin's test is
-    returned.  Raises InvalidDegree for n < 2 (degree-1 moduli are handled
-    internally by ExtensionContext for the prime field itself) and
-    InvalidPrime for a p that ExtensionContext rejects.
-    """
-    if n < 2:
-        raise InvalidDegree(f"extension degree must be >= 2, got {n}")
-    _check_prime(p)
-    return _lex_irreducible(p, n)[0]
-
-
 def _check_prime(p: int) -> None:
     if p >= MAX_PRIME:  # before the primality test, which is exact only below the bound
         raise InvalidPrime(f"p must be < 2**31, got {p}")
@@ -69,15 +53,18 @@ def _check_prime(p: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _lex_irreducible(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(modulus, reduction matrix, Frobenius matrix) of find_irreducible's
-    modulus, without the degree check; the modulus is x for n = 1.
+def find_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree n over GF(p).
 
-    Each candidate is tested on a _QuotientRing, which holds only its
-    reduction matrix, and Rabin's test builds only x^p, the Frobenius
-    columns and the images of x.  ExtensionContext takes the accepted
-    ring's tables (read-only, shared by every context of (p, n)) and
-    does not test the modulus again.
+    Candidate lower coefficient tuples (c0, ..., c_{n-1}) are compared
+    from the constant term up; the first one that passes Rabin's test is
+    returned.  Raises InvalidDegree for n < 2 and InvalidPrime for a p
+    that ExtensionContext rejects.  The result is cached, so the scan
+    runs once per (p, n) per process.
+
+    Each candidate is tested on a bare _QuotientRing, which holds only
+    its reduction matrix, and Rabin's test builds only x^p, the
+    Frobenius columns and the images of x.
 
     Trip bound: the scan visits each monic candidate with nonzero
     constant term at most once, so it tests at most (p - 1) * p^(n-1)
@@ -85,26 +72,20 @@ def _lex_irreducible(p: int, n: int) -> tuple[tuple[int, ...], np.ndarray, np.nd
     degree, about p^n / n of them, and the search tries 45 candidates
     at (3, 64) and 247 at (11, 64).
     """
-    if n == 1:
-        return _tables_if_irreducible(_QuotientRing(p, 1, (0, 1)))
+    if n < 2:
+        raise InvalidDegree(f"extension degree must be >= 2, got {n}")
+    _check_prime(p)
     # Candidate v has the base-p digits (c0, ..., c_{n-1}) of v, c0 most
     # significant, so increasing v is increasing lexicographic order
     # compared from c0.  Every candidate with c0 = 0 is divisible by x, so
     # the scan starts at v = p^(n-1), where c0 = 1.
     for v in range(p ** (n - 1), p**n):
-        lower = tuple(v // p**k % p for k in reversed(range(n)))
+        modulus = tuple(v // p**k % p for k in reversed(range(n))) + (1,)
         try:
-            return _tables_if_irreducible(_QuotientRing(p, n, lower + (1,)))
+            _QuotientRing(p, n, modulus)._frobenius_if_irreducible()
+            return modulus
         except InvalidModulus:
             pass
-
-
-def _tables_if_irreducible(ring: "_QuotientRing") -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The ring's modulus, reduction matrix and Frobenius matrix, all
-    read-only, once the modulus passes Rabin's test."""
-    frobenius = ring._frobenius_if_irreducible()
-    frobenius.flags.writeable = False
-    return ring.modulus, ring._reduce_matrix, frobenius
 
 
 class FieldElement:
@@ -210,24 +191,21 @@ class FieldElement:
 
 
 class _QuotientRing:
-    """R = GF(p)[x]/(modulus) for a monic modulus of degree n >= 1: the
+    """R = GF(p)[x]/(modulus) for a monic modulus of degree n >= 2: the
     reduction matrix and the arithmetic that needs nothing else.
 
     The modulus search tests each candidate on one of these;
     ExtensionContext is the ring of an irreducible modulus with the
-    Galois data on top.  A reduction matrix the search already built may
-    be passed in.
+    Galois data on top.
     """
 
-    def __init__(self, p: int, n: int, modulus: tuple[int, ...], reduce_matrix: np.ndarray | None = None):
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
         self.n = n
         self.modulus = modulus
-        if reduce_matrix is None:
-            # coeffs of a degree-(2n-2) poly -> reduced vector
-            reduce_matrix = self._theta_powers(2 * n - 1).T.copy()
-            reduce_matrix.flags.writeable = False
-        self._reduce_matrix = reduce_matrix
+        # coeffs of a degree-(2n-2) poly -> reduced vector
+        self._reduce_matrix = self._theta_powers(2 * n - 1).T.copy()
+        self._reduce_matrix.flags.writeable = False
 
     def _theta_powers(self, count: int) -> np.ndarray:
         """theta^0 .. theta^(count-1) in the power basis, one per row."""
@@ -243,8 +221,8 @@ class _QuotientRing:
 
     def _frobenius_if_irreducible(self) -> np.ndarray:
         """F, the matrix of y -> y^p on R, once the modulus passes Rabin's
-        test (Rabin 1980): for n >= 2 it is irreducible iff x^(p^n) = x
-        in R and x^(p^(n/r)) - x is a unit of R for every prime r | n.
+        test (Rabin 1980): it is irreducible iff x^(p^n) = x in R and
+        x^(p^(n/r)) - x is a unit of R for every prime r | n.
 
         y -> y^p is a GF(p)-linear ring endomorphism of R for any monic
         modulus, so x^(p^k) is F^k times the x column, one matrix-vector
@@ -254,8 +232,6 @@ class _QuotientRing:
         the condition that fails.
         """
         p, n = self.p, self.n
-        if n == 1:
-            return np.eye(1, dtype=np.int64)
         x = np.eye(n, dtype=np.int64)[1]
         fp = self._vpow(x, p)  # x^p
         self._require_unit(fp - x, f"it has a root in GF({p})")
@@ -326,25 +302,23 @@ class ExtensionContext(_QuotientRing):
     sigma^0 .. sigma^(n-1) and the trace table tr(theta^(k+t)) for
     k < n, t < 2n-1.  Nothing is filled in later, so everything
     downstream is a pure function of this object and it is safe to
-    share across threads.  Without a modulus it takes the reduction and
-    Frobenius matrices from the modulus search, which has already tested
-    them; a supplied modulus gets the whole of Rabin's test.  n = 1 is
-    accepted and denotes the prime field itself.
+    share across threads.  n is at least 2; the modulus defaults to
+    find_irreducible(p, n), and every modulus, found or supplied, gets
+    the monic check and the whole of Rabin's test, whose Frobenius
+    matrix the tables are built from.
     """
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
         _check_prime(p)
-        if n < 1:
-            raise InvalidDegree(f"extension degree must be >= 1, got {n}")
+        if n < 2:
+            raise InvalidDegree(f"extension degree must be >= 2, got {n}")
         if modulus is None:
-            modulus, reduce_matrix, frobenius = _lex_irreducible(p, n)
-            super().__init__(p, n, modulus, reduce_matrix)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise InvalidModulus(f"modulus must be monic of degree {n}")
-            super().__init__(p, n, modulus)
-            frobenius = self._frobenius_if_irreducible()
+            modulus = find_irreducible(p, n)
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != n + 1 or modulus[-1] != 1:
+            raise InvalidModulus(f"modulus must be monic of degree {n}")
+        super().__init__(p, n, modulus)
+        frobenius = self._frobenius_if_irreducible()
         self.order = p**n
         sigma = np.empty((n, n, n), dtype=np.int64)
         sigma[0] = np.eye(n, dtype=np.int64)
@@ -412,8 +386,6 @@ class ExtensionContext(_QuotientRing):
         return FieldElement(self, (c % self.p,) + (0,) * (self.n - 1))
 
     def theta(self) -> FieldElement:
-        if self.n == 1:
-            raise InvalidDegree("prime field has no generator theta")
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
 
     def from_index(self, v: int) -> FieldElement:

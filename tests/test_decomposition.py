@@ -244,17 +244,6 @@ def test_oracle_survey_at_3_4(ctx):
     assert report.predicate_disagreements == 0
 
 
-def test_oracle_survey_rejects_n_1(ctx):
-    # GF(p) has no automorphism power 1..n-1, so the census would rank nothing
-    with pytest.raises(WrongShape):
-        dec.oracle_survey(ctx(3, 1))
-
-
-def test_verify_direct_sum_rejects_n_1(ctx):
-    with pytest.raises(WrongShape):
-        dec.verify_direct_sum(ctx(3, 1))
-
-
 def test_oracle_degenerate_set_is_the_small_power_torsion(ctx):
     # independent census: rank < n at i=1 exactly for b with b^((p-1)(p^2+1)) = 1
     c = ctx(3, 4)

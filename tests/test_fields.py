@@ -85,6 +85,15 @@ def test_find_irreducible_rejects_bad_input():
         find_irreducible(4, 2)
 
 
+@pytest.mark.parametrize("with_modulus", [False, True])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_a_context_needs_degree_at_least_2(n, with_modulus):
+    # a degree-1 "extension" has no nonzero skew-form, so the constructor rejects it
+    modulus = (0,) * max(n, 0) + (1,) if with_modulus else None  # x^n
+    with pytest.raises(InvalidDegree, match="must be >= 2"):
+        ExtensionContext(3, n, modulus)
+
+
 def test_context_rejects_reducible_modulus():
     with pytest.raises(InvalidModulus):
         ExtensionContext(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = (x+1)(x+2)
@@ -244,8 +253,6 @@ def test_norm_is_galois_invariant(ctx):
 
 
 def test_multiplicative_generator_small_fields(ctx):
-    gf3 = ExtensionContext(3, 1, modulus=(0, 1))
-    assert first_generator(gf3) == gf3.scalar(2)
     c = ctx(3, 2)
     g = first_generator(c)
     assert g == c.one() + c.theta()
@@ -293,7 +300,7 @@ def test_element_repr_and_hash(ctx):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([3, 5, 7, 11, 13]).flatmap(
-    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=7))))
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=2, max_size=7))))
 def test_gcd_root_filter_matches_brute_force(case):
     # the root filter is the unit test of x^p - x on a supplied modulus
     p, lower = case
@@ -305,10 +312,7 @@ def test_gcd_root_filter_matches_brute_force(case):
     except InvalidModulus as exc:
         error = str(exc)
         assert str(f) in error
-    if len(lower) == 1:
-        assert error == ""  # degree 1 is irreducible
-    else:
-        assert ("has a root" in error) == brute
+    assert ("has a root" in error) == brute
 
 
 def sympy_irreducible(f, p):
@@ -386,16 +390,30 @@ def test_find_irreducible_matches_the_per_context_search(p, n, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ExtensionContext, "__init__", counting_init)
-    fields._lex_irreducible.cache_clear()
+    find_irreducible.cache_clear()
     assert find_irreducible(p, n) == expected
     assert built == []  # the search tests rings, not contexts
-    fields._lex_irreducible.cache_clear()
+    find_irreducible.cache_clear()
     c = ExtensionContext(p, n)
     assert c.modulus == expected and len(built) == 1
-    # the tables the search handed over are those of the whole test on that modulus
-    explicit = ExtensionContext(p, n, modulus=expected)
-    assert np.array_equal(c._reduce_matrix, explicit._reduce_matrix)
-    assert np.array_equal(c.sigma_power_matrix(1), explicit.sigma_power_matrix(1))
+
+
+def test_contexts_of_one_degree_share_one_search(monkeypatch):
+    scanned = []
+    init = fields._QuotientRing.__init__
+
+    def spy(self, p, n, modulus):
+        if type(self) is fields._QuotientRing:  # a candidate, not a context
+            scanned.append(modulus)
+        init(self, p, n, modulus)
+
+    monkeypatch.setattr(fields._QuotientRing, "__init__", spy)
+    find_irreducible.cache_clear()
+    first = ExtensionContext(3, 7)
+    once = list(scanned)
+    assert once[-1] == first.modulus and len(set(once)) == len(once) > 1
+    assert ExtensionContext(3, 7) == first
+    assert scanned == once  # the second context scanned no candidate
 
 
 def test_find_irreducible_at_the_largest_accepted_prime():
@@ -413,7 +431,7 @@ def big_cubic():
 
 @pytest.mark.parametrize("p", [3, 7, 1000003, BIG_P])
 def test_inverse_in_the_prime_field(p):
-    c = ExtensionContext(p, 1)
+    c = ExtensionContext(p, 2)
     for v in (1, 2, p - 1):
         assert c.scalar(v).inverse() == c.scalar(pow(v, -1, p))
     with pytest.raises(DivisionByZero):
@@ -430,7 +448,7 @@ def test_inverse_at_the_largest_prime(coeffs):
     assert inv == b ** (c.order - 2)
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (5, 4), (BIG_P, 3)])
+@pytest.mark.parametrize("p,n", [(5, 4), (BIG_P, 3)])
 def test_negative_powers_invert(ctx, p, n):
     c = big_cubic() if p == BIG_P else ctx(p, n)
     rng = random.Random(5)
@@ -481,7 +499,7 @@ def context_state(c):
 
 
 # (1, 0, 0, 0, 0, 2, 0, 1) is x^7 + 2x^5 + 1, irreducible over GF(3) and
-# not the default modulus, so its context builds its own reduction matrix
+# not the default modulus
 @pytest.mark.parametrize("modulus", [None, (1, 0, 0, 0, 0, 2, 0, 1)])
 def test_a_context_never_changes(modulus):
     c = ExtensionContext(3, 7, modulus)
@@ -492,3 +510,12 @@ def test_a_context_never_changes(modulus):
     assert decomposition.oracle_survey(c).passed
     assert decomposition.verify_direct_sum(c).passed
     assert context_state(c) == before
+
+
+@pytest.mark.parametrize("p,n", [(3, 7), (3, 64), (1000003, 4), (BIG_P, 4)])
+def test_a_searched_context_is_the_supplied_one(p, n):
+    searched = ExtensionContext(p, n)
+    supplied = ExtensionContext(p, n, find_irreducible(p, n))
+    assert context_state(searched) == context_state(supplied)
+    arrays = [v for c in (searched, supplied) for v in vars(c).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6 and not [a for a in arrays if a.flags.writeable]
