@@ -535,7 +535,7 @@ def _orbit_blocks(ctx: ExtensionContext):
 def _check_orbit_identities(
     ctx: ExtensionContext, vec: np.ndarray, i: int, rank: int, predicate: bool | None
 ) -> None:
-    """The identities the orbit census rests on, for one representative b
+    """The identities the census rests on in both modes, for one element b
     by the scalar path: 2b and sigma(b) at i, and b at n - i, have the
     rank that the stacked kernel gave b at i, and where the norm
     predicate applies (`predicate` is not None) the same predicate.  A
@@ -561,34 +561,34 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     1..n-1, asserting the predicted supports and cross-validating the
     norm predicate against the rank wherever it applies.
 
-    An exhaustive census (p^n - 1 <= FULL_FIELD_CEILING) ranks one
-    representative per orbit of L^x under sigma and GF(p)^x, counted
-    with its orbit size, and only for i <= n/2.  This rests on three
-    identities: the form of c*b is c times the form of b; the form of
-    sigma(b) is congruent to the form of b; and the form of
-    (b, sigma^(n-i)) is minus the form of (sigma^i(b), sigma^i), so over
-    a whole orbit the census at n - i is the census at i.  The last
-    representative of every block is checked against all three by the
-    scalar path (_check_orbit_identities).  A sampled census ranks every
-    drawn element for every i, unweighted: identity (c) holds only over
-    whole orbits.  `checked` counts elements either way.
+    Both modes rank only i <= n/2 and copy i to n - i.  This rests on
+    three identities, each of which holds for every single element: the
+    form of c*b is c times the form of b; the form of sigma(b) is
+    congruent to the form of b; and the form of (b, sigma^(n-i)) is minus
+    the form of (sigma^i(b), sigma^i), so b has the same rank and the
+    same degeneracy at n - i as at i.  An exhaustive census
+    (p^n - 1 <= FULL_FIELD_CEILING) ranks one representative per orbit of
+    L^x under sigma and GF(p)^x, counted with its orbit size; a sampled
+    census ranks every drawn element, unweighted.  In either mode the
+    last row of every block is checked against all three identities by
+    the scalar path (_check_orbit_identities).  `checked` counts elements
+    either way.  The predicates are a condition only when some element
+    was checked at some power of order > 2, so they never pass vacuously.
     """
     p, n = ctx.p, ctx.n
     if ctx.order - 1 <= FULL_FIELD_CEILING:
         mode, checked, blocks = "exhaustive", ctx.order - 1, _orbit_blocks(ctx)
-        powers = range(1, n // 2 + 1)
     else:
         mode, checked, rows = _row_blocks(p, n, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))
         blocks = ((block, None) for block in rows)
-        powers = range(1, n)
+    powers = range(1, n // 2 + 1)
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     disagreements = {i: 0 for i in powers if order_of(ctx, i) > 2}  # the predicate's powers
     for block, weights, rank_of, predicates in _ranked_blocks(ctx, blocks, powers, list(disagreements)):
         for i in powers:
             ranks, predicate = rank_of[i], predicates.get(i)
-            if mode == "exhaustive":
-                last = None if predicate is None else bool(predicate[-1])
-                _check_orbit_identities(ctx, block[-1], i, int(ranks[-1]), last)
+            last = None if predicate is None else bool(predicate[-1])
+            _check_orbit_identities(ctx, block[-1], i, int(ranks[-1]), last)
             _tally(histograms[i], ranks, weights)
             if predicate is not None:
                 mismatch = predicate != (ranks < n)
@@ -599,9 +599,12 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
             disagreements[i] = disagreements[n - i]
     support_ok = all(_spectrum_ok(histograms[i], _allowed_ranks(n, order_of(ctx, i)), mode)
                      for i in range(1, n))
-    predicate_disagreements = sum(disagreements.values())
+    predicate_checked, predicate_disagreements = checked * len(disagreements), sum(disagreements.values())
+    conditions = {"support_ok": support_ok}
+    if predicate_checked:  # at n = 2, or with nothing drawn, the predicates check nothing
+        conditions["predicates agree"] = predicate_disagreements == 0
     report = Report(
-        conditions={"support_ok": support_ok, "predicates agree": predicate_disagreements == 0},
+        conditions=conditions,
         theorem="oracle",
         instance={"p": p, "n": n},
         mode=mode,
@@ -609,7 +612,7 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
         histograms=histograms,
         support_ok=support_ok,
         degenerate_counts={i: sum(k for r, k in histograms[i].items() if r < n) for i in range(1, n)},
-        predicate_checked=checked * len(disagreements),
+        predicate_checked=predicate_checked,
         predicate_disagreements=predicate_disagreements,
         seed=seed,
         rng=RNG_NAME,

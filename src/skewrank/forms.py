@@ -13,6 +13,7 @@ which the test suite plays against each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,64 +106,45 @@ def norm_predicates(ctx: ExtensionContext, vecs: np.ndarray, powers) -> dict[int
     elements and every power i in `powers`, with the same cross-checks;
     returns {i: boolean array over the rows}.
 
-    The criterion depends on i only through sub = gcd(n, 2i): the norm N
-    down to GF(p^sub) multiplies the n/sub conjugates sigma^(sub*j).  The
-    powers are grouped by sub.  Per group the conjugates
-    c_k = sigma^(d*k)(b), d = gcd(sub, every i of the group), are built
-    once, and N(b) once, as the product of the coset k = 0 mod sub/d.
-    With i/d = r + (sub/d)*q, N(sigma^i(b)) is the product of coset r
-    rotated by q places: its suffix from place q times its prefix before
-    q, one product per i.  The norm is multiplicative, so the quotient
-    criterion is decided without division as N(sigma^i(b)) = N(b); the
-    invariance criterion sigma^i(N(b)) = N(b) must agree with it.
+    The criterion depends on i through sub = gcd(n, 2i): the norm N down
+    to GF(p^sub) is fixed by sigma^sub, so N(sigma^i(b)) is the product
+    of the conjugates sigma^k(b) with k = i mod sub, in any order.  One
+    table of conjugates sigma^(d*k)(b), d = gcd(n, every i), is built per
+    stack, and each coset product that some power needs once.  The norm
+    is multiplicative, so the quotient criterion is decided without
+    division as N(sigma^i(b)) = N(b) (for i = 0 mod sub, the odd orders,
+    this holds by construction, as the criterion says); the invariance
+    criterion sigma^i(N(b)) = N(b) must agree with it.
     """
     p, n = ctx.p, ctx.n
     if not (vecs % p != 0).any(axis=1).all():
         raise ZeroElement("the norm criterion needs b != 0")
-    groups: dict[int, list[int]] = {}
     for i in powers:
-        im = i % n
-        o = order_of(ctx, im) if im else 1
+        o = order_of(ctx, i % n) if i % n else 1
         if o <= 2:
             raise InvolutionNotSupported(f"sigma^{i} has order {o}; the criterion needs order > 2")
-        groups.setdefault(math.gcd(n, 2 * im), []).append(i)
-    predicates = {}
-    for sub, group in groups.items():
-        d = math.gcd(sub, *(i % n for i in group))
-        s, m = sub // d, n // sub
-        conjugates = [vecs]
-        for _ in range(n // d - 1):
-            conjugates.append(ctx.frobenius_stack(conjugates[-1], d))
-        rotations: dict[int, set[int]] = {0: set()}  # coset r -> places q; coset 0 gives N(b)
-        for i in group:
-            q, r = divmod(i % n // d, s)
-            rotations.setdefault(r, set()).add(q)
-        matches = {}  # (q, r) -> rows where N(sigma^i(b)) = N(b)
-        for r, places in sorted(rotations.items()):
-            coset = conjugates[r::s]
-            prefix = [coset[0]]  # prefix[k] = coset[0] * ... * coset[k]
-            for factor in coset[1 : m if r == 0 else max(places)]:
-                prefix.append(ctx.mul_stack(prefix[-1], factor))
-            if r == 0:
-                full_norm = prefix[m - 1]
-            suffix = {m - 1: coset[m - 1]}  # suffix[k] = coset[k] * ... * coset[m-1]
-            for k in range(m - 2, min(places, default=m) - 1, -1):
-                suffix[k] = ctx.mul_stack(coset[k], suffix[k + 1])
-            for q in places:
-                rotated = ctx.mul_stack(suffix[q], prefix[q - 1]) if q else suffix[0]
-                matches[q, r] = (rotated == full_norm).all(axis=1)
-        for i in group:
-            im = i % n
-            form1 = matches[divmod(im // d, s)]
-            form2 = (ctx.frobenius_stack(full_norm, im) == full_norm).all(axis=1)
-            bad = form1 != form2
-            if im == 1:
-                # the invariant norm lies in the prime field exactly when degenerate
-                bad |= (full_norm[:, 1:] != 0).any(axis=1) == form2
-            if bad.any():
-                b = ctx.element(vecs[bad.argmax()])
-                raise InternalCheckError(f"stacked norm criteria disagree for b={b}, i={i}")
-            predicates[i] = form1
+    d = math.gcd(n, *powers)
+    conjugates = [vecs]
+    for _ in range(n // d - 1):
+        conjugates.append(ctx.frobenius_stack(conjugates[-1], d))
+    predicates, norms = {}, {}  # norms: (sub, r) -> N(sigma^r(b)) down to GF(p^sub)
+    for i in powers:
+        im = i % n
+        sub = math.gcd(n, 2 * im)
+        for r in {0, im % sub}:
+            if (sub, r) not in norms:
+                norms[sub, r] = functools.reduce(ctx.mul_stack, conjugates[r // d :: sub // d])
+        full_norm = norms[sub, 0]
+        form1 = (norms[sub, im % sub] == full_norm).all(axis=1)
+        form2 = (ctx.frobenius_stack(full_norm, im) == full_norm).all(axis=1)
+        bad = form1 != form2
+        if im == 1:
+            # the invariant norm lies in the prime field exactly when degenerate
+            bad |= (full_norm[:, 1:] != 0).any(axis=1) == form2
+        if bad.any():
+            b = ctx.element(vecs[bad.argmax()])
+            raise InternalCheckError(f"stacked norm criteria disagree for b={b}, i={i}")
+        predicates[i] = form1
     return predicates
 
 

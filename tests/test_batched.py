@@ -193,8 +193,10 @@ def test_norm_predicates_on_whole_fields(ctx, p, n):
 
 
 def test_norm_predicates_across_subfields(ctx):
-    # at n = 12 the powers fall into three groups, sub = gcd(12, 2i) = 2, 4, 6,
-    # with conjugate steps d = 1, 2, 3 and rotations by zero places
+    # at n = 12 the powers have sub = gcd(12, 2i) = 2, 4 or 6 and one table
+    # of conjugates, step d = 1; six coset products (sub, i mod sub) = (2, 0),
+    # (2, 1), (4, 0), (4, 2), (6, 0), (6, 3) serve all ten powers, and at
+    # i = 4, 8 (order 3, i = 0 mod sub) N(sigma^i(b)) is N(b) itself
     c = ctx(3, 12)
     rng = np.random.Generator(np.random.PCG64(12))
     vecs = rng.integers(0, 3, size=(150, 12))
@@ -206,6 +208,26 @@ def test_norm_predicates_across_subfields(ctx):
         expected = [forms.is_degenerate_by_norm(c, c.element(v), i) for v in vecs]
         assert predicates[i].tolist() == expected
         assert predicates[i].tolist() == (rank_mod_batch(forms.gram_stack(c, vecs, i), 3) < 12).tolist()
+
+
+def test_invariance_criterion_is_checked_at_odd_orders(ctx, monkeypatch):
+    # at i = 4 (order 3 at n = 12) the quotient criterion compares N(b) with
+    # itself; sigma^4(N(b)) = N(b) is still computed and must agree with it
+    c = ctx(3, 12)
+    vecs = np.eye(12, dtype=np.int64)[:3]
+    assert all(forms.norm_predicates(c, vecs, [1, 4])[4])
+    real, tampered = ExtensionContext.frobenius_stack, []
+
+    def frobenius_stack(self, a, i):  # the conjugate table has step d = 1
+        if i != 4:
+            return real(self, a, i)
+        tampered.append(i)
+        return (real(self, a, i) + np.eye(1, 12, dtype=np.int64)) % 3
+
+    monkeypatch.setattr(ExtensionContext, "frobenius_stack", frobenius_stack)
+    with pytest.raises(InternalCheckError, match=r"disagree for b=.*, i=4$"):
+        forms.norm_predicates(c, vecs, [1, 4])
+    assert tampered == [4]
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
@@ -372,6 +394,25 @@ def test_exhaustive_census_ranks_one_gram_per_orbit_and_power(ctx, monkeypatch, 
     blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     decomposition.oracle_survey(ctx(p, n))
     assert sum(blocks) == grams
+
+
+@pytest.mark.parametrize("p,n,cap,grams", [(3, 16, 200, 1600), (1000003, 3, 300, 300)])
+def test_sampled_census_ranks_each_draw_at_powers_up_to_n_over_2(ctx, monkeypatch, p, n, cap, grams):
+    # (3, 16): 200 draws times i = 1 .. 8, against 200 * 15 = 3000 at every
+    # power; (1000003, 3): 300 draws times i = 1, against 600
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
+    report = decomposition.oracle_survey(ctx(p, n), sample_cap=cap)
+    assert report.mode == "sampled" and report.checked == cap
+    assert sum(blocks) == grams
+
+
+def test_census_builds_each_norm_once(ctx, monkeypatch):
+    # (3, 7): one block of 157 representatives at i = 1, 2, 3, all with
+    # sub = gcd(7, 2i) = 1, so one product of the 7 conjugates: 6 stacked
+    # products, against 14 for a suffix times prefix rotated per power
+    products = block_lengths(monkeypatch, ExtensionContext, "mul_stack", 1)
+    decomposition.oracle_survey(ctx(3, 7))
+    assert len(products) == 6 and set(products) == {157}
 
 
 def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):

@@ -283,6 +283,37 @@ def test_mirrored_power_is_minus_the_moved_form(instance):
     assert predicate(c, b, n - i) == predicate(c, moved, i) == predicate(c, b, i)
 
 
+@st.composite
+def single_elements(draw):
+    p, n = draw(st.sampled_from([3, 5, 7])), draw(st.integers(3, 12))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any))
+    return p, n, coeffs, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_elements())
+def test_each_element_keeps_its_rank_at_the_mirrored_power(instance):
+    # both census modes rank i <= n/2 only: for every single b, not just
+    # over whole orbits, b at n - i, 2b and sigma(b) have b's rank at i, and
+    # b's norm predicate at n - i is its predicate at i
+    p, n, coeffs, drawn = instance
+    c = _ctx(p, n)
+    b = c.element(coeffs)
+    vec, conjugate = b.vector(), c.frobenius_stack(b.vector()[None], 1)[0]
+
+    def rank(x, i):
+        return rank_mod(forms.gram_entries(c, x, i), p)
+
+    for i in range(1, n):
+        assert rank(vec, i) == rank(vec, n - i) == rank(2 * vec % p, i) == rank(conjugate, i)
+        if order_of(c, i) > 2:
+            assert forms.is_degenerate_by_norm(c, b, i) == forms.is_degenerate_by_norm(c, b, n - i)
+    # and the rank itself, at the drawn power, by sympy over GF(p)
+    gram = forms.gram_entries(c, vec, drawn)
+    reference = DomainMatrix([[GF(p)(int(x)) for x in row] for row in gram], (n, n), GF(p)).rank()
+    assert rank(vec, drawn) == reference == rank(vec, n - drawn)
+
+
 # ---------------------------------------------------------------------------
 # the in-walk cross-checks
 # ---------------------------------------------------------------------------
@@ -305,11 +336,24 @@ def test_every_rank_block_checks_the_identities(ctx, monkeypatch):
     assert len(checked) == 50
 
 
-def test_sampled_census_does_not_rely_on_the_identities(ctx, monkeypatch):
-    checked = block_lengths(monkeypatch, decomposition, "_check_orbit_identities", 1)
+def test_sampled_census_checks_the_identities_per_block(ctx, monkeypatch):
+    # the sampled census ranks i <= n/2 only, as the orbit census does, and
+    # checks the same identities on the last row of every block
     monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)
-    report = decomposition.oracle_survey(ctx(5, 4), sample_cap=150)
-    assert report.mode == "sampled" and report.checked == 150 and not checked
+    c = ctx(5, 4)
+    checked = []
+    real = decomposition._check_orbit_identities
+    monkeypatch.setattr(decomposition, "_check_orbit_identities",
+                        lambda c, vec, i, *rest: checked.append(i) or real(c, vec, i, *rest))
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
+    report = decomposition.oracle_survey(c, sample_cap=150)
+    assert report.mode == "sampled" and report.checked == 150
+    assert blocks == [150, 150] and checked == [1, 2]
+    checked.clear()
+    blocks.clear()
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
+    decomposition.oracle_survey(c, sample_cap=150)
+    assert blocks == [1] * 300 and checked == [1, 2] * 150
 
 
 @pytest.mark.parametrize("kernel", ["gram_entries", "is_degenerate_by_norm"])
@@ -342,3 +386,13 @@ def test_census_fails_when_the_mirrored_power_disagrees(ctx, monkeypatch):
                         lambda c, x, j: 0 * real(c, x, j) if j > c.n // 2 else real(c, x, j))
     with pytest.raises(InternalCheckError, match="orbit identity fails"):
         decomposition.oracle_survey(ctx(3, 5))
+
+
+def test_sampled_census_fails_when_the_mirrored_power_disagrees(ctx, monkeypatch):
+    # the sampled twin of the test above: the census ranks no i > n/2
+    monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)
+    real = decomposition.gram_entries
+    monkeypatch.setattr(decomposition, "gram_entries",
+                        lambda c, x, j: 0 * real(c, x, j) if j > c.n // 2 else real(c, x, j))
+    with pytest.raises(InternalCheckError, match="orbit identity fails"):
+        decomposition.oracle_survey(ctx(5, 4), sample_cap=150)

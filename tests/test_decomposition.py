@@ -295,6 +295,17 @@ def test_a_zero_sample_cap_census_does_not_pass_vacuously(ctx, monkeypatch):
     assert report.failed == ["support_ok"] and all(h == {} for h in report.histograms.values())
 
 
+
+def test_census_names_the_predicates_only_when_it_checks_some(ctx, monkeypatch):
+    # at n = 2 the one power is the involution, which the norm criterion
+    # does not cover: the census stands on its support alone
+    report = dec.oracle_survey(ctx(3, 2))
+    assert (report.checked, report.predicate_checked, report.passed) == (8, 0, True)
+    assert list(report.conditions) == ["support_ok"]
+    assert list(dec.oracle_survey(ctx(3, 4)).conditions) == ["support_ok", "predicates agree"]
+    monkeypatch.setattr(dec, "FULL_FIELD_CEILING", 100)
+    assert list(dec.oracle_survey(ctx(5, 4), sample_cap=0).conditions) == ["support_ok"]
+
 NEGATIVE_CAP = """
 import resource
 resource.setrlimit(resource.RLIMIT_DATA, (2**30, 2**30))
