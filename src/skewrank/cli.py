@@ -6,8 +6,9 @@ Commands:
     section6   certificate chain for the rational 3-dimensional subspace
     report-all every check applicable to an instance, in one document
 
-Exit codes: 0 pass, 1 usage, hypothesis or internal-check error,
-2 verification failure.
+Exit codes: 0 pass, 1 usage (argparse's own errors among them),
+hypothesis or internal-check error, 2 verification failure.  Flags must
+be spelled in full: argparse's prefix matching is off.
 JSON is the stable contract; the text format is a readable summary.
 Only section6 and report-all import the Section-6 layer (cyclotomic, and
 with it fractions and decimal); the other commands never load it.
@@ -26,9 +27,10 @@ from . import __version__
 from .arith import is_prime
 from .decomposition import (
     EXHAUSTIVE_CEILING,
-    FULL_FIELD_CEILING,
+    census_is_exhaustive,
     oracle_survey,
     remark_C_check,
+    remark_C_indices,
     remark_C_slice,
     verify_direct_sum,
     verify_theorem_A,
@@ -36,7 +38,6 @@ from .decomposition import (
 )
 from .errors import HypothesisViolation, InvalidArgument, SkewrankError, WrongShape
 from .fields import MAX_PRIME, ExtensionContext
-from .galois import two_adic_shape
 from .report import Report
 
 THEOREMS = ("T1", "T2", "TA", "TC", "RemarkC", "direct-sum")
@@ -56,8 +57,21 @@ EXIT_USAGE = 1
 EXIT_FAILED = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of every command: it matches flags by their full names
+    only, and its own errors (a bad value, a missing or unknown flag)
+    exit EXIT_USAGE after argparse's usage line and message."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewrank",
         description="Exact verification of constant-rank decompositions of skew-forms",
     )
@@ -85,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("section6", help="rational 3-dimensional subspace certificate")
     sp.add_argument("--grid", type=int, default=10, help="integer grid bound")
     sp.add_argument("--samples", type=int, default=1000, help="random rational tuples")
-    sp.add_argument("--form", default=None,
-                    help="a,b,c override of the certified ternary form (testing hook)")
     add_common(sp, with_instance=False)
 
     sp = sub.add_parser("report-all", help="every applicable check for an instance")
@@ -198,11 +210,7 @@ def _run_verify(args) -> Report:
     common = {"seed": args.seed, "sample_cap": args.sample_cap}
     if theorem != "RemarkC":
         return VERIFIERS[theorem](ExtensionContext(args.p, args.n), **common)
-    i_index = args.i
-    if i_index is None:
-        a, _ = two_adic_shape(args.p + 1)
-        i_index = a + 1
-    remark_C_slice(args.p, args.n, i_index, args.sample_cap)  # before the context build
+    i_index, _ = remark_C_slice(args.p, args.n, args.i, args.sample_cap)  # before the context build
     return remark_C_check(ExtensionContext(args.p, args.n), i_index, **common)
 
 
@@ -214,17 +222,7 @@ def _run_oracle(args) -> Report:
 def _run_section6(args) -> Report:
     from . import cyclotomic
 
-    override = None
-    if args.form is not None:
-        parts = args.form.split(",")
-        try:
-            override = tuple(int(x) for x in parts)
-        except ValueError:
-            override = ()
-        if len(override) != 3:
-            raise SkewrankError("--form needs three comma-separated integers")
-    return cyclotomic.verify_section6(grid=args.grid, samples=args.samples, seed=args.seed,
-                                      form_override=override)
+    return cyclotomic.verify_section6(grid=args.grid, samples=args.samples, seed=args.seed)
 
 
 def _run_report_all(args) -> Report:
@@ -251,12 +249,9 @@ def _run_report_all(args) -> Report:
     common = {"seed": args.seed, "sample_cap": args.sample_cap}
     for name in ("direct-sum", "TA", "TC"):
         attempt(name, lambda fn=VERIFIERS[name]: fn(ctx, **common))
-    alpha, _ = two_adic_shape(args.n)
-    a, l = two_adic_shape(args.p + 1)
-    if l > 1 and alpha > a + 1:
-        for idx in range(a + 1, alpha):
-            attempt(f"RemarkC[i={idx}]", lambda idx=idx: remark_C_check(ctx, idx, **common))
-    if ctx.order <= FULL_FIELD_CEILING:
+    for idx in remark_C_indices(args.p, args.n):
+        attempt(f"RemarkC[i={idx}]", lambda idx=idx: remark_C_check(ctx, idx, **common))
+    if census_is_exhaustive(ctx):
         attempt("oracle", lambda: oracle_survey(ctx, **common))
     attempt("section6", lambda: cyclotomic.verify_section6(grid=args.grid, samples=args.samples,
                                                            seed=args.seed))

@@ -69,9 +69,6 @@ class CycloElement:
     def __bool__(self) -> bool:
         return any(self.coords)
 
-    def sigma(self, power: int = 1) -> "CycloElement":
-        return cyclo_sigma(self, power)
-
     def rational_trace(self) -> Fraction:
         """Sum over the four automorphism images, as a rational number."""
         x, y, z, w = self.coords
@@ -548,12 +545,7 @@ def check_section6_size(grid: int, samples: int) -> None:
             raise InvalidArgument(f"{name} must be <= {ceiling}, got {value}")
 
 
-def verify_section6(
-    grid: int = 10,
-    samples: int = 1000,
-    seed: int = 0,
-    form_override: tuple[int, int, int] | None = None,
-) -> Report:
+def verify_section6(grid: int = 10, samples: int = 1000, seed: int = 0) -> Report:
     """Run the whole certificate chain.
 
     1. The closed-form degeneracy coefficient equals the coordinate
@@ -567,16 +559,11 @@ def verify_section6(
        show has no nontrivial rational zero: every nonzero rational
        combination of the basis therefore has a rank-4 form.  The
        search of isotropic_witness must agree, finding no zero in its
-       box; a disagreement raises InternalCheckError.  A form whose box
-       exceeds WITNESS_BOX skips this search.
+       box of 3 * 3 * 2 points; a disagreement raises InternalCheckError.
     4. An integer grid with coefficients in [-grid, grid] plus random
        rational combinations confirm rank 4 pointwise.  The zero
        combinations drawn are dropped; if every one is zero, the random
        check fails, having checked nothing.
-
-    form_override replaces the certified ternary form in step 3 (a
-    testing hook for exercising the failure path).  It must be a valid
-    TernaryForm, which is checked before step 1.
 
     Steps 1 and 4 run on int64 arrays, in blocks of rows sized by
     linalg.block_rows.  In every block the first row is recomputed by
@@ -584,7 +571,6 @@ def verify_section6(
     degeneracy_coefficient); a disagreement raises InternalCheckError.
     """
     check_section6_size(grid, samples)
-    form = TernaryForm(*form_override) if form_override is not None else None  # before any work
     rng = Stream(seed)
     size = block_rows(4)
 
@@ -597,20 +583,15 @@ def verify_section6(
 
     diag = diagonalize_ternary(PARAMETRIZED_FORM)
     congruence_ok = _congruence_holds(PARAMETRIZED_FORM, diag)
-    if form is None:
-        form = TernaryForm(*diag.squarefree_form)
+    form = TernaryForm(*diag.squarefree_form)
     legendre = legendre_certificate(form)
     anisotropic = not all(legendre.values())
-    try:  # Holzer's bound: no witness in the box exactly when anisotropic
-        witness = isotropic_witness(*form.triple())
-    except InvalidArgument:  # a box beyond WITNESS_BOX, from a form_override only
-        pass
-    else:
-        if (witness is None) != anisotropic:
-            raise InternalCheckError(
-                f"the residue conditions and the witness search disagree on {form.triple()}: "
-                f"anisotropic={anisotropic}, witness={witness}"
-            )
+    witness = isotropic_witness(*form.triple())  # Holzer's bound: none in the box exactly when anisotropic
+    if (witness is None) != anisotropic:
+        raise InternalCheckError(
+            f"the residue conditions and the witness search disagree on {form.triple()}: "
+            f"anisotropic={anisotropic}, witness={witness}"
+        )
 
     # grid + random sampling; Gram is linear in b, so combine basis Grams
     basis_grams = subspace_basis_grams()

@@ -380,26 +380,41 @@ def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
     raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
 
 
-def remark_C_slice(p: int, n: int, i_index: int, sample_cap: int) -> int:
-    """t = n/2^i_index, the eigenspace exponent of the slice that
-    remark_C_check walks at (p, n), once its hypotheses and the sample
-    cap hold; else raises HypothesisViolation.  Needs no context, so a
-    caller can reject an instance before paying for the modulus search.
-    """
+def remark_C_indices(p: int, n: int) -> range:
+    """The eigenspace indices that Remark C covers at (p, n), smallest
+    first.  With p + 1 = 2^a * l and n = 2^alpha * k (l, k odd) these are
+    a+1 .. alpha-1 when l > 1; there are none when l = 1 or alpha <= a+1,
+    where every eigenspace keeps constant rank."""
     alpha, _ = two_adic_shape(n)
     a, l = two_adic_shape(p + 1)
-    if l == 1:
-        raise HypothesisViolation(f"p + 1 = 2^{a} has odd part 1; eigenspaces keep constant rank")
-    if alpha <= a + 1:
+    return range(a + 1, alpha) if l > 1 else range(0)
+
+
+def remark_C_slice(p: int, n: int, i_index: int | None, sample_cap: int) -> tuple[int, int]:
+    """(i_index, t): the eigenspace index, the first of remark_C_indices
+    when i_index is None, and t = n/2^i_index, the exponent of the slice
+    that remark_C_check walks at (p, n), once its hypotheses and the
+    sample cap hold; else raises HypothesisViolation.  Needs no context,
+    so a caller can reject an instance before paying for the modulus
+    search.
+    """
+    indices = remark_C_indices(p, n)
+    if not indices:  # name the hypothesis that fails
+        alpha, _ = two_adic_shape(n)
+        a, l = two_adic_shape(p + 1)
+        if l == 1:
+            raise HypothesisViolation(f"p + 1 = 2^{a} has odd part 1; eigenspaces keep constant rank")
         raise HypothesisViolation(f"alpha={alpha} <= a+1={a + 1}; eigenspaces keep constant rank")
-    if not a + 1 <= i_index <= alpha - 1:
-        raise HypothesisViolation(f"i_index must be in [{a + 1}, {alpha - 1}], got {i_index}")
+    if i_index is None:
+        i_index = indices[0]
+    elif i_index not in indices:
+        raise HypothesisViolation(f"i_index must be in [{indices[0]}, {indices[-1]}], got {i_index}")
     t = n >> i_index
     if p**t - 1 > sample_cap:
         raise HypothesisViolation(
             f"the E{i_index} slice has {p**t - 1} odd exponents, more than the sample cap {sample_cap}"
         )
-    return t
+    return i_index, t
 
 
 def remark_C_check(
@@ -419,7 +434,7 @@ def remark_C_check(
     before the generator is sought.
     """
     p, n = ctx.p, ctx.n
-    t = remark_C_slice(p, n, i_index, sample_cap)
+    _, t = remark_C_slice(p, n, i_index, sample_cap)
     _, l = two_adic_shape(p + 1)
     csize = 2 * (p**t - 1)
     u = slice_generator(ctx, csize)
@@ -556,6 +571,12 @@ def _check_orbit_identities(
             )
 
 
+def census_is_exhaustive(ctx: ExtensionContext) -> bool:
+    """Whether oracle_survey walks all of L^x, p^n - 1 <= FULL_FIELD_CEILING
+    units, rather than sampling it."""
+    return ctx.order - 1 <= FULL_FIELD_CEILING
+
+
 def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
     """Tabulate rank(gram(b, i)) over the unit group for every i in
     1..n-1, asserting the predicted supports and cross-validating the
@@ -576,7 +597,7 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     was checked at some power of order > 2, so they never pass vacuously.
     """
     p, n = ctx.p, ctx.n
-    if ctx.order - 1 <= FULL_FIELD_CEILING:
+    if census_is_exhaustive(ctx):
         mode, checked, blocks = "exhaustive", ctx.order - 1, _orbit_blocks(ctx)
     else:
         mode, checked, rows = _row_blocks(p, n, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))

@@ -75,6 +75,19 @@ def block_lengths(monkeypatch, owner, name: str, arg: int) -> list[int]:
     return lengths
 
 
+def rescale_to(monkeypatch, form: tuple[int, int, int]) -> None:
+    """Make cyclotomic.diagonalize_ternary return its true diagonalization
+    with squarefree_form replaced by `form`, so that verify_section6
+    certifies `form` in place of (1, 1, -6)."""
+    import dataclasses
+
+    from skewrank import cyclotomic
+
+    real = cyclotomic.diagonalize_ternary
+    monkeypatch.setattr(cyclotomic, "diagonalize_ternary",
+                        lambda q: dataclasses.replace(real(q), squarefree_form=form))
+
+
 def child_env() -> dict:
     """The environment of a child interpreter that finds the package where this process found it."""
     src = str(Path(skewrank.__file__).resolve().parents[1])

@@ -14,7 +14,7 @@ import pytest
 from skewrank import cli, cyclotomic, decomposition
 from skewrank.cli import main
 
-from conftest import child_env
+from conftest import child_env, rescale_to
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,45 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "oracle", "--p", "3", "--n", "4", "--sample-cap", "0")
     assert code == 1 and "sample-cap" in err
+
+
+# argv -> the message argparse names it with
+ARGPARSE_ERRORS = {
+    "oracle --p x --n 4": "argument --p: invalid int value: 'x'",
+    "oracle --p 3": "the following arguments are required: --n",
+    "frobnicate": "argument command: invalid choice: 'frobnicate'",
+    "section6 --bogus 1": "unrecognized arguments: --bogus 1",
+    "oracle --p 3 --n 4 --format yaml": "argument --format: invalid choice: 'yaml'",
+    # flags are matched by their full names only: no prefix stands for a flag
+    "section6 --form 1,1,-2": "unrecognized arguments: --form 1,1,-2",
+    "section6 --g 3": "unrecognized arguments: --g 3",
+    "verify --theorem TC --p 3 --n 4 --out x": "unrecognized arguments: --out x",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGPARSE_ERRORS))
+def test_argparse_errors_exit_one_after_the_usage_line(capsys, argv):
+    # argparse ends its own errors with exit 2, which means a failed check here
+    message = ARGPARSE_ERRORS[argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: skewrank") and message in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["section6", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: skewrank")
+
+
+def test_module_entry_exits_one_on_an_argparse_error():
+    proc = subprocess.run([sys.executable, "-m", "skewrank", "oracle", "--p", "3"],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "the following arguments are required: --n" in proc.stderr
 
 
 def test_negative_seed_exits_one(capsys):
@@ -140,12 +179,20 @@ def test_section6_fails_when_every_random_combination_is_zero(capsys, monkeypatc
     assert report.random == {"checked": 0, "rank4": 0} and report.failed == ["random"]
 
 
-def test_section6_tampered_form_exits_two(capsys):
-    code, out, _ = run_cli(capsys, "section6", "--grid", "2", "--samples", "5",
-                           "--form", "1,1,-2")
+def test_section6_with_an_isotropic_form_exits_two(capsys, monkeypatch):
+    # X^2 + Y^2 - 2Z^2 has the zero (1, 1, 1): the certificate must fail, in both formats
+    rescale_to(monkeypatch, (1, 1, -2))
+    code, out, _ = run_cli(capsys, "section6", "--grid", "2", "--samples", "5")
     assert code == 2
     doc = json.loads(out)
-    assert doc["anisotropic"] is False
+    assert doc["pass"] is False and doc["anisotropic"] is False
+    assert doc["squarefree_form"] == [1, 1, -2] and doc["legendre"]["residue_mod_c"] is True
+    code, out, _ = run_cli(capsys, "section6", "--grid", "2", "--samples", "30", "--format", "text")
+    assert (code, out) == (2, """\
+skewrank 0.1.0  check=Section6
+anisotropic: false
+FAIL: anisotropic
+""")
 
 
 def test_remark_c_verify(capsys):
@@ -216,6 +263,18 @@ def test_report_all_small_instance(capsys):
     assert doc["pass"] is True
 
 
+def test_report_all_runs_the_census_exactly_when_it_is_exhaustive(capsys, monkeypatch):
+    # GF(81) has 80 units: at a ceiling of 80 the census is exhaustive, at 79 it would sample
+    for ceiling, included in ((80, True), (79, False)):
+        monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", ceiling)
+        code, out, _ = run_cli(capsys, "report-all", "--p", "3", "--n", "4", "--grid", "1",
+                               "--samples", "5")
+        runs = {r["check"]: r for r in json.loads(out)["runs"]}
+        assert code == 0 and ("oracle" in runs) == included, ceiling
+        if included:
+            assert runs["oracle"]["mode"] == "exhaustive"
+
+
 def test_module_entry_point_runs():
     # the child finds the package where this process found it, whatever PYTHONPATH says
     proc = subprocess.run(
@@ -234,16 +293,9 @@ def buffered_env() -> dict:
     return env
 
 
-@pytest.mark.parametrize("argv,code", [
-    ("verify --theorem TC --p 3 --n 4", 0),
-    ("oracle --p 3 --n 4 --format text", 0),
-    ("verify --theorem TC --p 3 --n 4 --output {out}", 0),
-    ("oracle --p 9 --n 4", 1),  # not a prime
-    ("section6 --grid 2 --samples 5 --form 1,1,-2", 2),  # a failing certificate
-    ("section6 --grid 2 --samples 5 --form 1,1,-2 --format text --output {out}", 2),
-])
-def test_module_entry_matches_in_process_main(argv, code, tmp_path, capsys):
-    # python -m skewrank ends by os._exit after flushing: nothing may be lost or added
+def entry_results(argv: str, tmp_path, capsys, child: list[str]) -> dict:
+    """Exit code, stdout, stderr and --output file of main in this process
+    and of a child started as `child` + argv, each writing its own file."""
     results = {}
     for where in ("inproc", "child"):
         out = tmp_path / f"{where}.txt"
@@ -251,12 +303,47 @@ def test_module_entry_matches_in_process_main(argv, code, tmp_path, capsys):
         if where == "inproc":
             result = (main(args), *capsys.readouterr())
         else:
-            proc = subprocess.run([sys.executable, "-m", "skewrank", *args], capture_output=True,
+            proc = subprocess.run([sys.executable, *child, *args], capture_output=True,
                                   text=True, env=buffered_env(), timeout=60)
             result = (proc.returncode, proc.stdout, proc.stderr)
         results[where] = (*result, out.read_text() if out.exists() else None)
+    return results
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("verify --theorem TC --p 3 --n 4", 0),
+    ("oracle --p 3 --n 4 --format text", 0),
+    ("verify --theorem TC --p 3 --n 4 --output {out}", 0),
+    ("oracle --p 9 --n 4", 1),  # not a prime
+])
+def test_module_entry_matches_in_process_main(argv, code, tmp_path, capsys):
+    # python -m skewrank ends by os._exit after flushing: nothing may be lost or added
+    results = entry_results(argv, tmp_path, capsys, ["-m", "skewrank"])
     assert results["child"] == results["inproc"]
     assert results["child"][0] == code
+
+
+# the entry of python -m skewrank, after the patch of rescale_to
+ISOTROPIC_ENTRY = """
+import dataclasses
+from skewrank import cli, cyclotomic
+real = cyclotomic.diagonalize_ternary
+cyclotomic.diagonalize_ternary = lambda q: dataclasses.replace(real(q), squarefree_form=(1, 1, -2))
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "section6 --grid 2 --samples 5",
+    "section6 --grid 2 --samples 5 --format text --output {out}",
+])
+def test_entry_exits_two_like_in_process_main_on_a_failing_certificate(argv, tmp_path, capsys,
+                                                                         monkeypatch):
+    # no input makes a check fail, so the child patches the certified form itself
+    rescale_to(monkeypatch, (1, 1, -2))
+    results = entry_results(argv, tmp_path, capsys, ["-c", ISOTROPIC_ENTRY])
+    assert results["child"] == results["inproc"]
+    assert results["child"][0] == 2
 
 
 @pytest.mark.parametrize("argv", ["verify --theorem TC --p 3 --n 4", "oracle --p 3 --n 4 --format text"])
@@ -329,18 +416,6 @@ def test_prime_at_or_above_2_31_exits_one_naming_the_bound(capsys):
         code, out, err = run_cli(capsys, "oracle", "--p", p, "--n", "4")
         assert code == 1 and out == ""
         assert "below 2**31" in err and "Traceback" not in err
-
-
-def test_section6_form_beyond_the_bound_exits_one_naming_it(capsys):
-    for form in ("3,5,-" + str(10**200 + 7), "1,1,-1000001", "1000001,1,-1"):
-        code, out, err = run_cli(capsys, "section6", "--grid", "1", "--samples", "1", "--form", form)
-        assert code == 1 and out == ""
-        assert "at most 1000000" in err and "Traceback" not in err
-    code, _, err = run_cli(capsys, "section6", "--grid", "1", "--samples", "1", "--form", "6,10,-1")
-    assert code == 1 and "not square-free" in err  # square-free coefficients, but gcd(6, 10) = 2
-    code, out, _ = run_cli(capsys, "section6", "--grid", "1", "--samples", "1",
-                           "--form", "1,1,-999983")  # the largest prime below the bound
-    assert code in (0, 2) and json.loads(out)["squarefree_form"] == [1, 1, -999983]
 
 
 def test_no_verb_imports_sympy():
@@ -510,11 +585,6 @@ skewrank 0.1.0  check=Section6
 anisotropic: true
 PASS
 """),
-    "section6 --grid 2 --samples 30 --form 1,1,-2": (2, """\
-skewrank 0.1.0  check=Section6
-anisotropic: false
-FAIL: anisotropic
-"""),
 }
 
 
@@ -547,8 +617,7 @@ def test_report_all_text_prints_every_run_and_every_skipped_check(capsys):
 
 
 def test_report_all_text_names_the_failed_conditions_of_each_run(capsys, monkeypatch):
-    real = cyclotomic.verify_section6
-    monkeypatch.setattr(cyclotomic, "verify_section6", lambda **kw: real(form_override=(1, 1, -2), **kw))
+    rescale_to(monkeypatch, (1, 1, -2))
     code, out, _ = run_cli(capsys, "report-all", "--p", "3", "--n", "4", "--grid", "1",
                            "--samples", "5", "--format", "text")
     assert code == 2

@@ -18,7 +18,7 @@ from skewrank.decomposition import EXHAUSTIVE_CEILING
 from skewrank.errors import InternalCheckError, InvalidArgument, NotSquareFree
 from skewrank.stream import Stream
 
-from conftest import block_lengths
+from conftest import block_lengths, rescale_to
 
 ETA_C = cmath.exp(2j * cmath.pi / 5)
 
@@ -148,6 +148,21 @@ def test_ternary_form_validation():
     cy.TernaryForm(1, 1, -6)
 
 
+def test_ternary_form_beyond_the_bound_is_refused_naming_it():
+    for form in ((3, 5, -(10**200 + 7)), (1, 1, -1000001), (1000001, 1, -1)):
+        with pytest.raises(InvalidArgument, match="at most 1000000"):
+            cy.TernaryForm(*form)
+        with pytest.raises(InvalidArgument, match="at most 1000000"):
+            cy.legendre_certificate(form)
+    with pytest.raises(NotSquareFree, match="not square-free"):
+        cy.legendre_certificate((6, 10, -1))  # square-free coefficients, but gcd(6, 10) = 2
+    # the largest prime below the bound is accepted; it is 3 mod 4, so -1 is no square mod it
+    assert cy.legendre_certificate((1, 1, -999983)) == {
+        "mixed_signs": True, "residue_mod_a": True, "residue_mod_b": True, "residue_mod_c": False,
+    }
+    assert cy.isotropic_witness(1, 1, -999983) is None
+
+
 def test_legendre_fixed_verdicts():
     assert cy.legendre_solvable((1, 1, -2)) is True
     assert cy.legendre_solvable((1, 1, -6)) is False
@@ -184,7 +199,8 @@ def test_isotropic_witness_refuses_a_box_above_the_bound_before_allocating(monke
     # at FORM_BOUND the box has about 10^18 points; the old search allocated
     # a sqrt|ac| x sqrt|ab| grid of 10^12 cells
     monkeypatch.setattr(cy, "np", _NoNumpy())
-    for coeffs in ((10**6, 999_999, -999_997), (1, 1, -(2**23 + 5)), (1, -1, 0)):
+    # (7, 11, -999983) is a valid TernaryForm whose box has 3317 * 2646 * 9 points
+    for coeffs in ((10**6, 999_999, -999_997), (1, 1, -(2**23 + 5)), (1, -1, 0), (7, 11, -999983)):
         with pytest.raises(InvalidArgument):
             cy.isotropic_witness(*coeffs)
 
@@ -295,25 +311,29 @@ def test_verify_section6_small_grid():
     assert report.squarefree_form == (1, 1, -6)
 
 
-def test_verify_section6_tampered_form_fails():
-    report = cy.verify_section6(grid=2, samples=10, seed=0, form_override=(1, 1, -2))
+def test_verify_section6_fails_on_an_isotropic_form(monkeypatch):
+    rescale_to(monkeypatch, (1, 1, -2))  # X^2 + Y^2 - 2Z^2 vanishes at (1, 1, 1)
+    report = cy.verify_section6(grid=2, samples=10, seed=0)
+    assert report.squarefree_form == (1, 1, -2)
     assert not report.anisotropic
-    assert not report.passed
+    assert report.failed == ["anisotropic"]
 
 
 def test_anisotropy_is_cross_checked_by_the_witness_search(monkeypatch):
-    # the certified form and the isotropic override keep their reports ...
-    assert cy.verify_section6(grid=1, samples=5).anisotropic
-    assert not cy.verify_section6(grid=1, samples=5, form_override=(1, 1, -2)).anisotropic
-    # ... and a search that contradicts the residue conditions is caught on both
     real = cy.isotropic_witness
-    monkeypatch.setattr(cy, "isotropic_witness", lambda *abc: (1, 0, 0) if real(*abc) is None else None)
-    for override in (None, (1, 1, -2)):
-        with pytest.raises(InternalCheckError, match="witness search disagree"):
-            cy.verify_section6(grid=1, samples=5, form_override=override)
+    for form in (None, (1, 1, -2)):
+        with monkeypatch.context() as m:
+            # the certified form and an isotropic one keep their verdicts ...
+            if form is not None:
+                rescale_to(m, form)
+            assert cy.verify_section6(grid=1, samples=5).anisotropic == (form is None)
+            # ... and a search that contradicts the residue conditions is caught on both
+            m.setattr(cy, "isotropic_witness", lambda *abc: (1, 0, 0) if real(*abc) is None else None)
+            with pytest.raises(InternalCheckError, match="witness search disagree"):
+                cy.verify_section6(grid=1, samples=5)
 
 
-def test_anisotropy_cross_check_skips_a_box_beyond_the_witness_bound(monkeypatch):
+def test_verify_section6_searches_for_a_witness_once_on_the_derived_form(monkeypatch):
     calls = []
     real = cy.isotropic_witness
 
@@ -322,12 +342,12 @@ def test_anisotropy_cross_check_skips_a_box_beyond_the_witness_bound(monkeypatch
         return real(*abc)
 
     monkeypatch.setattr(cy, "isotropic_witness", spy)
-    form = (7, 11, -999983)  # a box of 3317 * 2646 * 9 points
-    report = cy.verify_section6(grid=1, samples=5, form_override=form)
-    assert calls == [form]
-    assert report.anisotropic == (not cy.legendre_solvable(form))
+    assert cy.verify_section6(grid=1, samples=5).passed
+    assert calls == [(1, 1, -6)]  # a box of 3 * 3 * 2 points
+    # the search is never skipped: a form whose box is beyond the bound is an error
+    rescale_to(monkeypatch, (7, 11, -999983))
     with pytest.raises(InvalidArgument, match="more than"):
-        real(*form)
+        cy.verify_section6(grid=1, samples=5)
 
 
 def test_section6_report_is_deterministic():

@@ -181,6 +181,28 @@ def test_remark_c_hypothesis_gates(ctx):
         dec.remark_C_check(ctx(11, 16), 1)  # i below the window
 
 
+def test_remark_c_indices_follow_the_two_adic_rule():
+    # the rule the CLI used to spell out: a+1 .. alpha-1 when l > 1 and alpha > a+1,
+    # with a+1 the default index; each failing hypothesis keeps its own message
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for n in range(2, 65):
+            alpha, _ = galois.two_adic_shape(n)
+            a, l = galois.two_adic_shape(p + 1)
+            applies = l > 1 and alpha > a + 1
+            assert dec.remark_C_indices(p, n) == (range(a + 1, alpha) if applies else range(0)), (p, n)
+            if applies:
+                assert dec.remark_C_slice(p, n, None, 10**100) == (a + 1, n >> (a + 1)), (p, n)
+                i_index, message = alpha, f"i_index must be in [{a + 1}, {alpha - 1}], got {alpha}"
+            elif l == 1:
+                i_index, message = None, f"p + 1 = 2^{a} has odd part 1; eigenspaces keep constant rank"
+            else:
+                i_index, message = None, f"alpha={alpha} <= a+1={a + 1}; eigenspaces keep constant rank"
+            with pytest.raises(HypothesisViolation) as exc:
+                dec.remark_C_slice(p, n, i_index, 10**100)
+            assert str(exc.value) == message, (p, n)
+
+
 def scalar_remark_c(c, i_index):
     """The element-by-element walk remark_C_check replaced: the rank
     spectra of odd exponents s keyed by l | s, and the membership and
