@@ -5,12 +5,14 @@ rank spectra (component Reports) plus a direct-sum certificate, the
 oracle a whole-field rank census.  Every enumeration is either
 exhaustive or drawn from one seeded PCG64 stream (skewrank.stream), so
 reports are reproducible byte for byte.  Each GF(p) walk (a subspace's
-rows, the orbit census, the sampled census, the RemarkC slice) is a
+rows, the coset census, the sampled census, the RemarkC slice) is a
 source of row blocks for one driver, _ranked_blocks, which ranks and
 spot-checks them; a walk keeps only its tallies and its own checks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -95,7 +97,7 @@ def _ranked_blocks(ctx: ExtensionContext, blocks, powers, predicate_powers=()):
     nonzero elements, yields (rows, tag, ranks, predicates): {i: Gram
     ranks} for i in `powers` by gram_stack and rank_mod_batch, and {i:
     norm predicate} for i in `predicate_powers` by norm_predicates; the
-    tag (orbit sizes, exponents or None) is passed through.  The block's
+    tag (exponents or None) is passed through.  The block's
     first row is recomputed by the scalar path (gram_entries, rank_mod,
     is_degenerate_by_norm); a difference raises InternalCheckError.
     """
@@ -119,17 +121,12 @@ def _ranked_blocks(ctx: ExtensionContext, blocks, powers, predicate_powers=()):
         yield rows, tag, ranks, predicates
 
 
-def _tally(histogram: dict[int, int], ranks: np.ndarray, weights: np.ndarray | None = None) -> None:
-    """Add each rank to the histogram, once or as many times as its int64
-    weight says (np.bincount would sum the weights in float64)."""
-    if weights is None:
-        counts = np.bincount(ranks)
-    else:
-        counts = np.zeros(int(ranks.max(initial=0)) + 1, dtype=np.int64)
-        np.add.at(counts, ranks, weights)
-    for r, count in enumerate(counts.tolist()):
+def _tally(histogram: dict[int, int], ranks: np.ndarray, weight: int = 1) -> None:
+    """Add each rank to the histogram `weight` times, in Python ints, so
+    that no count overflows."""
+    for r, count in enumerate(np.bincount(ranks).tolist()):
         if count:
-            histogram[r] = histogram.get(r, 0) + count
+            histogram[r] = histogram.get(r, 0) + count * weight
 
 
 def _is_basis(mat: np.ndarray, p: int) -> bool:
@@ -356,17 +353,19 @@ def verify_theorem_C(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_
 
 
 def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
-    """Generator of C, the cyclic subgroup of order csize of L^x.
+    """The first x in counting order from index p whose image
+    u = x^((q-1)/csize) generates C, the cyclic subgroup of order csize
+    of L^x: u^(csize/r) != 1 for every prime r | csize.  Then for every
+    m | csize, x^((q-1)/m) has order m, so x^0 .. x^(m-1) lie in the m
+    distinct cosets of the m-th powers.
 
-    Scans x in counting order from index p and returns the first
-    u = x^((q-1)/csize) with u^(csize/r) != 1 for every prime r | csize.
-    The scalars are skipped: their powers have order dividing p - 1,
-    which is less than csize whenever this is called.  csize is
-    factored by trial division, at most sqrt(csize)/2 + 1 divisors; the
-    walk over all of C that follows costs more.  Trip count: x -> u maps
-    L^x onto C with fibres of one size, so a share phi(csize)/csize of
-    the units give a generator and at most (q - 1)(1 - phi(csize)/csize)
-    + 1 elements are tried.
+    The scan skips the scalars only to start at theta; it does not need
+    to, since a scalar serves whenever csize divides p - 1, as csize = 2
+    does for the census at odd n.  csize is factored by trial division,
+    at most sqrt(csize)/2 + 1 divisors; the walk that follows costs more.
+    Trip count: x -> u maps L^x onto C with fibres of one size, so a
+    share phi(csize)/csize of the units serve and at most
+    (q - 1)(1 - phi(csize)/csize) + 1 elements are tried.
     """
     q = ctx.order
     if (q - 1) % csize != 0:
@@ -374,10 +373,30 @@ def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
     primes = list(factorize(csize))
     one = ctx.one()
     for v in range(ctx.p, q):
-        u = ctx.from_index(v) ** ((q - 1) // csize)
+        x = ctx.from_index(v)
+        u = x ** ((q - 1) // csize)
         if all(u ** (csize // r) != one for r in primes):
-            return u
+            return x
     raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
+
+
+def _power_blocks(ctx: ExtensionContext, g: FieldElement, count: int):
+    """Blocks of at most block_rows(n) rows g^0 .. g^(count - 1), in
+    order, each with its exponents.  The rows g^0 .. g^(B-1) are built
+    once, doubled by one stacked product per step; the block of exponents
+    s0 .. s0+B-1 is then that table times g^s0."""
+    size = min(block_rows(ctx.n), count)
+    table = ctx.one().vector()[None, :]
+    step = g.vector()[None, :]
+    while len(table) < size:
+        table = np.vstack([table, ctx.mul_stack(table, np.broadcast_to(step, table.shape))])
+        step = ctx.mul_stack(step, step)
+    table, shift, start = table[:size], g**size, ctx.one()
+    for s0 in range(0, count, size):
+        rows = table[: count - s0]
+        block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
+        yield block, np.arange(s0, s0 + len(block))
+        start = start * shift
 
 
 def remark_C_indices(p: int, n: int) -> range:
@@ -423,7 +442,7 @@ def remark_C_check(
     """Degeneracy pattern on the cyclic slice through E_{i_index} when
     constant rank fails (alpha > a+1 and l > 1).
 
-    C = {b : b^(2(q^t - 1)) = 1} with t = n/2^i_index is cyclic with a
+    C = {b : b^(2(p^t - 1)) = 1} with t = n/2^i_index is cyclic with a
     deterministic generator u; u^s lies in E_{i_index} exactly for odd
     s, and the form of u^s is degenerate exactly when l divides s.
     Both the norm predicate and the rank of each odd exponent are
@@ -437,26 +456,12 @@ def remark_C_check(
     _, t = remark_C_slice(p, n, i_index, sample_cap)
     _, l = two_adic_shape(p + 1)
     csize = 2 * (p**t - 1)
-    u = slice_generator(ctx, csize)
-    # u^0 .. u^(B-1) as rows, doubled by one stacked product per step;
-    # the block of exponents s0 .. s0+B-1 is then this table times u^s0
-    size = min(block_rows(n), csize)
-    table = ctx.one().vector()[None, :]
-    step = u.vector()[None, :]
-    while len(table) < size:
-        table = np.vstack([table, ctx.mul_stack(table, np.broadcast_to(step, table.shape))])
-        step = ctx.mul_stack(step, step)
-    table, shift = table[:size], u**size
+    u = slice_generator(ctx, csize) ** ((ctx.order - 1) // csize)
     membership_ok = pattern_ok = True
 
     def odd_blocks():  # each block's odd u^s and s, once all of it is tested for membership
         nonlocal membership_ok
-        start = ctx.one()
-        for s0 in range(0, csize, size):
-            rows = table[: csize - s0]
-            block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
-            start = start * shift
-            s = np.arange(s0, s0 + len(block))
+        for block, s in _power_blocks(ctx, u, csize):
             odd = s % 2 == 1
             in_eigenspace = (ctx.frobenius_stack(block, t) == (-block) % p).all(axis=1)
             membership_ok &= np.array_equal(in_eigenspace, odd)
@@ -490,75 +495,18 @@ def remark_C_check(
     return _theorem_report("RemarkC", ctx, components, membership_ok, seed)
 
 
-def _orbit_representatives(
-    ctx: ExtensionContext, rows: np.ndarray, inverse: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows that are least in counting order in their orbit under
-    sigma and scaling by GF(p)^x, and the sizes of those orbits.
-
-    The least of the multiples c*w of a nonzero w is w divided by its
-    most significant nonzero digit, so the least of an orbit is the least
-    of the n images sigma^k(b), each divided by its own leading digit
-    (`inverse` holds 1/c mod p at c).  A row is kept when it equals that
-    least image.  Its orbit size is n(p - 1) over the number of images
-    that reduce to the row itself, the order of its stabiliser.
-    """
-    p, n = ctx.p, ctx.n
-    digits = p ** np.arange(n)
-    own = rows @ digits
-    images = np.stack([ctx.frobenius_stack(rows, k) for k in range(n)], axis=1)  # (B, n, n)
-    leading = np.zeros(images.shape[:2], dtype=np.int64)
-    for digit in np.moveaxis(images, 2, 0):  # least significant first: the last nonzero one stays
-        leading = np.where(digit != 0, digit, leading)
-    index = (images * inverse[leading][..., None] % p) @ digits  # (B, n)
-    keep = index.min(axis=1) == own
-    fixed = (index[keep] == own[keep, None]).sum(axis=1)
-    return rows[keep], n * (p - 1) // fixed
-
-
-def _orbit_blocks(ctx: ExtensionContext):
-    """Blocks of block_rows(n) orbit representatives of L^x under sigma
-    and GF(p)^x, in counting order, each with its orbit sizes.
-
-    Only elements whose most significant nonzero digit is 1 can be the
-    least of their orbit: the index ranges [p^t, 2p^t).  They are
-    enumerated in counting order in blocks of the same size, so memory
-    stays at one block of rows; representatives are held until a block
-    is full.  Raises InternalCheckError, once the walk is done, unless
-    the orbit sizes add up to p^n - 1.
-    """
-    p, n, q = ctx.p, ctx.n, ctx.order
-    size = block_rows(n)
-    inverse = np.array([0] + [pow(c, -1, p) for c in range(1, p)], dtype=np.int64)
-    reps, weights = np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    total = 0
-    for t in range(n):
-        for start in range(p**t, 2 * p**t, size):
-            rows = _counting_rows(p, n, start, min(start + size, 2 * p**t))
-            found, sizes = _orbit_representatives(ctx, rows, inverse)
-            total += int(sizes.sum())
-            reps, weights = np.concatenate([reps, found]), np.concatenate([weights, sizes])
-            if len(reps) >= size:
-                yield reps[:size], weights[:size]
-                reps, weights = reps[size:], weights[size:]
-    if len(reps):
-        yield reps, weights
-    if total != q - 1:
-        raise InternalCheckError(f"orbit sizes add up to {total}, not {q - 1}")
-
-
-def _check_orbit_identities(
+def _check_census_identities(
     ctx: ExtensionContext, vec: np.ndarray, i: int, rank: int, predicate: bool | None
 ) -> None:
     """The identities the census rests on in both modes, for one element b
-    by the scalar path: 2b and sigma(b) at i, and b at n - i, have the
-    rank that the stacked kernel gave b at i, and where the norm
-    predicate applies (`predicate` is not None) the same predicate.  A
-    difference raises InternalCheckError."""
+    by the scalar path: b*c*sigma^i(c) with c = theta at i, and b at
+    n - i, have the rank that the stacked kernel gave b at i, and where
+    the norm predicate applies (`predicate` is not None) the same
+    predicate.  A difference raises InternalCheckError."""
     p, n = ctx.p, ctx.n
+    b, c = ctx.element(vec), ctx.theta()
     moves = {
-        "2b": (2 * vec % p, i),
-        "sigma(b)": (ctx.frobenius_stack(vec[None], 1)[0], i),
+        "b*theta^(1+p^i)": ((b * c * ctx.frobenius_power(c, i)).vector(), i),
         f"b at i={n - i}": (vec, n - i),
     }
     for name, (moved, j) in moves.items():
@@ -566,9 +514,7 @@ def _check_orbit_identities(
         if predicate is not None:
             same &= is_degenerate_by_norm(ctx, ctx.element(moved), j) == predicate
         if not same:
-            raise InternalCheckError(
-                f"orbit identity fails for b={ctx.element(vec)}, i={i}: {name} differs"
-            )
+            raise InternalCheckError(f"census identity fails for b={b}, i={i}: {name} differs")
 
 
 def census_is_exhaustive(ctx: ExtensionContext) -> bool:
@@ -582,39 +528,47 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     1..n-1, asserting the predicted supports and cross-validating the
     norm predicate against the rank wherever it applies.
 
-    Both modes rank only i <= n/2 and copy i to n - i.  This rests on
-    three identities, each of which holds for every single element: the
-    form of c*b is c times the form of b; the form of sigma(b) is
-    congruent to the form of b; and the form of (b, sigma^(n-i)) is minus
-    the form of (sigma^i(b), sigma^i), so b has the same rank and the
-    same degeneracy at n - i as at i.  An exhaustive census
-    (p^n - 1 <= FULL_FIELD_CEILING) ranks one representative per orbit of
-    L^x under sigma and GF(p)^x, counted with its orbit size; a sampled
-    census ranks every drawn element, unweighted.  In either mode the
-    last row of every block is checked against all three identities by
-    the scalar path (_check_orbit_identities).  `checked` counts elements
-    either way.  The predicates are a condition only when some element
-    was checked at some power of order > 2, so they never pass vacuously.
+    Both modes rank only i <= n/2 and copy i to n - i: the form of
+    (b, sigma^(n-i)) is minus the form of (sigma^i(b), sigma^i), which is
+    congruent to the form of (b, sigma^i), so every element has the same
+    rank and the same degeneracy at n - i as at i.  An exhaustive census
+    (p^n - 1 <= FULL_FIELD_CEILING) rests on one more congruence: the
+    form of b at (cx, cy) is the form of b*c*sigma^i(c) = b*c^(1+p^i) at
+    (x, y), so the rank at i is constant on the cosets of the
+    (1+p^i)-th powers.  L^x is cyclic, so there are m_i = gcd(1+p^i, q-1)
+    of them, and x^0 .. x^(m_i - 1) is one element of each for the x
+    that slice_generator finds for lcm(m_i); each is counted (q-1)/m_i
+    times.  A sampled census ranks every drawn element, unweighted.  In
+    either mode the last row of every block is checked against both
+    identities by the scalar path (_check_census_identities).  `checked`
+    counts elements either way.  The predicates are a condition only when
+    some element was checked at some power of order > 2, so they never
+    pass vacuously.
     """
-    p, n = ctx.p, ctx.n
+    p, n, q = ctx.p, ctx.n, ctx.order
+    powers = range(1, n // 2 + 1)
+    predicate_powers = [i for i in powers if order_of(ctx, i) > 2]
     if census_is_exhaustive(ctx):
-        mode, checked, blocks = "exhaustive", ctx.order - 1, _orbit_blocks(ctx)
+        mode, checked = "exhaustive", q - 1
+        index = {i: math.gcd(1 + p**i, q - 1) for i in powers}
+        x = slice_generator(ctx, math.lcm(*index.values()))
+        walks = [(_ranked_blocks(ctx, _power_blocks(ctx, x, m), [i], [i] if i in predicate_powers else []),
+                  (q - 1) // m) for i, m in index.items()]
     else:
         mode, checked, rows = _row_blocks(p, n, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))
-        blocks = ((block, None) for block in rows)
-    powers = range(1, n // 2 + 1)
+        walks = [(_ranked_blocks(ctx, ((block, None) for block in rows), powers, predicate_powers), 1)]
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
-    disagreements = {i: 0 for i in powers if order_of(ctx, i) > 2}  # the predicate's powers
-    for block, weights, rank_of, predicates in _ranked_blocks(ctx, blocks, powers, list(disagreements)):
-        for i in powers:
-            ranks, predicate = rank_of[i], predicates.get(i)
-            last = None if predicate is None else bool(predicate[-1])
-            _check_orbit_identities(ctx, block[-1], i, int(ranks[-1]), last)
-            _tally(histograms[i], ranks, weights)
-            if predicate is not None:
-                mismatch = predicate != (ranks < n)
-                disagreements[i] += int(mismatch.sum() if weights is None else weights[mismatch].sum())
-    for i in range(powers.stop, n):  # identity (c): only i <= n/2 was ranked
+    disagreements = {i: 0 for i in predicate_powers}
+    for walk, weight in walks:
+        for block, _, rank_of, predicates in walk:
+            for i, ranks in rank_of.items():
+                predicate = predicates.get(i)
+                last = None if predicate is None else bool(predicate[-1])
+                _check_census_identities(ctx, block[-1], i, int(ranks[-1]), last)
+                _tally(histograms[i], ranks, weight)
+                if predicate is not None:
+                    disagreements[i] += int((predicate != (ranks < n)).sum()) * weight
+    for i in range(powers.stop, n):  # the mirror: only i <= n/2 was ranked
         histograms[i] = dict(histograms[n - i])
         if n - i in disagreements:
             disagreements[i] = disagreements[n - i]

@@ -377,20 +377,21 @@ def test_oracle_report_is_independent_of_block_size(ctx, monkeypatch):
     c = ctx(3, 5)
     blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     default = report_bytes(decomposition.oracle_survey(c))
-    # the 242 units fall into 24 orbits of size 10 and {1, 2}: all 25
-    # representatives in one block, ranked at i = 1, 2 only
-    assert blocks == [25, 25]
+    # the 242 units fall into m_i = gcd(1 + 3^i, 242) = 2 cosets at i = 1
+    # and at i = 2: one block of 2 representatives per power
+    assert blocks == [2, 2]
     blocks.clear()
     monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
     assert report_bytes(decomposition.oracle_survey(c)) == default
-    assert set(blocks) == {1} and len(blocks) == 50
+    assert blocks == [1] * 4
 
 
-@pytest.mark.parametrize("p,n,grams", [(3, 7, 471), (7, 4, 210)])
-def test_exhaustive_census_ranks_one_gram_per_orbit_and_power(ctx, monkeypatch, p, n, grams):
-    # (3, 7): 157 representatives for 2186 units, times i = 1, 2, 3, against
-    # 2186 * 6 = 13116 Grams ranked one per element; (7, 4): 105 times
-    # i = 1, 2, against 7200
+@pytest.mark.parametrize("p,n,grams", [(3, 7, 6), (7, 4, 58), (3, 12, 778), (3, 13, 12)])
+def test_exhaustive_census_ranks_one_gram_per_coset_and_power(ctx, monkeypatch, p, n, grams):
+    # sum of m_i = gcd(1 + p^i, p^n - 1) over i <= n/2.  (3, 7): 2 at each of
+    # i = 1, 2, 3, against 2186 * 6 = 13116 Grams ranked one per element;
+    # (7, 4): 8 + 50, against 7200; (3, 12): 4 + 10 + 28 + 2 + 4 + 730;
+    # (3, 13): 2 at each of i = 1 .. 6
     blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     decomposition.oracle_survey(ctx(p, n))
     assert sum(blocks) == grams
@@ -407,11 +408,18 @@ def test_sampled_census_ranks_each_draw_at_powers_up_to_n_over_2(ctx, monkeypatc
 
 
 def test_census_builds_each_norm_once(ctx, monkeypatch):
-    # (3, 7): one block of 157 representatives at i = 1, 2, 3, all with
-    # sub = gcd(7, 2i) = 1, so one product of the 7 conjugates: 6 stacked
-    # products, against 14 for a suffix times prefix rotated per power
+    # (3, 7) by cosets, one block of 2 rows per power: 6 products for its
+    # norm and 1 that forms the block, after 2 one-row products that double
+    # the table of powers
     products = block_lengths(monkeypatch, ExtensionContext, "mul_stack", 1)
     decomposition.oracle_survey(ctx(3, 7))
+    assert products == [1, 1, 2, 2, 2, 2, 2, 2, 2] * 3
+    # sampled in one block of 157 rows at i = 1, 2, 3, all with sub =
+    # gcd(7, 2i) = 1, so one product of the 7 conjugates: 6 stacked
+    # products, against 14 for a suffix times prefix rotated per power
+    products.clear()
+    monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)
+    decomposition.oracle_survey(ctx(3, 7), sample_cap=157)
     assert len(products) == 6 and set(products) == {157}
 
 
@@ -485,17 +493,17 @@ def test_remark_c_report_is_independent_of_block_size(ctx, monkeypatch, rows_per
 
 # every walk that _ranked_blocks serves; with the census ceiling at 100
 # (set by the tests below) the 80 units of (3, 4) are still walked by
-# orbits, and the 624 of (5, 4) are sampled
+# cosets, and the 624 of (5, 4) are sampled
 WALKS = {
     "direct-sum": lambda ctx: decomposition.verify_direct_sum(ctx(3, 4)),
     "TA": lambda ctx: decomposition.verify_theorem_A(ctx(3, 6)),
     "TC": lambda ctx: decomposition.verify_theorem_C(ctx(3, 8), sample_cap=50),
-    "orbit census": lambda ctx: decomposition.oracle_survey(ctx(3, 4)),
+    "coset census": lambda ctx: decomposition.oracle_survey(ctx(3, 4)),
     "sampled census": lambda ctx: decomposition.oracle_survey(ctx(5, 4), sample_cap=50),
     "RemarkC": lambda ctx: decomposition.remark_C_check(ctx(11, 16), 3),
 }
 # the walks that ask the driver for norm predicates too
-PREDICATE_WALKS = ["orbit census", "sampled census", "RemarkC"]
+PREDICATE_WALKS = ["coset census", "sampled census", "RemarkC"]
 
 
 @pytest.mark.parametrize("walk", WALKS)

@@ -1,13 +1,14 @@
-"""The exhaustive oracle census by orbits.
+"""The exhaustive oracle census by cosets.
 
-The census ranks one representative per orbit of L^x under sigma and
-GF(p)^x, for i <= n/2 only.  Here it is played against: the report bytes
-of the census that ranked every element for every i, frozen by SHA-256; a
-reference census that shares no code with skewrank.fields, forms or
-linalg; orbits found by brute force with Python sets; the three identities
-it rests on, as hypothesis properties of the scalar path; and the
-np.indices enumeration order.  The in-walk cross-checks must catch each
-identity broken on its own.
+The census ranks one representative per coset of the (1 + p^i)-th powers
+in L^x, for i <= n/2 only, and copies i to n - i.  Here it is played
+against: the report bytes of the census that ranked every element for
+every i, frozen by SHA-256; a reference census that shares no code with
+skewrank.fields, forms or linalg; cosets found by brute force with Python
+sets; and the identities behind it (the coset move b -> b*c^(1+p^i), the
+mirror n - i and the congruences it uses), as hypothesis properties of
+the scalar path.  The in-walk cross-checks must catch each identity
+broken on its own.
 """
 
 import hashlib
@@ -165,64 +166,54 @@ def test_census_matches_the_independent_reference(ctx, p, n):
 
 
 # ---------------------------------------------------------------------------
-# orbits and weights
+# cosets and weights
 # ---------------------------------------------------------------------------
 
-def census_blocks(c):
-    """(indices, orbit sizes) of every representative the census walks."""
-    reps, sizes = zip(*decomposition._orbit_blocks(c))
-    return (np.concatenate(reps) @ c.p ** np.arange(c.n)).tolist(), np.concatenate(sizes).tolist()
-
-
-@pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3)])
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4), (7, 3), (3, 6)])
 @pytest.mark.parametrize("stack_bytes", [None, 1])
-def test_representatives_are_the_least_of_their_orbits(ctx, monkeypatch, p, n, stack_bytes):
+def test_every_unit_is_one_coset_representative_times_one_power(ctx, monkeypatch, p, n, stack_bytes):
+    # at each i <= n/2 the census ranks x^0 .. x^(m_i - 1), m_i = gcd(1 + p^i,
+    # q - 1): every unit is x^k * h for exactly one k < m_i and h in H_i,
+    # the (1 + p^i)-th powers
     c = ctx(p, n)
     if stack_bytes:
         monkeypatch.setattr(linalg, "STACK_BYTES", stack_bytes)  # one row per block
-    orbits = {}
-    for b in elements(c):
-        orbit = set()
-        image = b
-        for _ in range(n):
-            orbit |= {(c.scalar(s) * image).index() for s in range(1, p)}
-            image = c.frobenius_power(image, 1)
-        orbits[min(orbit)] = len(orbit)
-    indices, sizes = census_blocks(c)
-    assert indices == sorted(orbits)
-    assert sizes == [orbits[v] for v in indices]
-    assert sum(sizes) == p**n - 1
+    walked = []
+    real = decomposition._power_blocks
+
+    def spy(c, g, count):
+        walked.append((g, count, []))
+        for rows, s in real(c, g, count):
+            walked[-1][2].extend(c.element(row).index() for row in rows)
+            yield rows, s
+
+    monkeypatch.setattr(decomposition, "_power_blocks", spy)
+    decomposition.oracle_survey(c)
+    units = list(elements(c))
+    x = walked[0][0]
+    for i, (g, m, ranked) in enumerate(walked, start=1):
+        assert (g, m) == (x, math.gcd(1 + p**i, p**n - 1))
+        assert ranked == [(x**k).index() for k in range(m)]
+        powers = {(h ** (1 + p**i)).index() for h in units}
+        assert len(powers) * m == len(units)
+        cosets = [{(x**k * c.from_index(h)).index() for h in powers} for k in range(m)]
+        assert sum(map(len, cosets)) == len(units) and set().union(*cosets) == {u.index() for u in units}
+    assert len(walked) == n // 2
 
 
-def test_orbit_sizes_must_cover_the_unit_group(ctx, monkeypatch):
-    real = decomposition._orbit_representatives
-
-    def one_short(c, rows, inverse):
-        reps, sizes = real(c, rows, inverse)
-        return reps, sizes - (reps[:, 0] == 1) * (reps[:, 1:] == 0).all(axis=1)  # the orbit of 1
-
-    monkeypatch.setattr(decomposition, "_orbit_representatives", one_short)
-    with pytest.raises(InternalCheckError, match="orbit sizes add up to 241, not 242"):
-        decomposition.oracle_survey(ctx(3, 5))
-
-
-@pytest.mark.parametrize("p,n", [(3, 5), (5, 4)])
+@pytest.mark.parametrize("p,n,count", [(3, 5, 40), (11, 4, 121)])
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
-def test_census_enumerates_in_the_np_indices_order(ctx, monkeypatch, p, n, rows_per_block):
+def test_power_blocks_are_the_scalar_powers_in_order(ctx, monkeypatch, p, n, count, rows_per_block):
+    # the doubling table and its shifted copies against FieldElement powers
     if rows_per_block:
         monkeypatch.setattr(linalg, "STACK_BYTES", 8 * n * n * rows_per_block)
-    walked = []
-    real = decomposition._counting_rows
-    monkeypatch.setattr(decomposition, "_counting_rows",
-                        lambda *args: walked.append(real(*args)) or walked[-1])
-    report = decomposition.oracle_survey(ctx(p, n))
-    grid = np.indices((p,) * n).reshape(n, -1).T[:, ::-1][1:]
-    # only a row whose most significant nonzero digit is 1 can be the least of its orbit
-    leading_one = [row[np.flatnonzero(row)[-1]] == 1 for row in grid]
-    assert np.array_equal(np.concatenate(walked), grid[leading_one])
-    assert len(grid[leading_one]) == (p**n - 1) // (p - 1)
-    assert max(map(len, walked)) == min(linalg.block_rows(n), p ** (n - 1))
-    assert report.checked == len(grid)
+    c = ctx(p, n)
+    g = c.theta() + c.one()
+    blocks = list(decomposition._power_blocks(c, g, count))
+    assert all(1 <= len(rows) <= linalg.block_rows(n) for rows, _ in blocks)
+    rows, exponents = (np.concatenate(parts) for parts in zip(*blocks))
+    assert exponents.tolist() == list(range(count))
+    assert [c.element(row) for row in rows] == [g**s for s in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +277,33 @@ def test_mirrored_power_is_minus_the_moved_form(instance):
 @st.composite
 def single_elements(draw):
     p, n = draw(st.sampled_from([3, 5, 7])), draw(st.integers(3, 12))
-    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any))
-    return p, n, coeffs, draw(st.integers(1, n - 1))
+    coeffs, mover = (draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any))
+                     for _ in range(2))
+    return p, n, coeffs, mover, draw(st.integers(1, n - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(single_elements())
 def test_each_element_keeps_its_rank_at_the_mirrored_power(instance):
-    # both census modes rank i <= n/2 only: for every single b, not just
-    # over whole orbits, b at n - i, 2b and sigma(b) have b's rank at i, and
-    # b's norm predicate at n - i is its predicate at i
-    p, n, coeffs, drawn = instance
+    # both census modes rank i <= n/2 only: for every single b, b at n - i
+    # and b*c^(1+p^i) at i have b's rank at i, and the same norm predicate
+    p, n, coeffs, mover, drawn = instance
     c = _ctx(p, n)
-    b = c.element(coeffs)
-    vec, conjugate = b.vector(), c.frobenius_stack(b.vector()[None], 1)[0]
+    b, mover = c.element(coeffs), c.element(mover)
 
     def rank(x, i):
-        return rank_mod(forms.gram_entries(c, x, i), p)
+        return rank_mod(forms.gram(c, x, i), p)
 
     for i in range(1, n):
-        assert rank(vec, i) == rank(vec, n - i) == rank(2 * vec % p, i) == rank(conjugate, i)
+        moved = b * mover ** (1 + p**i)
+        assert rank(b, i) == rank(b, n - i) == rank(moved, i)
         if order_of(c, i) > 2:
-            assert forms.is_degenerate_by_norm(c, b, i) == forms.is_degenerate_by_norm(c, b, n - i)
+            assert (forms.is_degenerate_by_norm(c, b, i) == forms.is_degenerate_by_norm(c, b, n - i)
+                    == forms.is_degenerate_by_norm(c, moved, i))
     # and the rank itself, at the drawn power, by sympy over GF(p)
-    gram = forms.gram_entries(c, vec, drawn)
+    gram = forms.gram(c, b, drawn)
     reference = DomainMatrix([[GF(p)(int(x)) for x in row] for row in gram], (n, n), GF(p)).rank()
-    assert rank(vec, drawn) == reference == rank(vec, n - drawn)
+    assert rank(b, drawn) == reference == rank(b, n - drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +313,31 @@ def test_each_element_keeps_its_rank_at_the_mirrored_power(instance):
 def test_every_rank_block_checks_the_identities(ctx, monkeypatch):
     c = ctx(3, 5)
     checked = []
-    real = decomposition._check_orbit_identities
-    monkeypatch.setattr(decomposition, "_check_orbit_identities",
+    real = decomposition._check_census_identities
+    monkeypatch.setattr(decomposition, "_check_census_identities",
                         lambda c, vec, i, *rest: checked.append((tuple(vec), i)) or real(c, vec, i, *rest))
     decomposition.oracle_survey(c)
-    # one block of 25 representatives, i = 1, 2; its last representative,
-    # unlike the first (b = 1), is moved by sigma
+    # one block of m_i = 2 representatives at each of i = 1, 2; its last
+    # representative, unlike the first (b = 1), is not fixed by the move
     assert [i for _, i in checked] == [1, 2]
-    b = c.element(checked[0][0])
-    assert c.frobenius_power(b, 1) != b
+    theta = c.theta()
+    for vec, i in checked:
+        b = c.element(vec)
+        assert b != c.one() and b * theta * c.frobenius_power(theta, i) != b
     checked.clear()
     monkeypatch.setattr(linalg, "STACK_BYTES", 1)
     decomposition.oracle_survey(c)
-    assert len(checked) == 50
+    assert len(checked) == 4
 
 
 def test_sampled_census_checks_the_identities_per_block(ctx, monkeypatch):
-    # the sampled census ranks i <= n/2 only, as the orbit census does, and
+    # the sampled census ranks i <= n/2 only, as the coset census does, and
     # checks the same identities on the last row of every block
     monkeypatch.setattr(decomposition, "FULL_FIELD_CEILING", 100)
     c = ctx(5, 4)
     checked = []
-    real = decomposition._check_orbit_identities
-    monkeypatch.setattr(decomposition, "_check_orbit_identities",
+    real = decomposition._check_census_identities
+    monkeypatch.setattr(decomposition, "_check_census_identities",
                         lambda c, vec, i, *rest: checked.append(i) or real(c, vec, i, *rest))
     blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     report = decomposition.oracle_survey(c, sample_cap=150)
@@ -357,15 +351,15 @@ def test_sampled_census_checks_the_identities_per_block(ctx, monkeypatch):
 
 
 @pytest.mark.parametrize("kernel", ["gram_entries", "is_degenerate_by_norm"])
-@pytest.mark.parametrize("move", ["2b", "sigma(b)", "b at i=3"])
-def test_orbit_check_names_the_identity_that_breaks(ctx, monkeypatch, kernel, move):
+@pytest.mark.parametrize("move", ["b*theta^(1+p^i)", "b at i=3"])
+def test_census_check_names_the_identity_that_breaks(ctx, monkeypatch, kernel, move):
     c = ctx(3, 5)
     b, i = c.element([0, 1, 1, 0, 0]), 2
-    target, power = {"2b": (c.scalar(2) * b, i), "sigma(b)": (c.frobenius_power(b, 1), i),
-                     "b at i=3": (b, 3)}[move]
+    theta = c.theta()
+    target, power = {"b*theta^(1+p^i)": (b * theta ** (1 + 3**i), i), "b at i=3": (b, 3)}[move]
     rank = rank_mod(forms.gram(c, b, i), 3)
     degenerate = forms.is_degenerate_by_norm(c, b, i)
-    decomposition._check_orbit_identities(c, b.vector(), i, rank, degenerate)
+    decomposition._check_census_identities(c, b.vector(), i, rank, degenerate)
     real = getattr(decomposition, kernel)
 
     def broken(c, x, j):
@@ -376,7 +370,7 @@ def test_orbit_check_names_the_identity_that_breaks(ctx, monkeypatch, kernel, mo
 
     monkeypatch.setattr(decomposition, kernel, broken)
     with pytest.raises(InternalCheckError, match=re.escape(f"{move} differs")):
-        decomposition._check_orbit_identities(c, b.vector(), i, rank, degenerate)
+        decomposition._check_census_identities(c, b.vector(), i, rank, degenerate)
 
 
 def test_census_fails_when_the_mirrored_power_disagrees(ctx, monkeypatch):
@@ -384,7 +378,7 @@ def test_census_fails_when_the_mirrored_power_disagrees(ctx, monkeypatch):
     real = decomposition.gram_entries
     monkeypatch.setattr(decomposition, "gram_entries",
                         lambda c, x, j: 0 * real(c, x, j) if j > c.n // 2 else real(c, x, j))
-    with pytest.raises(InternalCheckError, match="orbit identity fails"):
+    with pytest.raises(InternalCheckError, match="census identity fails"):
         decomposition.oracle_survey(ctx(3, 5))
 
 
@@ -394,5 +388,5 @@ def test_sampled_census_fails_when_the_mirrored_power_disagrees(ctx, monkeypatch
     real = decomposition.gram_entries
     monkeypatch.setattr(decomposition, "gram_entries",
                         lambda c, x, j: 0 * real(c, x, j) if j > c.n // 2 else real(c, x, j))
-    with pytest.raises(InternalCheckError, match="orbit identity fails"):
+    with pytest.raises(InternalCheckError, match="census identity fails"):
         decomposition.oracle_survey(ctx(5, 4), sample_cap=150)

@@ -120,7 +120,7 @@ def test_slice_generator_has_order_exactly_csize(ctx, p, n, i_index):
 
     c = ctx(p, n)
     csize = 2 * (p ** (n >> i_index) - 1)
-    u = dec.slice_generator(c, csize)
+    u = dec.slice_generator(c, csize) ** ((c.order - 1) // csize)
     assert u ** csize == c.one()
     assert all(u ** (csize // r) != c.one() for r in sympy.factorint(csize))
 

@@ -37,7 +37,8 @@ WALKS = {
     "direct-sum (3, 64)": "verify_direct_sum(ExtensionContext(3, 64), sample_cap=2**20)",
     "TC (3, 32)": "verify_theorem_C(ExtensionContext(3, 32), sample_cap=2**20)",
     "oracle (3, 64)": "oracle_survey(ExtensionContext(3, 64), sample_cap=2**20)",
-    "oracle (3, 15)": "oracle_survey(ExtensionContext(3, 15), sample_cap=2**20)",  # exhaustive
+    # exhaustive; its first full block is among the 3^7 + 1 cosets at i = 7
+    "oracle (3, 14)": "oracle_survey(ExtensionContext(3, 14), sample_cap=2**20)",
 }
 
 
