@@ -442,81 +442,6 @@ assert "sympy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-# SHA-256 of stdout at seed 0 unless the arguments say otherwise; the reports do
-# not depend on which non-degenerate j or which generator of the slice is chosen
-REPORT_SHA256 = {
-    "verify --theorem TA --p 3 --n 6": "49b9d99a6576b91d0852ec053fa0e0f339e03ec55d8becd9f7f7fd6b92538889",
-    "verify --theorem TA --p 3 --n 14 --seed 2": "009dde0d7014c5c9f6a52538716f6da5dd88c330b36c5817c631b1e65166dcfe",
-    "verify --theorem TA --p 7 --n 10": "77ec9aa106b34ecd832b5740e1b381e226269e5ac976a3aff9f45391895ac676",
-    "verify --theorem TA --p 11 --n 6": "8d8927454f2d2066319125d632d784990fa04286b6098a436f92f952ec14979b",
-    "verify --theorem RemarkC --p 5 --n 16": "4d3d8eab9ed9c9a59bd358a7c56e65f36735da9235ebc6651adfbf5e67b794d0",
-    "verify --theorem RemarkC --p 19 --n 16": "c728655b2b13bd5a24a9fbe914668fd3c83547277e61e2b627b87f640f8a84f2",
-    "verify --theorem RemarkC --p 11 --n 16 --i 3": "5e92ee46ba28d0eb5feb2950cd5e17d1eb71c2635f084f8c2c4c9a167e0d4bf9",
-}
-
-
-def test_ta_and_remark_c_reports_match_the_recorded_digests(capsys):
-    for argv, digest in REPORT_SHA256.items():
-        code, out, _ = run_cli(capsys, *argv.split())
-        assert code == 0, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
-
-
-# SHA-256 of stdout of sampled walks: how rows are drawn and cut into blocks
-# may change, the reports may not. TC (3, 8) at cap 1 draws an all-zero row,
-# and so redraws it, at seeds 0, 2, 3 and 8. Section 6 reports counts, not
-# its random fractions, so the order in which it draws them may change too
-SAMPLED_REPORT_SHA256 = {
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 0":
-        "38a357661ec077bf6b5190d90371d35a142aec7678a227338711f74a30c562b5",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 1":
-        "94e7817b31b220356a4257f856ba126a943dab192696c1855e2d5385ba42941b",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 2":
-        "059eca0a2de69a94f8ac81719bd3faefb8c305b8da7a9f729a336c30493d8c4a",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 3":
-        "e3fe32c9aab725a150952b99ab7e1d1a64c30ff50f61ce6cd3081be6dc084a1a",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 4":
-        "a18c63aadbc0d6bd7d1a7a6ab176722a893d18a5550f9f96cfad753ee3efca0a",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 5":
-        "d0ca86d92745620a9f40f373ce4ab0722007639d84727287db7dbd9d29b248a9",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 6":
-        "1401b3d4792bb6e4151bff48e628dcd2bdacb878bd398aba2ea295a49eb3122f",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 7":
-        "1f1254c0fd9669e1d7ec52f588b896a917b5576fdbbcf6abd3ea7b649f08c784",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 8":
-        "1d2d11bda3cbf0125d7b05d1ce4bdbd6f4458d09b7d0008c94c389067e53a0c1",
-    "verify --theorem TC --p 3 --n 8 --sample-cap 1 --seed 9":
-        "3f7bc10455045c02d8c47c1798ebb40a698a2da67248cbb2650c9c17f0749358",
-    "oracle --p 3 --n 16 --sample-cap 200 --seed 0":
-        "74a29ec62670dbbd7fce41ecf3f4327a8854a9cee90f14c17f3d2eda6746cfaf",
-    "oracle --p 3 --n 16 --sample-cap 200 --seed 1":
-        "c0c200cb0135806bfc82d99aac5e1c2d4b9e27012005194857e90467c3980b9e",
-    "oracle --p 3 --n 16 --sample-cap 200 --seed 2":
-        "3d5f6a610f32bb98ec7dab0daa426dc847e7316cfc2eec92344ebc0af7504f98",
-    "verify --theorem direct-sum --p 5 --n 6 --sample-cap 2000 --seed 1":
-        "2c7b9ed454420f0b0fa4f414d66072a43ff0e230016edf66fa8b37867b66f328",
-    "section6 --grid 2 --samples 300 --seed 0":
-        "b2face3dc19d45e8da2a813b1a91ac2c032abcf951267105ec49363ac01389b4",
-    "section6 --grid 2 --samples 300 --seed 1":
-        "ac7efe473eba70b5bc31254a3a419515cdd25232a67f34b0a80b6d53bade3abe",
-    "section6 --grid 2 --samples 300 --seed 2":
-        "20aa5de9610fa6f55e9288822ba32c5d843586895700cc4e46b01f19116996c7",
-    "section6 --grid 2 --samples 300 --seed 3":
-        "ceaf8363ce391b69fef6f28eec2a17ce032cd5c4c592aebd98fa646e3e2c77e1",
-    "section6 --grid 2 --samples 300 --seed 4":
-        "cd0b1d4fe55d9ed04136144bfffe9cb1c11e9f0b63273077839cc5ff9bf67c47",
-    "section6 --grid 1 --samples 1":
-        "fa9be71d51ebe5e52fce3464b16f063bdc1e886954406b813c383aaef5822262",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(SAMPLED_REPORT_SHA256))
-def test_sampled_reports_match_the_recorded_digests(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLED_REPORT_SHA256[argv]
-
-
 def test_theorem_a_at_a_large_prime_never_factors_the_unit_group():
     # factoring p^30 - 1 here used to hang; the scan for j accepts theta at once
     proc = subprocess.run(
@@ -525,74 +450,6 @@ def test_theorem_a_at_a_large_prime_never_factors_the_unit_group():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
-
-
-# the whole --format text output at seed 0, and the exit code
-TEXT_REPORTS = {
-    "oracle --p 3 --n 4": (0, """\
-skewrank 0.1.0  check=oracle
-instance: p=3 n=4
-mode: exhaustive
-i=1: {2:20,4:60}
-i=2: {0:8,4:72}
-i=3: {2:20,4:60}
-PASS
-"""),
-    "verify --theorem TC --p 3 --n 8": (0, """\
-skewrank 0.1.0  check=TC1
-instance: p=3 n=8 a=2 l=1 alpha=3 k=1
-label                                       dim expected       mode  checked  spectrum
-V1                                            1        6 exhaustive        2  {6:2} ok
-V2                                            1        6 exhaustive        2  {6:2} ok
-E1                                            4        8 exhaustive       80  {8:80} ok
-E2                                            2        8 exhaustive        8  {8:8} ok
-direct sum certificate: ok
-PASS
-"""),
-    "verify --theorem direct-sum --p 3 --n 12 --sample-cap 300": (0, """\
-skewrank 0.1.0  check=T2
-instance: p=3 n=12 a=2 l=1 alpha=2 k=3
-label                                       dim expected       mode  checked  spectrum
-A^1                                          12        -    sampled      300  {10:80,12:220} ok
-A^2                                          12        -    sampled      300  {8:32,12:268} ok
-A^3                                          12        -    sampled      300  {6:12,12:288} ok
-A^4                                          12        8    sampled      300  {8:300} ok
-A^5                                          12        -    sampled      300  {10:82,12:218} ok
-B^1                                           6        -    sampled      300  {12:300} ok
-direct sum certificate: ok
-PASS
-"""),
-    "verify --theorem RemarkC --p 11 --n 16": (0, """\
-skewrank 0.1.0  check=RemarkC
-instance: p=11 n=16 a=2 l=3 alpha=4 k=1
-label                                       dim expected       mode  checked  spectrum
-E3 slice: odd exponents divisible by 3        0       14 exhaustive       40  {14:40} ok
-E3 slice: odd exponents not divisible by 3    0       16 exhaustive       80  {16:80} ok
-slice membership: ok
-PASS
-"""),
-    "verify --theorem TA --p 7 --n 6": (0, """\
-skewrank 0.1.0  check=TA
-instance: p=7 n=6 a=3 l=1 alpha=1 k=3
-label                                       dim expected       mode  checked  spectrum
-U                                             3        6 exhaustive      342  {6:342} ok
-V                                             3        4 exhaustive      342  {4:342} ok
-direct sum certificate: ok
-PASS
-"""),
-    "section6 --grid 2 --samples 30": (0, """\
-skewrank 0.1.0  check=Section6
-anisotropic: true
-PASS
-"""),
-}
-
-
-@pytest.mark.parametrize("argv", sorted(TEXT_REPORTS))
-def test_text_reports_match_the_recorded_output(capsys, argv):
-    expected_code, expected = TEXT_REPORTS[argv]
-    code, out, _ = run_cli(capsys, *argv.split(), "--format", "text")
-    assert (code, out) == (expected_code, expected)
 
 
 def test_report_all_text_prints_every_run_and_every_skipped_check(capsys):
