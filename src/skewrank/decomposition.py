@@ -4,10 +4,10 @@ Each verifier returns a Report: the theorem verifiers give per-subspace
 rank spectra (component Reports) plus a direct-sum certificate, the
 oracle a whole-field rank census.  Every enumeration is either
 exhaustive or drawn from one seeded PCG64 stream (skewrank.stream), so
-reports are reproducible byte for byte.  Each GF(p) walk (a subspace's
-rows, the coset census, the sampled census, the RemarkC slice) is a
-source of row blocks for one driver, _ranked_blocks, which ranks and
-spot-checks them; a walk keeps only its tallies and its own checks.
+reports are reproducible byte for byte.  Each GF(p) walk (by cosets or
+sampled, of a subspace or of L, and the RemarkC slice) is a source of
+row blocks for one driver, _ranked_blocks, which ranks and spot-checks
+them; a walk keeps only its tallies and its own checks.
 """
 
 from __future__ import annotations
@@ -52,44 +52,94 @@ def _theorem_report(
 # enumeration helpers
 # ---------------------------------------------------------------------------
 
-def _counting_rows(p: int, dim: int, start: int, stop: int) -> np.ndarray:
-    """Rows start .. stop-1 of GF(p)^dim in counting order: row v holds
-    the base-p digits of v, least significant first."""
-    return np.stack(np.unravel_index(np.arange(start, stop), (p,) * dim)[::-1], axis=1)
+def _sampled_blocks(p: int, dim: int, n: int, count: int, rng: Stream):
+    """Blocks of at most block_rows(n) coefficient rows of GF(p)^dim: `count`
+    draws from `rng` with any all-zero draw redrawn.
 
-
-def _row_blocks(p: int, dim: int, n: int, limit: int, count: int, rng: Stream):
-    """Mode, row count and the blocks of at most block_rows(n) coefficient
-    rows of GF(p)^dim to evaluate.
-
-    Every nonzero tuple in counting order when there are at most `limit`
-    of them ("exhaustive"), else `count` draws from `rng` with any
-    all-zero draw redrawn ("sampled").  Sampled rows are drawn in chunks
-    of whole blocks, at most STACK_BYTES of values, and each chunk's
-    nonzero rows are yielded, so a chunk gives at most one short block;
-    drawing goes on until `count` nonzero rows are kept.  A draw gives
-    the same values split over calls or not, so the rows, as a multiset,
-    and `rng` after the last block are those of one call drawing all
-    rows, then rounds redrawing the rows still zero.  `rng` advances only
-    as blocks are taken: take every block before drawing from it again.
+    Rows are drawn in chunks of whole blocks, at most STACK_BYTES of
+    values, and each chunk's nonzero rows are yielded, so a chunk gives at
+    most one short block; drawing goes on until `count` nonzero rows are
+    kept.  A draw gives the same values split over calls or not, so the
+    rows, as a multiset, and `rng` after the last block are those of one
+    call drawing all rows, then rounds redrawing the rows still zero.
+    `rng` advances only as blocks are taken: take every block before
+    drawing from it again.
     """
     size = block_rows(n)
-    if p**dim - 1 <= limit:
-        blocks = (_counting_rows(p, dim, start, min(start + size, p**dim))
-                  for start in range(1, p**dim, size))
-        return "exhaustive", p**dim - 1, blocks
     chunk = max(size, linalg.STACK_BYTES // (8 * dim) // size * size)
+    left = count
+    while left:
+        rows = rng.integers(0, p, size=(min(chunk, left), dim))
+        rows = rows[rows.any(axis=1)]
+        left -= len(rows)
+        for offset in range(0, len(rows), size):
+            yield rows[offset : offset + size]
 
-    def blocks():
-        left = count
-        while left:
-            rows = rng.integers(0, p, size=(min(chunk, left), dim))
-            rows = rows[rows.any(axis=1)]
-            left -= len(rows)
-            for offset in range(0, len(rows), size):
-                yield rows[offset : offset + size]
 
-    return "sampled", count, blocks()
+def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
+    """The first x in counting order from index p whose image
+    u = x^((q-1)/csize) generates C, the cyclic subgroup of order csize
+    of L^x: u^(csize/r) != 1 for every prime r | csize.  Then for every
+    m | csize, x^((q-1)/m) has order m, so x^0 .. x^(m-1) lie in the m
+    distinct cosets of the m-th powers.  _coset_walk asks for the coset
+    index m of every exhaustive spectrum (rank_spectrum_check) and census
+    power (oracle_survey), remark_C_check for its slice of order 2(p^t - 1).
+
+    The scan skips the scalars only to start at theta; it does not need
+    to, since a scalar serves whenever csize divides p - 1, as csize = 2
+    does for the census at odd n.  csize is factored by trial division,
+    at most sqrt(csize)/2 + 1 divisors; the walk that follows costs more.
+    Trip count: x -> u maps L^x onto C with fibres of one size, so a
+    share phi(csize)/csize of the units serve and at most
+    (q - 1)(1 - phi(csize)/csize) + 1 elements are tried.
+    """
+    q = ctx.order
+    if (q - 1) % csize != 0:
+        raise InternalCheckError(f"{csize} does not divide the unit group order {q - 1}")
+    primes = list(factorize(csize))
+    one = ctx.one()
+    for v in range(ctx.p, q):
+        x = ctx.from_index(v)
+        u = x ** ((q - 1) // csize)
+        if all(u ** (csize // r) != one for r in primes):
+            return x
+    raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
+
+
+def _power_blocks(ctx: ExtensionContext, g: FieldElement, count: int, start: FieldElement):
+    """Blocks of at most block_rows(n) rows start*g^0 .. start*g^(count - 1),
+    in order, each with its exponents.  The rows g^0 .. g^(B-1) are built
+    once, doubled by one stacked product per step; the block of exponents
+    s0 .. s0+B-1 is then that table times start*g^s0."""
+    size = min(block_rows(ctx.n), count)
+    table = ctx.one().vector()[None, :]
+    step = g.vector()[None, :]
+    while len(table) < size:
+        table = np.vstack([table, ctx.mul_stack(table, np.broadcast_to(step, table.shape))])
+        step = ctx.mul_stack(step, step)
+    table, shift = table[:size], g**size
+    for s0 in range(0, count, size):
+        rows = table[: count - s0]
+        block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
+        yield block, np.arange(s0, s0 + len(block))
+        start = start * shift
+
+
+def _coset_walk(ctx: ExtensionContext, b0: FieldElement, t: int, i: int, predicate_powers=()):
+    """(walk, weight): the exhaustive walk of S = b0*GF(p^t) at sigma^i.
+
+    The form of b at (cx, cy) is the form of b*c*sigma^i(c) = b*c^(1+p^i)
+    at (x, y), so the rank at i is constant on b0 times each coset of the
+    (1+p^i)-th powers in GF(p^t)^x.  That group is cyclic of order
+    p^t - 1, so there are m = gcd(1+p^i, p^t - 1) cosets, and x^0 .. x^(m-1)
+    lie in distinct ones for x = g^((q-1)/(p^t-1)), g from slice_generator
+    for m.  The walk is _ranked_blocks over the rows b0*x^0 .. b0*x^(m-1)
+    at i, each of which stands for weight = (p^t - 1)/m elements.
+    """
+    units = ctx.p**t - 1
+    m = math.gcd(1 + ctx.p**i, units)
+    x = slice_generator(ctx, m) ** ((ctx.order - 1) // units)
+    return _ranked_blocks(ctx, _power_blocks(ctx, x, m, b0), [i], predicate_powers), units // m
 
 
 def _ranked_blocks(ctx: ExtensionContext, blocks, powers, predicate_powers=()):
@@ -151,29 +201,42 @@ def rank_spectrum_check(
     sample_cap: int = 10_000,
     rng: Stream | None = None,
 ) -> Report:
-    """Rank histogram of gram(b, i) over the span of basis_matrix rows.
+    """Rank histogram of gram(b, i) over the span S of basis_matrix rows.
 
-    Exhaustive when the subspace has at most sample_cap nonzero
-    elements (hard ceiling 2**20), otherwise sample_cap samples from
-    `rng`, by default the stream of seed 0.
-    Passing is _spectrum_ok against the `allowed` ranks; the report's
-    expected_rank is the rank when `allowed` has one element.
+    Exhaustive when S has at most sample_cap nonzero elements (hard
+    ceiling 2**20), otherwise sample_cap samples from `rng`, by default
+    the stream of seed 0.  An exhaustive walk needs S = b0*GF(p^dim), b0
+    the first basis row, and rows that are a basis of S: it checks both
+    by rank_mod, raising InternalCheckError if either fails, then ranks
+    one element per coset (_coset_walk) and checks the census identities
+    on the last row of each block.  Every verifier's space is of this
+    form.  Passing is _spectrum_ok against the `allowed` ranks; the
+    report's expected_rank is the rank when `allowed` has one element.
     """
-    dim = basis_matrix.shape[0]
-    limit = min(sample_cap, EXHAUSTIVE_CEILING)
-    if rng is None:
-        rng = Stream(0)
-    mode, checked, blocks = _row_blocks(ctx.p, dim, ctx.n, limit, sample_cap, rng)
-    elements = ((matmul_mod(block, basis_matrix, ctx.p), None) for block in blocks)
+    p, dim = ctx.p, basis_matrix.shape[0]
+    mode = "exhaustive" if p**dim - 1 <= min(sample_cap, EXHAUSTIVE_CEILING) else "sampled"
+    walk, weight = [], 1  # an empty basis spans no nonzero element
+    if mode == "sampled":
+        rows = _sampled_blocks(p, dim, ctx.n, sample_cap, Stream(0) if rng is None else rng)
+        walk = _ranked_blocks(ctx, ((matmul_mod(block, basis_matrix, p), None) for block in rows), [i])
+    elif dim:
+        b0 = ctx.element(basis_matrix[0])
+        field = [(b0 * f).coeffs for f in fixed_field_basis(ctx, dim).basis]
+        span = np.vstack([basis_matrix, field])
+        if len(field) != dim or rank_mod(basis_matrix, p) != dim or rank_mod(span, p) != dim:
+            raise InternalCheckError(f"the span of {label} is not b0*GF({p}^{dim}) for b0 = {b0}")
+        walk, weight = _coset_walk(ctx, b0, dim, i)
     spectrum: dict[int, int] = {}
-    for _, _, ranks, _ in _ranked_blocks(ctx, elements, [i]):
-        _tally(spectrum, ranks[i])
+    for rows, _, ranks, _ in walk:
+        if mode == "exhaustive":  # the walk stands on the coset congruence
+            _check_census_identities(ctx, rows[-1], i, int(ranks[i][-1]), None)
+        _tally(spectrum, ranks[i], weight)
     return Report(
         conditions={"spectrum": _spectrum_ok(spectrum, allowed, mode)},
         label=label,
         dimension=dim,
         expected_rank=min(allowed) if len(allowed) == 1 else None,
-        checked=checked,
+        checked=p**dim - 1 if mode == "exhaustive" else sample_cap,
         mode=mode,
         rank_spectrum=spectrum,
     )
@@ -352,53 +415,6 @@ def verify_theorem_C(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_
     return _split_report(ctx, theorem, spaces, seed, sample_cap)
 
 
-def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
-    """The first x in counting order from index p whose image
-    u = x^((q-1)/csize) generates C, the cyclic subgroup of order csize
-    of L^x: u^(csize/r) != 1 for every prime r | csize.  Then for every
-    m | csize, x^((q-1)/m) has order m, so x^0 .. x^(m-1) lie in the m
-    distinct cosets of the m-th powers.
-
-    The scan skips the scalars only to start at theta; it does not need
-    to, since a scalar serves whenever csize divides p - 1, as csize = 2
-    does for the census at odd n.  csize is factored by trial division,
-    at most sqrt(csize)/2 + 1 divisors; the walk that follows costs more.
-    Trip count: x -> u maps L^x onto C with fibres of one size, so a
-    share phi(csize)/csize of the units serve and at most
-    (q - 1)(1 - phi(csize)/csize) + 1 elements are tried.
-    """
-    q = ctx.order
-    if (q - 1) % csize != 0:
-        raise InternalCheckError(f"{csize} does not divide the unit group order {q - 1}")
-    primes = list(factorize(csize))
-    one = ctx.one()
-    for v in range(ctx.p, q):
-        x = ctx.from_index(v)
-        u = x ** ((q - 1) // csize)
-        if all(u ** (csize // r) != one for r in primes):
-            return x
-    raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
-
-
-def _power_blocks(ctx: ExtensionContext, g: FieldElement, count: int):
-    """Blocks of at most block_rows(n) rows g^0 .. g^(count - 1), in
-    order, each with its exponents.  The rows g^0 .. g^(B-1) are built
-    once, doubled by one stacked product per step; the block of exponents
-    s0 .. s0+B-1 is then that table times g^s0."""
-    size = min(block_rows(ctx.n), count)
-    table = ctx.one().vector()[None, :]
-    step = g.vector()[None, :]
-    while len(table) < size:
-        table = np.vstack([table, ctx.mul_stack(table, np.broadcast_to(step, table.shape))])
-        step = ctx.mul_stack(step, step)
-    table, shift, start = table[:size], g**size, ctx.one()
-    for s0 in range(0, count, size):
-        rows = table[: count - s0]
-        block = ctx.mul_stack(rows, np.broadcast_to(start.vector(), rows.shape))
-        yield block, np.arange(s0, s0 + len(block))
-        start = start * shift
-
-
 def remark_C_indices(p: int, n: int) -> range:
     """The eigenspace indices that Remark C covers at (p, n), smallest
     first.  With p + 1 = 2^a * l and n = 2^alpha * k (l, k odd) these are
@@ -461,7 +477,7 @@ def remark_C_check(
 
     def odd_blocks():  # each block's odd u^s and s, once all of it is tested for membership
         nonlocal membership_ok
-        for block, s in _power_blocks(ctx, u, csize):
+        for block, s in _power_blocks(ctx, u, csize, ctx.one()):
             odd = s % 2 == 1
             in_eigenspace = (ctx.frobenius_stack(block, t) == (-block) % p).all(axis=1)
             membership_ok &= np.array_equal(in_eigenspace, odd)
@@ -498,8 +514,8 @@ def remark_C_check(
 def _check_census_identities(
     ctx: ExtensionContext, vec: np.ndarray, i: int, rank: int, predicate: bool | None
 ) -> None:
-    """The identities the census rests on in both modes, for one element b
-    by the scalar path: b*c*sigma^i(c) with c = theta at i, and b at
+    """The identities every coset walk and the sampled census rest on, for
+    one element b by the scalar path: b*c*sigma^i(c) with c = theta at i, and b at
     n - i, have the rank that the stacked kernel gave b at i, and where
     the norm predicate applies (`predicate` is not None) the same
     predicate.  A difference raises InternalCheckError."""
@@ -532,30 +548,24 @@ def oracle_survey(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000
     (b, sigma^(n-i)) is minus the form of (sigma^i(b), sigma^i), which is
     congruent to the form of (b, sigma^i), so every element has the same
     rank and the same degeneracy at n - i as at i.  An exhaustive census
-    (p^n - 1 <= FULL_FIELD_CEILING) rests on one more congruence: the
-    form of b at (cx, cy) is the form of b*c*sigma^i(c) = b*c^(1+p^i) at
-    (x, y), so the rank at i is constant on the cosets of the
-    (1+p^i)-th powers.  L^x is cyclic, so there are m_i = gcd(1+p^i, q-1)
-    of them, and x^0 .. x^(m_i - 1) is one element of each for the x
-    that slice_generator finds for lcm(m_i); each is counted (q-1)/m_i
-    times.  A sampled census ranks every drawn element, unweighted.  In
-    either mode the last row of every block is checked against both
-    identities by the scalar path (_check_census_identities).  `checked`
-    counts elements either way.  The predicates are a condition only when
-    some element was checked at some power of order > 2, so they never
-    pass vacuously.
+    (p^n - 1 <= FULL_FIELD_CEILING) ranks one element per coset of the
+    (1+p^i)-th powers at each i, m_i = gcd(1+p^i, q-1) of them, each
+    counted (q-1)/m_i times: _coset_walk of all of L (b0 = 1, t = n).
+    A sampled census ranks every drawn element, unweighted.  In either
+    mode the last row of every block is checked against both identities
+    by the scalar path (_check_census_identities).  `checked` counts
+    elements either way.  The predicates are a condition only when some
+    element was checked at some power of order > 2, so they never pass
+    vacuously.
     """
     p, n, q = ctx.p, ctx.n, ctx.order
     powers = range(1, n // 2 + 1)
     predicate_powers = [i for i in powers if order_of(ctx, i) > 2]
     if census_is_exhaustive(ctx):
         mode, checked = "exhaustive", q - 1
-        index = {i: math.gcd(1 + p**i, q - 1) for i in powers}
-        x = slice_generator(ctx, math.lcm(*index.values()))
-        walks = [(_ranked_blocks(ctx, _power_blocks(ctx, x, m), [i], [i] if i in predicate_powers else []),
-                  (q - 1) // m) for i, m in index.items()]
+        walks = [_coset_walk(ctx, ctx.one(), n, i, [i] if i in predicate_powers else []) for i in powers]
     else:
-        mode, checked, rows = _row_blocks(p, n, n, FULL_FIELD_CEILING, sample_cap, Stream(seed))
+        mode, checked, rows = "sampled", sample_cap, _sampled_blocks(p, n, n, sample_cap, Stream(seed))
         walks = [(_ranked_blocks(ctx, ((block, None) for block in rows), powers, predicate_powers), 1)]
     histograms: dict[int, dict[int, int]] = {i: {} for i in range(1, n)}
     disagreements = {i: 0 for i in predicate_powers}

@@ -5,9 +5,9 @@ stacked Gram, field arithmetic and norm predicate against gram_entries,
 FieldElement arithmetic and is_degenerate_by_norm on every nonzero element
 of small fields; every int64 contraction, up to p = 2^31 - 1, against the
 same contraction in Python integers; the stacked Frobenius and norm against
-the field algebra they must obey; the streamed row blocks against the
-rows drawn in one call; and the census report against itself with
-one-row blocks.
+the field algebra they must obey; the streamed sampled row blocks against
+the rows drawn in one call, and an exhaustive spectrum against no draw at
+all; and the census report against itself with one-row blocks.
 """
 
 import json
@@ -22,7 +22,7 @@ from sympy.polys.matrices import DomainMatrix
 from skewrank import decomposition, forms, linalg
 from skewrank.errors import InternalCheckError, ZeroElement
 from skewrank.fields import ExtensionContext
-from skewrank.galois import order_of
+from skewrank.galois import fixed_field_basis, order_of
 from skewrank.linalg import matmul_mod, rank_mod, rank_mod_batch
 from skewrank.stream import Stream
 
@@ -397,6 +397,22 @@ def test_exhaustive_census_ranks_one_gram_per_coset_and_power(ctx, monkeypatch, 
     assert sum(blocks) == grams
 
 
+@pytest.mark.parametrize("verify, p, n, grams", [
+    (decomposition.verify_theorem_A, 3, 10, [2, 2]),
+    (decomposition.verify_theorem_C, 3, 16, [2, 2, 4, 4, 4]),
+    (decomposition.verify_direct_sum, 3, 8, [4, 10, 4, 82]),
+])
+def test_exhaustive_spectra_rank_one_gram_per_coset(ctx, monkeypatch, verify, p, n, grams):
+    # m = gcd(1 + p^i, p^t - 1) Grams per space b0*GF(p^t), against the
+    # p^t - 1 that ranked one per element: TA (3, 10) 242 per space; TC
+    # (3, 16) V1 2, V2 2, E1 6560, E2 80, E3 8; direct-sum (3, 8) 6560 at
+    # each of i = 1 .. 4.  The span checks rank by rank_mod, unseen here
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
+    report = verify(ctx(p, n))
+    assert report.passed and {comp.mode for comp in report.components} == {"exhaustive"}
+    assert blocks == grams + [1]  # and the one matrix of the direct-sum certificate
+
+
 @pytest.mark.parametrize("p,n,cap,grams", [(3, 16, 200, 1600), (1000003, 3, 300, 300)])
 def test_sampled_census_ranks_each_draw_at_powers_up_to_n_over_2(ctx, monkeypatch, p, n, cap, grams):
     # (3, 16): 200 draws times i = 1 .. 8, against 200 * 15 = 3000 at every
@@ -438,42 +454,44 @@ def test_sampled_reports_are_independent_of_block_size(ctx, monkeypatch):
     assert set(blocks) == {1}
 
 
-def one_call_rows(p, dim, limit, count, rng):
-    """The row source that the blocks replace: every row at once, in the
-    np.indices order when exhaustive, else one draw of all rows and then
-    rounds redrawing the all-zero ones."""
-    if p**dim - 1 <= limit:
-        return np.indices((p,) * dim).reshape(dim, -1).T[:, ::-1][1:], "exhaustive"
+def one_call_rows(p, dim, count, rng):
+    """The row source that the blocks replace: one draw of all rows and
+    then rounds redrawing the all-zero ones."""
     rows = rng.integers(0, p, size=(count, dim))
     while (zero := ~rows.any(axis=1)).any():
         rows[zero] = rng.integers(0, p, size=(int(zero.sum()), dim))
-    return rows, "sampled"
+    return rows
 
 
 # (3, 1) draws a zero row a third of the time, its redraws too; n = 6 sets
 # the block size, and small STACK_BYTES make chunks of 36 and 252 rows, so
-# with one-row blocks the redraws of zero rows span several chunks
+# with one-row blocks the redraws of zero rows span several chunks; where
+# GF(p)^dim has at most `limit` nonzero elements, a spectrum of
+# GF(p^dim) with that cap walks it by cosets and draws no row at all
 @pytest.mark.parametrize("p, dim, limit, count", [
     (3, 1, 0, 700), (3, 1, 2, 700), (3, 4, 79, 0), (3, 4, 79, 300), (3, 4, 80, 300), (5, 3, 100, 1000),
     (7, 3, 400, 50),
 ])
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
-def test_row_blocks_match_the_one_call_rows(monkeypatch, p, dim, limit, count, rows_per_block):
+def test_row_blocks_match_the_one_call_rows(ctx, monkeypatch, p, dim, limit, count, rows_per_block):
     n = 6
     if rows_per_block:
         monkeypatch.setattr(linalg, "STACK_BYTES", 8 * n * n * rows_per_block)
     size = linalg.block_rows(n)
     for seed in range(3):
         ours, theirs = Stream(seed), Stream(seed)
-        expect, expect_mode = one_call_rows(p, dim, limit, count, theirs)
-        mode, checked, blocks = decomposition._row_blocks(p, dim, n, limit, count, ours)
-        blocks = list(blocks)
-        assert (mode, checked) == (expect_mode, len(expect))
-        assert all(1 <= len(block) <= size and block.any(axis=1).all() for block in blocks)
-        rows = np.concatenate(blocks or [np.zeros((0, dim), np.int64)])
-        if mode == "sampled":  # a spectrum sees the rows only as a multiset
-            rows, expect = sorted(rows.tolist()), sorted(expect.tolist())
-        assert np.array_equal(rows, expect)
+        if p**dim - 1 <= limit:  # GF(p^dim) in GF(p^12), which holds dim = 1, 3 and 4
+            c = ctx(p, 12)
+            basis = fixed_field_basis(c, dim).basis_matrix()
+            report = decomposition.rank_spectrum_check(c, 1, basis, "F", {0}, sample_cap=limit, rng=ours)
+            assert (report.mode, report.checked) == ("exhaustive", p**dim - 1)
+        else:
+            expect = one_call_rows(p, dim, count, theirs)
+            blocks = list(decomposition._sampled_blocks(p, dim, n, count, ours))
+            assert all(1 <= len(block) <= size and block.any(axis=1).all() for block in blocks)
+            rows = np.concatenate(blocks or [np.zeros((0, dim), np.int64)])
+            # a spectrum sees the rows only as a multiset
+            assert sorted(rows.tolist()) == sorted(expect.tolist())
         # once every block is taken, the stream is where the one call leaves it
         assert np.array_equal(ours.integers(0, 2**32, size=5), theirs.integers(0, 2**32, size=5))
 

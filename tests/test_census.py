@@ -1,4 +1,4 @@
-"""The exhaustive oracle census by cosets.
+"""The exhaustive walks by cosets: the oracle census and the theorem spectra.
 
 The census ranks one representative per coset of the (1 + p^i)-th powers
 in L^x, for i <= n/2 only, and copies i to n - i.  Here it is played
@@ -12,8 +12,14 @@ Its report bytes are also held to those of the census that ranked every
 nonzero element for every i in 1..n-1: the golden files
 tests/golden/oracle_--p_P_--n_N.out at (3, 5), (5, 6), (3, 8), (7, 4) and
 (3, 10) are that census's stdout, checked by test_golden.py.
+
+An exhaustive theorem spectrum walks b0*GF(p^t) the same way.  It is
+played against the walk it replaced, which ranked every nonzero
+combination of the basis rows (elementwise_spectrum), on every space the
+verifiers build at fourteen instances and on random spans.
 """
 
+import contextlib
 import itertools
 import math
 import re
@@ -27,8 +33,8 @@ from sympy import GF, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from skewrank import decomposition, forms, linalg
-from skewrank.errors import InternalCheckError
-from skewrank.galois import order_of
+from skewrank.errors import HypothesisViolation, InternalCheckError, WrongShape
+from skewrank.galois import fixed_field_basis, order_of
 from skewrank.linalg import rank_mod
 
 from conftest import _ctx, block_lengths, elements
@@ -156,26 +162,26 @@ def test_census_matches_the_independent_reference(ctx, p, n):
 @pytest.mark.parametrize("stack_bytes", [None, 1])
 def test_every_unit_is_one_coset_representative_times_one_power(ctx, monkeypatch, p, n, stack_bytes):
     # at each i <= n/2 the census ranks x^0 .. x^(m_i - 1), m_i = gcd(1 + p^i,
-    # q - 1): every unit is x^k * h for exactly one k < m_i and h in H_i,
-    # the (1 + p^i)-th powers
+    # q - 1), x the generator slice_generator finds for m_i: every unit is
+    # x^k * h for exactly one k < m_i and h in H_i, the (1 + p^i)-th powers
     c = ctx(p, n)
     if stack_bytes:
         monkeypatch.setattr(linalg, "STACK_BYTES", stack_bytes)  # one row per block
     walked = []
     real = decomposition._power_blocks
 
-    def spy(c, g, count):
-        walked.append((g, count, []))
-        for rows, s in real(c, g, count):
-            walked[-1][2].extend(c.element(row).index() for row in rows)
+    def spy(c, g, count, start):
+        walked.append((g, count, start, []))
+        for rows, s in real(c, g, count, start):
+            walked[-1][3].extend(c.element(row).index() for row in rows)
             yield rows, s
 
     monkeypatch.setattr(decomposition, "_power_blocks", spy)
     decomposition.oracle_survey(c)
     units = list(elements(c))
-    x = walked[0][0]
-    for i, (g, m, ranked) in enumerate(walked, start=1):
-        assert (g, m) == (x, math.gcd(1 + p**i, p**n - 1))
+    for i, (x, count, start, ranked) in enumerate(walked, start=1):
+        m = math.gcd(1 + p**i, p**n - 1)
+        assert (x, count, start) == (decomposition.slice_generator(c, m), m, c.one())
         assert ranked == [(x**k).index() for k in range(m)]
         powers = {(h ** (1 + p**i)).index() for h in units}
         assert len(powers) * m == len(units)
@@ -191,12 +197,118 @@ def test_power_blocks_are_the_scalar_powers_in_order(ctx, monkeypatch, p, n, cou
     if rows_per_block:
         monkeypatch.setattr(linalg, "STACK_BYTES", 8 * n * n * rows_per_block)
     c = ctx(p, n)
-    g = c.theta() + c.one()
-    blocks = list(decomposition._power_blocks(c, g, count))
+    g, start = c.theta() + c.one(), c.theta() ** 2 + c.scalar(2)
+    blocks = list(decomposition._power_blocks(c, g, count, start))
     assert all(1 <= len(rows) <= linalg.block_rows(n) for rows, _ in blocks)
     rows, exponents = (np.concatenate(parts) for parts in zip(*blocks))
     assert exponents.tolist() == list(range(count))
-    assert [c.element(row) for row in rows] == [g**s for s in range(count)]
+    assert [c.element(row) for row in rows] == [start * g**s for s in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# the theorem spectra by cosets
+# ---------------------------------------------------------------------------
+
+def elementwise_spectrum(c, i, basis):
+    """The walk the coset walk replaced: the rank at i of every nonzero
+    combination of the basis rows, in counting order, 4096 at a time."""
+    p, dim = c.p, len(basis)
+    spectrum = Counter()
+    for start in range(1, p**dim, 4096):
+        index = np.arange(start, min(start + 4096, p**dim))
+        coeffs = np.stack(np.unravel_index(index, (p,) * dim)[::-1], axis=1)
+        grams = forms.gram_stack(c, linalg.matmul_mod(coeffs, basis, p), i)
+        spectrum.update(linalg.rank_mod_batch(grams, p).tolist())
+    return dict(spectrum)
+
+
+def verifier_spaces(c, monkeypatch):
+    """(i, basis, label, allowed) of every space that verify_direct_sum,
+    verify_theorem_A and verify_theorem_C hand to rank_spectrum_check at c,
+    where their hypotheses hold; a cap of 0 walks none of them."""
+    spaces = []
+    real = decomposition.rank_spectrum_check
+    monkeypatch.setattr(decomposition, "rank_spectrum_check",
+                        lambda c, *space, **kwargs: spaces.append(space[:4]) or real(c, *space, **kwargs))
+    for verify in (decomposition.verify_direct_sum, decomposition.verify_theorem_A,
+                   decomposition.verify_theorem_C):
+        with contextlib.suppress(HypothesisViolation, WrongShape):
+            verify(c, sample_cap=0)
+    monkeypatch.setattr(decomposition, "rank_spectrum_check", real)
+    return spaces
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (3, 6), (3, 8), (3, 10), (3, 16), (5, 4), (5, 6), (7, 3),
+                                 (7, 6), (7, 8), (11, 6), (11, 8), (19, 4)])
+def test_coset_walk_matches_the_elementwise_spectrum_of_every_verifier_space(ctx, monkeypatch, p, n):
+    # every space small enough to be walked exhaustively (at most 2^20
+    # elements; the largest here is all of GF(19^4)) passes the span check
+    # and has the spectrum of the element-by-element walk
+    c = ctx(p, n)
+    spaces = [space for space in verifier_spaces(c, monkeypatch)
+              if p ** len(space[1]) - 1 <= decomposition.EXHAUSTIVE_CEILING]
+    assert spaces
+    for i, basis, label, allowed in spaces:
+        report = decomposition.rank_spectrum_check(c, i, basis, label, allowed,
+                                                   sample_cap=decomposition.EXHAUSTIVE_CEILING)
+        assert report.mode == "exhaustive" and report.checked == p ** len(basis) - 1
+        assert report.rank_spectrum == elementwise_spectrum(c, i, basis), label
+        assert report.passed, label
+
+
+@st.composite
+def spans(draw):
+    """A span b0*GF(p^t) in GF(p^n) of at most 3000 nonzero elements, its
+    basis rows in a drawn order, and a power i."""
+    p, n = draw(st.sampled_from([3, 5, 7, 11, 13])), draw(st.integers(2, 10))
+    t = draw(st.sampled_from([t for t in range(1, n + 1) if n % t == 0 and p**t <= 3001]))
+    b0 = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any))
+    return p, n, t, b0, draw(st.permutations(range(t))), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spans())
+def test_coset_walk_matches_the_elementwise_spectrum_of_any_span(span):
+    p, n, t, coeffs, order, i = span
+    c = _ctx(p, n)
+    b0 = c.element(coeffs)
+    basis = np.array([(b0 * f).coeffs for f in fixed_field_basis(c, t).basis])[order]
+    expect = elementwise_spectrum(c, i, basis)
+    report = decomposition.rank_spectrum_check(c, i, basis, "S", set(expect), sample_cap=p**t - 1)
+    assert (report.mode, report.rank_spectrum, report.passed) == ("exhaustive", expect, True)
+
+
+def test_an_exhaustive_spectrum_checks_its_span(ctx):
+    # span{1, theta} in GF(3^4) is not b0*GF(3^2): theta generates all of GF(3^4)
+    c = ctx(3, 4)
+    basis = np.eye(4, dtype=np.int64)[:2]
+    with pytest.raises(InternalCheckError, match=re.escape("the span of S is not b0*GF(3^2)")):
+        decomposition.rank_spectrum_check(c, 1, basis, "S", {2, 4})
+    # sampled, it needs no span check: the 5 draws of seed 0 rank as always
+    sampled = decomposition.rank_spectrum_check(c, 1, basis, "S", {2, 4}, sample_cap=5)
+    assert (sampled.mode, sampled.checked, sampled.rank_spectrum) == ("sampled", 5, {2: 1, 4: 4})
+    # three rows cannot span a subfield of GF(3^4), though span{1, theta, theta^2} holds GF(3)
+    with pytest.raises(InternalCheckError, match=re.escape("the span of T is not b0*GF(3^3)")):
+        decomposition.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64)[:3], "T", {2, 4})
+    # rows 1, 1 lie in GF(3^2) but span only GF(3), which has 2 nonzero elements, not 8
+    with pytest.raises(InternalCheckError, match=re.escape("the span of D is not b0*GF(3^2)")):
+        decomposition.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64)[[0, 0]], "D", {4})
+
+
+def test_an_empty_basis_fails_without_a_walk(ctx):
+    report = decomposition.rank_spectrum_check(ctx(3, 4), 1, np.zeros((0, 4), dtype=np.int64), "E", {4})
+    assert (report.checked, report.mode, report.rank_spectrum, report.passed) == (0, "exhaustive", {}, False)
+
+
+def test_an_exhaustive_spectrum_fails_when_an_identity_breaks(ctx, monkeypatch):
+    # the spectrum ranks only at i = 1; the identity check also ranks b at n - 1
+    real = decomposition.gram_entries
+    monkeypatch.setattr(decomposition, "gram_entries",
+                        lambda c, x, j: 0 * real(c, x, j) if j == c.n - 1 else real(c, x, j))
+    with pytest.raises(InternalCheckError, match="census identity fails"):
+        decomposition.verify_theorem_A(ctx(3, 6))
+    # a sampled spectrum ranks every element it draws and rests on no identity
+    assert decomposition.verify_theorem_A(ctx(3, 6), sample_cap=10).passed
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ What the files freeze:
 - `oracle --p P --n N` at (3, 5), (5, 6), (3, 8), (7, 4) and (3, 10): the
   bytes of the census that ranked every nonzero element for every i in
   1..n-1, the slow path the coset census is checked against.
+- `verify` TC (3, 16), direct-sum (3, 8) and TA (11, 10) at cap 200000:
+  the bytes of the exhaustive spectra that ranked every nonzero element of
+  each space (161 050 per TA space), the slow path the coset walk of each
+  space is checked against.
 - `--format text`: the whole text rendering of one report per verb.
 """
 
@@ -32,7 +36,7 @@ from skewrank.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # files recorded so far; pytest skips an empty parameter set, so a lost
 # directory or file has to fail here
-RECORDED = 38
+RECORDED = 41
 
 
 def test_golden_directory_holds_every_reference():
