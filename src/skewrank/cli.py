@@ -172,7 +172,7 @@ def _text_block(report: Report) -> list[str]:
         for i, h in doc["histograms"].items():
             spec = ",".join(f"{r}:{k}" for r, k in h.items())
             lines.append(f"i={i}: {{{spec}}}")
-    if "direct_sum_ok" in doc:  # for RemarkC, the membership of u^s in E_i exactly for odd s
+    if "direct_sum_ok" in doc:  # for RemarkC, sigma^t(u) = -u: u^s is in E_i exactly for odd s
         label = "slice membership" if doc["theorem"] == "RemarkC" else "direct sum certificate"
         lines.append(f"{label}: {'ok' if doc['direct_sum_ok'] else 'FAIL'}")
     if "anisotropic" in doc:

@@ -5,7 +5,7 @@ rank spectra (component Reports) plus a direct-sum certificate, the
 oracle a whole-field rank census.  Every enumeration is either
 exhaustive or drawn from one seeded PCG64 stream (skewrank.stream), so
 reports are reproducible byte for byte.  Each GF(p) walk (by cosets or
-sampled, of a subspace or of L, and the RemarkC slice) is a source of
+sampled, of a subspace, of L or of the RemarkC eigenspace) is a source of
 row blocks for one driver, _ranked_blocks, which ranks and spot-checks
 them; a walk keeps only its tallies and its own checks.
 """
@@ -13,13 +13,14 @@ them; a walk keeps only its tallies and its own checks.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .arith import factorize
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
-from .fields import ExtensionContext, FieldElement
+from .fields import ExtensionContext, FieldElement, _QuotientRing
 from .forms import degeneracy_witness, gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
 from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import block_rows, matmul_mod, rank_mod, rank_mod_batch, rref_mod
@@ -85,24 +86,29 @@ def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
     index m of every exhaustive spectrum (rank_spectrum_check) and census
     power (oracle_survey), remark_C_check for its slice of order 2(p^t - 1).
 
-    The scan skips the scalars only to start at theta; it does not need
-    to, since a scalar serves whenever csize divides p - 1, as csize = 2
-    does for the census at odd n.  csize is factored by trial division,
-    at most sqrt(csize)/2 + 1 divisors; the walk that follows costs more.
-    Trip count: x -> u maps L^x onto C with fibres of one size, so a
-    share phi(csize)/csize of the units serve and at most
+    The scan is cached on (p, n, modulus, csize) and keeps only the index
+    of x, trying each x on a bare ring of the modulus, so it runs once
+    per field and csize in a process and keeps no context alive.  It
+    starts at theta, though a scalar serves whenever csize | p - 1.
+    csize is factored by trial division, at most sqrt(csize)/2 + 1
+    divisors.  Trip count: x -> u maps L^x onto C with fibres of one
+    size, so a share phi(csize)/csize of the units serve and at most
     (q - 1)(1 - phi(csize)/csize) + 1 elements are tried.
     """
-    q = ctx.order
+    return ctx.from_index(_generator_index(ctx.p, ctx.n, ctx.modulus, csize))
+
+
+@lru_cache(maxsize=None)
+def _generator_index(p: int, n: int, modulus: tuple[int, ...], csize: int) -> int:
+    q = p**n
     if (q - 1) % csize != 0:
         raise InternalCheckError(f"{csize} does not divide the unit group order {q - 1}")
     primes = list(factorize(csize))
-    one = ctx.one()
-    for v in range(ctx.p, q):
-        x = ctx.from_index(v)
-        u = x ** ((q - 1) // csize)
-        if all(u ** (csize // r) != one for r in primes):
-            return x
+    ring, one = _QuotientRing(p, n, modulus), np.eye(n, dtype=np.int64)[0]
+    for v in range(p, q):
+        u = ring._vpow(np.array([v // p**k % p for k in range(n)]), (q - 1) // csize)
+        if not any(np.array_equal(ring._vpow(u, csize // r), one) for r in primes):
+            return v
     raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
 
 
@@ -455,44 +461,38 @@ def remark_C_slice(p: int, n: int, i_index: int | None, sample_cap: int) -> tupl
 def remark_C_check(
     ctx: ExtensionContext, i_index: int, seed: int = 0, sample_cap: int = 10_000
 ) -> Report:
-    """Degeneracy pattern on the cyclic slice through E_{i_index} when
-    constant rank fails (alpha > a+1 and l > 1).
+    """Degeneracy pattern on E_{i_index}, where constant rank fails.
 
-    C = {b : b^(2(p^t - 1)) = 1} with t = n/2^i_index is cyclic with a
-    deterministic generator u; u^s lies in E_{i_index} exactly for odd
-    s, and the form of u^s is degenerate exactly when l divides s.
-    Both the norm predicate and the rank of each odd exponent are
-    checked (_ranked_blocks); the first of each block is also decided by
-    forms.degeneracy_witness, and a different answer raises
-    InternalCheckError.  The walk is exhaustive: a slice with more than
-    sample_cap odd exponents raises HypothesisViolation (remark_C_slice)
-    before the generator is sought.
+    C = {b : b^(2(p^t - 1)) = 1}, t = n/2^i_index, is cyclic with a
+    deterministic generator u.  One exact check, sigma^t(u) = -u, puts
+    u^s in E_{i_index} exactly for odd s; u^2 generates GF(p^t)^x, so
+    E_{i_index} = u*GF(p^t) holds the odd powers u*(u^2)^j, s = 1 + 2j.
+    The form of u^s is degenerate exactly when l | s.  Rank and l | s
+    (l | p + 1) are constant on the cosets of the (1+p)-th powers
+    (_coset_walk), so the walk ranks and decides the norm predicate of
+    the m = gcd(1 + p, p^t - 1) = p + 1 rows u*(u^2)^j, j < m, each
+    standing for (p^t - 1)/m elements.  forms.degeneracy_witness decides
+    each block's first row again (InternalCheckError if it differs), and
+    _check_census_identities checks its last.  A slice with more than
+    sample_cap odd exponents raises HypothesisViolation (remark_C_slice).
     """
     p, n = ctx.p, ctx.n
     _, t = remark_C_slice(p, n, i_index, sample_cap)
     _, l = two_adic_shape(p + 1)
-    csize = 2 * (p**t - 1)
-    u = slice_generator(ctx, csize) ** ((ctx.order - 1) // csize)
-    membership_ok = pattern_ok = True
-
-    def odd_blocks():  # each block's odd u^s and s, once all of it is tested for membership
-        nonlocal membership_ok
-        for block, s in _power_blocks(ctx, u, csize, ctx.one()):
-            odd = s % 2 == 1
-            in_eigenspace = (ctx.frobenius_stack(block, t) == (-block) % p).all(axis=1)
-            membership_ok &= np.array_equal(in_eigenspace, odd)
-            if odd.any():
-                yield block[odd], s[odd]
-
+    units, m = p**t - 1, math.gcd(1 + p, p**t - 1)
+    u = slice_generator(ctx, 2 * units) ** ((ctx.order - 1) // (2 * units))
+    membership_ok, pattern_ok = ctx.frobenius_power(u, t) == -u, True
+    blocks = ((rows, 1 + 2 * j) for rows, j in _power_blocks(ctx, u * u, m, u))
     spectra: dict[bool, dict[int, int]] = {True: {}, False: {}}
-    for odd_rows, s, rank_of, predicate_of in _ranked_blocks(ctx, odd_blocks(), [1], [1]):
+    for rows, s, rank_of, predicate_of in _ranked_blocks(ctx, blocks, [1], [1]):
         ranks, degenerate, expect = rank_of[1], predicate_of[1], s % l == 0
-        first = ctx.element(odd_rows[0])  # a third decision: Remark C's eta^(2^i_index) = 1
+        first = ctx.element(rows[0])  # a third decision: Remark C's eta^(2^i_index) = 1
         if degeneracy_witness(ctx, first, i_index).is_degenerate != degenerate[0]:
             raise InternalCheckError(f"degeneracy witness and norm predicate disagree for b={first}")
+        _check_census_identities(ctx, rows[-1], 1, int(ranks[-1]), bool(degenerate[-1]))
         pattern_ok &= np.array_equal(degenerate, expect) and np.array_equal(ranks < n, degenerate)
-        _tally(spectra[True], ranks[expect])
-        _tally(spectra[False], ranks[~expect])
+        _tally(spectra[True], ranks[expect], units // m)
+        _tally(spectra[False], ranks[~expect], units // m)
     components = [
         Report(
             conditions={

@@ -499,14 +499,14 @@ def test_row_blocks_match_the_one_call_rows(ctx, monkeypatch, p, dim, limit, cou
 @pytest.mark.parametrize("rows_per_block", [1, 3])
 def test_remark_c_report_is_independent_of_block_size(ctx, monkeypatch, rows_per_block):
     c = ctx(11, 16)
-    # the eigenspace test takes each whole block of exponents, odd and even
-    blocks = block_lengths(monkeypatch, ExtensionContext, "frobenius_stack", 1)
+    # the driver ranks the p + 1 = 12 coset representatives, one block by default
+    blocks = block_lengths(monkeypatch, decomposition, "rank_mod_batch", 0)
     default = report_bytes(decomposition.remark_C_check(c, 3))
-    assert max(blocks) == linalg.block_rows(16) == 64
+    assert blocks == [12]
     blocks.clear()
     monkeypatch.setattr(linalg, "STACK_BYTES", 8 * 16 * 16 * rows_per_block)
     assert report_bytes(decomposition.remark_C_check(c, 3)) == default
-    assert max(blocks) == rows_per_block
+    assert blocks == [rows_per_block] * (12 // rows_per_block)
 
 
 # every walk that _ranked_blocks serves; with the census ceiling at 100
@@ -533,18 +533,28 @@ def test_scalar_spot_check_catches_a_wrong_stacked_rank(ctx, monkeypatch, walk):
 
 
 def test_remark_c_checks_the_degeneracy_witness_once_per_block(ctx, monkeypatch):
-    calls = []
+    calls, checked = [], []
     real = forms.degeneracy_witness
+    identities = decomposition._check_census_identities
 
     def spy(*args):
         calls.append(real(*args))
         return calls[-1]
 
     monkeypatch.setattr(decomposition, "degeneracy_witness", spy)
+    monkeypatch.setattr(decomposition, "_check_census_identities",
+                        lambda c, vec, i, *rest: checked.append(i) or identities(c, vec, i, *rest))
     assert decomposition.remark_C_check(ctx(11, 16), 3).passed
-    # 240 exponents in blocks of 64: the witness decides u^s at s = 1, 65, 129
-    # and 193, degenerate exactly when l = 3 divides s
-    assert [w.is_degenerate for w in calls] == [False, False, True, False]
+    # the 12 coset representatives u^s, s = 1, 3, .., 23, fit one block: the
+    # witness decides u^1, and the census identities are checked on u^23
+    assert [w.is_degenerate for w in calls] == [False] and checked == [1]
+    calls.clear()
+    checked.clear()
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
+    assert decomposition.remark_C_check(ctx(11, 16), 3).passed
+    # degenerate exactly when l = 3 divides s
+    assert [w.is_degenerate for w in calls] == [s % 3 == 0 for s in range(1, 24, 2)]
+    assert checked == [1] * 12
 
     def flipped(*args):
         witness = real(*args)

@@ -2,15 +2,18 @@
 
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from skewrank import decomposition as dec
 from skewrank import forms, galois
-from skewrank.errors import HypothesisViolation, WrongShape
+from skewrank.arith import factorize
+from skewrank.errors import HypothesisViolation, NotInEigenspace, WrongShape
+from skewrank.fields import ExtensionContext
 
-from conftest import BIG_P, child_env, elements, first_generator, power_basis
+from conftest import BIG_P, block_lengths, child_env, elements, first_generator, power_basis
 
 
 def test_build_component_dimensions(ctx):
@@ -231,8 +234,10 @@ def scalar_remark_c(c, i_index):
     return spectra, membership_ok, pattern_ok
 
 
-@pytest.mark.parametrize("p,n,i_index", [(11, 16, 3), (5, 16, 2), (19, 16, 3)])
-def test_remark_c_matches_the_scalar_walk(ctx, p, n, i_index):
+@pytest.mark.parametrize("p,n,i_index", [(11, 16, 3), (5, 16, 2), (19, 16, 3), (5, 8, 2), (13, 8, 2),
+                                         (11, 32, 4)])
+def test_remark_c_matches_the_scalar_walk(ctx, monkeypatch, p, n, i_index):
+    grams = block_lengths(monkeypatch, dec, "rank_mod_batch", 0)
     report = dec.remark_C_check(ctx(p, n), i_index)
     spectra, membership_ok, pattern_ok = scalar_remark_c(ctx(p, n), i_index)
     assert membership_ok and pattern_ok
@@ -240,6 +245,40 @@ def test_remark_c_matches_the_scalar_walk(ctx, p, n, i_index):
     divisible, other = report.components
     assert divisible.rank_spectrum == spectra[True] == {n - 2: divisible.checked}
     assert other.rank_spectrum == spectra[False] == {n: other.checked}
+    # one Gram per coset of the (1 + p)-th powers, against one per odd
+    # exponent: 12 against 120 at (11, 16, 3)
+    assert sum(grams) == p + 1 and divisible.checked + other.checked == p ** (n >> i_index) - 1
+
+
+def test_remark_c_checks_that_u_lies_in_its_eigenspace(ctx, monkeypatch):
+    # x^2 for the slice generator x makes u a square, of order p^t - 1, so
+    # sigma^t(u) = u != -u and the powers of u leave E_3.  The witness of the
+    # first row refuses u; with it stubbed out, the report's own exact check
+    # sigma^t(u) = -u fails under direct_sum_ok
+    real = dec.slice_generator
+    monkeypatch.setattr(dec, "slice_generator", lambda c, csize: real(c, csize) ** 2)
+    with pytest.raises(NotInEigenspace):
+        dec.remark_C_check(ctx(11, 16), 3)
+    monkeypatch.setattr(dec, "degeneracy_witness", lambda c, b, i: types.SimpleNamespace(
+        is_degenerate=forms.is_degenerate_by_norm(c, b, 1)))
+    report = dec.remark_C_check(ctx(11, 16), 3)
+    assert report.direct_sum_ok is False and not report.passed
+
+
+@pytest.mark.parametrize("verify, p, n, scanned", [
+    (dec.verify_theorem_A, 3, 10, [2]),
+    (dec.verify_theorem_C, 3, 16, [2, 4]),
+])
+def test_slice_generator_scans_once_per_coset_index(monkeypatch, verify, p, n, scanned):
+    # TA (3, 10) asks for m = 2 for both V and U, TC (3, 16) for m = 2 (V1,
+    # V2) and m = 4 (E1, E2, E3); each scan factors its m once, and two
+    # fresh contexts of one field share the scans
+    calls = []
+    monkeypatch.setattr(dec, "factorize", lambda m: calls.append(m) or factorize(m))
+    dec._generator_index.cache_clear()
+    for _ in range(2):
+        assert verify(ExtensionContext(p, n)).passed
+    assert calls == scanned
 
 
 def test_corollary_odd_order(ctx):

@@ -23,6 +23,10 @@ What the files freeze:
   the bytes of the exhaustive spectra that ranked every nonzero element of
   each space (161 050 per TA space), the slow path the coset walk of each
   space is checked against.
+- `verify` RemarkC (11, 32) at i = 3 and (19, 32), at caps that admit
+  their slices: the bytes of the walk that ranked every odd exponent
+  (130 320 at (19, 32)), the slow path the coset walk of E_i is checked
+  against.
 - `--format text`: the whole text rendering of one report per verb.
 """
 
@@ -36,7 +40,7 @@ from skewrank.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # files recorded so far; pytest skips an empty parameter set, so a lost
 # directory or file has to fail here
-RECORDED = 41
+RECORDED = 43
 
 
 def test_golden_directory_holds_every_reference():
