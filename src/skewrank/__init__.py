@@ -20,7 +20,7 @@ from .forms import (
     gram,
     is_degenerate_by_norm,
 )
-from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of
+from .galois import eigenspace, fixed_field_basis, order_of
 from .report import Report
 
 # Section 6 over Q(eta_5) needs fractions and decimal, which no GF(p) run
@@ -52,7 +52,6 @@ __all__ = [
     "FieldElement",
     "Report",
     "SkewrankError",
-    "SubspaceSpec",
     "TernaryForm",
     "build_component",
     "degeneracy_coefficient",

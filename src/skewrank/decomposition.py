@@ -22,13 +22,14 @@ from .arith import factorize
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
 from .fields import ExtensionContext, FieldElement, _QuotientRing
 from .forms import degeneracy_witness, gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
-from .galois import SubspaceSpec, eigenspace, fixed_field_basis, order_of, two_adic_shape
+from .galois import eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import block_rows, matmul_mod, rank_mod, rank_mod_batch, rref_mod
 from .report import Report
 from .stream import RNG_NAME, Stream
 
 EXHAUSTIVE_CEILING = 2**20  # never enumerate a subspace larger than this
 FULL_FIELD_CEILING = 2**24  # cap for whole-field oracle enumeration
+_Space = tuple[str, FieldElement, int, int]  # (label, b0, t, rank): b0*GF(p^t) of constant rank
 
 
 def _theorem_report(
@@ -198,40 +199,43 @@ def _spectrum_ok(spectrum: dict[int, int], allowed: set[int], mode: str) -> bool
     return bool(spectrum) and set(spectrum) <= allowed and (mode != "exhaustive" or set(spectrum) == allowed)
 
 
+def _span_rows(ctx: ExtensionContext, b0: FieldElement, t: int) -> np.ndarray:
+    """Basis rows of S = b0*GF(p^t): b0 times each row of fixed_field_basis(ctx, t)."""
+    field = fixed_field_basis(ctx, t)
+    return ctx.mul_stack(field, np.broadcast_to(b0.vector(), field.shape))
+
+
 def rank_spectrum_check(
     ctx: ExtensionContext,
     i: int,
-    basis_matrix: np.ndarray,
+    b0: FieldElement,
+    t: int,
     label: str,
     allowed: set[int],
     sample_cap: int = 10_000,
     rng: Stream | None = None,
 ) -> Report:
-    """Rank histogram of gram(b, i) over the span S of basis_matrix rows.
+    """Rank histogram of gram(b, i) over S = b0*GF(p^t), b0 != 0, t | n.
 
+    Every space a verifier walks is of this form, and names it by (b0, t).
     Exhaustive when S has at most sample_cap nonzero elements (hard
-    ceiling 2**20), otherwise sample_cap samples from `rng`, by default
-    the stream of seed 0.  An exhaustive walk needs S = b0*GF(p^dim), b0
-    the first basis row, and rows that are a basis of S: it checks both
-    by rank_mod, raising InternalCheckError if either fails, then ranks
-    one element per coset (_coset_walk) and checks the census identities
-    on the last row of each block.  Every verifier's space is of this
-    form.  Passing is _spectrum_ok against the `allowed` ranks; the
-    report's expected_rank is the rank when `allowed` has one element.
+    ceiling 2**20): one element per coset (_coset_walk), with the census
+    identities checked on the last row of each block.  Otherwise
+    sample_cap draws from `rng`, by default the stream of seed 0, of
+    nonzero coefficient rows over _span_rows(ctx, b0, t).  Passing is
+    _spectrum_ok against the `allowed` ranks; the report's expected_rank
+    is the rank when `allowed` has one element.  A t that is not a
+    divisor of n, or b0 = 0, raises ValueError before any walk.
     """
-    p, dim = ctx.p, basis_matrix.shape[0]
-    mode = "exhaustive" if p**dim - 1 <= min(sample_cap, EXHAUSTIVE_CEILING) else "sampled"
-    walk, weight = [], 1  # an empty basis spans no nonzero element
+    p, n = ctx.p, ctx.n
+    if t < 1 or n % t or not b0:
+        raise ValueError(f"{label} must be b0*GF({p}^t) with b0 != 0 and t | {n}, got b0 = {b0}, t = {t}")
+    mode = "exhaustive" if p**t - 1 <= min(sample_cap, EXHAUSTIVE_CEILING) else "sampled"
     if mode == "sampled":
-        rows = _sampled_blocks(p, dim, ctx.n, sample_cap, Stream(0) if rng is None else rng)
-        walk = _ranked_blocks(ctx, ((matmul_mod(block, basis_matrix, p), None) for block in rows), [i])
-    elif dim:
-        b0 = ctx.element(basis_matrix[0])
-        field = [(b0 * f).coeffs for f in fixed_field_basis(ctx, dim).basis]
-        span = np.vstack([basis_matrix, field])
-        if len(field) != dim or rank_mod(basis_matrix, p) != dim or rank_mod(span, p) != dim:
-            raise InternalCheckError(f"the span of {label} is not b0*GF({p}^{dim}) for b0 = {b0}")
-        walk, weight = _coset_walk(ctx, b0, dim, i)
+        basis, rows = _span_rows(ctx, b0, t), _sampled_blocks(p, t, n, sample_cap, rng or Stream(0))
+        walk, weight = _ranked_blocks(ctx, ((matmul_mod(block, basis, p), None) for block in rows), [i]), 1
+    else:
+        walk, weight = _coset_walk(ctx, b0, t, i)
     spectrum: dict[int, int] = {}
     for rows, _, ranks, _ in walk:
         if mode == "exhaustive":  # the walk stands on the coset congruence
@@ -240,9 +244,9 @@ def rank_spectrum_check(
     return Report(
         conditions={"spectrum": _spectrum_ok(spectrum, allowed, mode)},
         label=label,
-        dimension=dim,
+        dimension=t,
         expected_rank=min(allowed) if len(allowed) == 1 else None,
-        checked=p**dim - 1 if mode == "exhaustive" else sample_cap,
+        checked=p**t - 1 if mode == "exhaustive" else sample_cap,
         mode=mode,
         rank_spectrum=spectrum,
     )
@@ -302,13 +306,12 @@ def verify_direct_sum(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10
     rng = Stream(seed)
     stacked: list[np.ndarray] = []
     components: list[Report] = []
-    full = np.eye(n, dtype=np.int64)  # all of L, in the power basis
     for i in component_representatives(n):
         rows = build_component(ctx, i)  # checks the dimension: n/2 or n
         stacked.append(rows)
         o = order_of(ctx, i)
         label = "B^1" if o == 2 else f"A^{i}"
-        check = rank_spectrum_check(ctx, i, full, label, _allowed_ranks(n, o), sample_cap, rng)
+        check = rank_spectrum_check(ctx, i, ctx.one(), n, label, _allowed_ranks(n, o), sample_cap, rng)
         check.dimension = len(rows)  # of the form space, not the parameter space
         components.append(check)
     direct_sum_ok = _is_basis(np.vstack(stacked), p)  # of all n(n-1)/2 skew-forms
@@ -342,9 +345,11 @@ def find_nondegenerate_b(ctx: ExtensionContext, i: int) -> FieldElement:
     raise InternalCheckError(f"no non-degenerate element found for i={i}")  # unreachable
 
 
-def theorem_A_subspaces(ctx: ExtensionContext) -> tuple[SubspaceSpec, SubspaceSpec]:
-    """(U, V) for n = 2k, k odd > 1: V is the fixed field of sigma^k and
-    U = jV for the first non-degenerate j."""
+def theorem_A_subspaces(ctx: ExtensionContext) -> list[_Space]:
+    """[(label, b0, t, rank)] of U and V for n = 2k, k odd > 1, each
+    space b0*GF(p^k): V = 1*GF(p^k) is the fixed field of sigma^k, of
+    constant rank n - 2, and U = jV, for the first non-degenerate j, of
+    constant rank n."""
     n = ctx.n
     if n % 2 != 0 or (n // 2) % 2 == 0:
         raise WrongShape("n/2 must be odd")
@@ -352,24 +357,20 @@ def theorem_A_subspaces(ctx: ExtensionContext) -> tuple[SubspaceSpec, SubspaceSp
         raise HypothesisViolation(
             "k = 1 leaves only the involution component; no rank-(n-2) part exists"
         )
-    v_space = fixed_field_basis(ctx, n // 2)
-    v_space.label, v_space.expected_rank = "V", n - 2
-    j = find_nondegenerate_b(ctx, 1)
-    u_space = SubspaceSpec(label="U", basis=[j * v for v in v_space.basis], expected_rank=n)
-    return u_space, v_space
+    return [("U", find_nondegenerate_b(ctx, 1), n // 2, n), ("V", ctx.one(), n // 2, n - 2)]
 
 
 def _split_report(
-    ctx: ExtensionContext, theorem: str, spaces: list[SubspaceSpec], seed: int, sample_cap: int
+    ctx: ExtensionContext, theorem: str, spaces: list[_Space], seed: int, sample_cap: int
 ) -> Report:
-    """Certificate of a split of the i=1 component: every space keeps
-    its expected constant rank, and together the spaces span L."""
+    """Certificate of a split of the i=1 component into spaces b0*GF(p^t):
+    every space keeps its constant rank, and together their _span_rows
+    span L."""
     rng = Stream(seed)
     components = [
-        rank_spectrum_check(ctx, 1, s.basis_matrix(), s.label, {s.expected_rank}, sample_cap, rng)
-        for s in spaces
+        rank_spectrum_check(ctx, 1, b0, t, label, {rank}, sample_cap, rng) for label, b0, t, rank in spaces
     ]
-    direct_sum_ok = _is_basis(np.vstack([s.basis_matrix() for s in spaces]), ctx.p)
+    direct_sum_ok = _is_basis(np.vstack([_span_rows(ctx, b0, t) for _, b0, t, _ in spaces]), ctx.p)
     return _theorem_report(theorem, ctx, components, direct_sum_ok, seed)
 
 
@@ -381,7 +382,7 @@ def verify_theorem_A(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_
     for any non-degenerate j);
     together they span L.
     """
-    return _split_report(ctx, "TA", list(theorem_A_subspaces(ctx)), seed, sample_cap)
+    return _split_report(ctx, "TA", theorem_A_subspaces(ctx), seed, sample_cap)
 
 
 def verify_theorem_C(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_000) -> Report:
@@ -392,6 +393,11 @@ def verify_theorem_C(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_
     rank n, except that when alpha > a+1 and l = 1 the spaces E_idx
     with idx > a carry constant rank n-2.  Also certifies that the
     pieces span L.
+
+    Each piece, the eigenspace of sigma^t for lam = +1 or -1, is walked
+    as b0*GF(p^t), b0 its first basis row: for any b in it, b/b0 is fixed
+    by sigma^t.  So the eigenspace must have dimension t and
+    sigma^t(b0) = lam*b0 must hold exactly; else InternalCheckError.
     """
     p, n = ctx.p, ctx.n
     if p % 4 != 3:
@@ -413,11 +419,13 @@ def verify_theorem_C(ctx: ExtensionContext, seed: int = 0, sample_cap: int = 10_
     ]
     spaces = []
     for label, t, lam, rank in pieces:
-        spec = eigenspace(ctx, t, lam, label=label)
-        if spec.dimension != t:
-            raise InternalCheckError(f"{label} has dimension {spec.dimension} != {t}")
-        spec.expected_rank = rank
-        spaces.append(spec)
+        rows = eigenspace(ctx, t, lam)
+        if len(rows) != t:
+            raise InternalCheckError(f"{label} has dimension {len(rows)} != {t}")
+        b0 = ctx.element(rows[0])
+        if ctx.frobenius_power(b0, t) != ctx.scalar(lam) * b0:
+            raise InternalCheckError(f"{label}: sigma^{t}(b0) != {lam}*b0 for b0 = {b0}")
+        spaces.append((label, b0, t, rank))
     return _split_report(ctx, theorem, spaces, seed, sample_cap)
 
 

@@ -160,12 +160,12 @@ def test_criterion_09_witness_identity_on_e2_at_3_8():
     c = _ctx(3, 8)
     e2 = galois.eigenspace(c, 2, -1)
     checked = 0
-    ok = e2.dimension == 2
+    ok = len(e2) == 2
     sign = c.scalar(-1 if (8 // 4) % 2 else 1)
     for coeffs in itertools.product(range(3), repeat=2):
         if not any(coeffs):
             continue
-        b = e2.basis[0] * c.scalar(coeffs[0]) + e2.basis[1] * c.scalar(coeffs[1])
+        b = c.element(e2[0]) * c.scalar(coeffs[0]) + c.element(e2[1]) * c.scalar(coeffs[1])
         wit = forms.degeneracy_witness(c, b, 2)
         # independent left side: norm as an explicit product of conjugates
         lhs = c.one()

@@ -15,8 +15,10 @@ tests/golden/oracle_--p_P_--n_N.out at (3, 5), (5, 6), (3, 8), (7, 4) and
 
 An exhaustive theorem spectrum walks b0*GF(p^t) the same way.  It is
 played against the walk it replaced, which ranked every nonzero
-combination of the basis rows (elementwise_spectrum), on every space the
-verifiers build at fourteen instances and on random spans.
+combination of the basis rows b0*f, f in GF(p^t) (elementwise_spectrum),
+on every space the verifiers hand it at fourteen instances and on random
+spaces; and each (b0, t) a verifier hands it is checked to be the space
+its theorem defines.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from skewrank import decomposition, forms, linalg
 from skewrank.errors import HypothesisViolation, InternalCheckError, WrongShape
-from skewrank.galois import fixed_field_basis, order_of
+from skewrank.galois import eigenspace, fixed_field_basis, order_of, two_adic_shape
 from skewrank.linalg import rank_mod
 
 from conftest import _ctx, block_lengths, elements
@@ -222,14 +224,20 @@ def elementwise_spectrum(c, i, basis):
     return dict(spectrum)
 
 
+def span_basis(c, b0, t):
+    """b0 times each basis row of the fixed field GF(p^t), by scalar products."""
+    return np.array([(b0 * c.element(f)).coeffs for f in fixed_field_basis(c, t)], dtype=np.int64)
+
+
 def verifier_spaces(c, monkeypatch):
-    """(i, basis, label, allowed) of every space that verify_direct_sum,
-    verify_theorem_A and verify_theorem_C hand to rank_spectrum_check at c,
-    where their hypotheses hold; a cap of 0 walks none of them."""
+    """(i, b0, t, label, allowed) of every space S = b0*GF(p^t) that
+    verify_direct_sum, verify_theorem_A and verify_theorem_C hand to
+    rank_spectrum_check at c, where their hypotheses hold; a cap of 0
+    walks none of them."""
     spaces = []
     real = decomposition.rank_spectrum_check
     monkeypatch.setattr(decomposition, "rank_spectrum_check",
-                        lambda c, *space, **kwargs: spaces.append(space[:4]) or real(c, *space, **kwargs))
+                        lambda c, *space, **kwargs: spaces.append(space[:5]) or real(c, *space, **kwargs))
     for verify in (decomposition.verify_direct_sum, decomposition.verify_theorem_A,
                    decomposition.verify_theorem_C):
         with contextlib.suppress(HypothesisViolation, WrongShape):
@@ -242,62 +250,62 @@ def verifier_spaces(c, monkeypatch):
                                  (7, 6), (7, 8), (11, 6), (11, 8), (19, 4)])
 def test_coset_walk_matches_the_elementwise_spectrum_of_every_verifier_space(ctx, monkeypatch, p, n):
     # every space small enough to be walked exhaustively (at most 2^20
-    # elements; the largest here is all of GF(19^4)) passes the span check
-    # and has the spectrum of the element-by-element walk
+    # elements; the largest here is all of GF(19^4)) has the spectrum of
+    # the element-by-element walk
     c = ctx(p, n)
     spaces = [space for space in verifier_spaces(c, monkeypatch)
-              if p ** len(space[1]) - 1 <= decomposition.EXHAUSTIVE_CEILING]
+              if p ** space[2] - 1 <= decomposition.EXHAUSTIVE_CEILING]
     assert spaces
-    for i, basis, label, allowed in spaces:
-        report = decomposition.rank_spectrum_check(c, i, basis, label, allowed,
+    for i, b0, t, label, allowed in spaces:
+        report = decomposition.rank_spectrum_check(c, i, b0, t, label, allowed,
                                                    sample_cap=decomposition.EXHAUSTIVE_CEILING)
-        assert report.mode == "exhaustive" and report.checked == p ** len(basis) - 1
-        assert report.rank_spectrum == elementwise_spectrum(c, i, basis), label
+        assert report.mode == "exhaustive" and report.checked == p**t - 1
+        assert report.rank_spectrum == elementwise_spectrum(c, i, span_basis(c, b0, t)), label
         assert report.passed, label
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (7, 6), (3, 10), (3, 8), (3, 16), (7, 8), (11, 8), (19, 8)])
+def test_every_verifier_space_is_the_space_its_theorem_defines(ctx, monkeypatch, p, n):
+    # a verifier names each space by (b0, t) alone, so b0*GF(p^t) must be
+    # the space the theorem defines: TA's fixed field V of sigma^(n/2) and
+    # U = jV, TC's nullspaces of sigma^t - lam, and all of L for direct-sum
+    c = ctx(p, n)
+    alpha, k = two_adic_shape(n)
+    if n % 4:  # TA at n = 2k, k odd
+        fixed = fixed_field_basis(c, n // 2)
+        j = decomposition.find_nondegenerate_b(c, 1)
+        defining = {"V": fixed, "U": np.array([(j * c.element(v)).coeffs for v in fixed])}
+    else:  # TC at 4 | n
+        defining = {"V1": eigenspace(c, k, 1), "V2": eigenspace(c, k, -1)}
+        defining |= {f"E{idx}": eigenspace(c, n >> idx, -1) for idx in range(1, alpha)}
+    spaces = verifier_spaces(c, monkeypatch)
+    for i, b0, t, label, _ in spaces:
+        space = defining.get(label, np.eye(n, dtype=np.int64))  # "A^i" and "B^1" walk L
+        rows = span_basis(c, b0, t)
+        assert len(space) == t and rank_mod(rows, p) == t, label
+        assert rank_mod(np.vstack([rows, space]), p) == t, label
+    assert set(defining) < {label for _, _, _, label, _ in spaces}
 
 
 @st.composite
 def spans(draw):
-    """A span b0*GF(p^t) in GF(p^n) of at most 3000 nonzero elements, its
-    basis rows in a drawn order, and a power i."""
+    """A space b0*GF(p^t) in GF(p^n) of at most 3000 nonzero elements and
+    a power i."""
     p, n = draw(st.sampled_from([3, 5, 7, 11, 13])), draw(st.integers(2, 10))
     t = draw(st.sampled_from([t for t in range(1, n + 1) if n % t == 0 and p**t <= 3001]))
     b0 = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).filter(any))
-    return p, n, t, b0, draw(st.permutations(range(t))), draw(st.integers(1, n - 1))
+    return p, n, t, b0, draw(st.integers(1, n - 1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(spans())
 def test_coset_walk_matches_the_elementwise_spectrum_of_any_span(span):
-    p, n, t, coeffs, order, i = span
+    p, n, t, coeffs, i = span
     c = _ctx(p, n)
     b0 = c.element(coeffs)
-    basis = np.array([(b0 * f).coeffs for f in fixed_field_basis(c, t).basis])[order]
-    expect = elementwise_spectrum(c, i, basis)
-    report = decomposition.rank_spectrum_check(c, i, basis, "S", set(expect), sample_cap=p**t - 1)
+    expect = elementwise_spectrum(c, i, span_basis(c, b0, t))
+    report = decomposition.rank_spectrum_check(c, i, b0, t, "S", set(expect), sample_cap=p**t - 1)
     assert (report.mode, report.rank_spectrum, report.passed) == ("exhaustive", expect, True)
-
-
-def test_an_exhaustive_spectrum_checks_its_span(ctx):
-    # span{1, theta} in GF(3^4) is not b0*GF(3^2): theta generates all of GF(3^4)
-    c = ctx(3, 4)
-    basis = np.eye(4, dtype=np.int64)[:2]
-    with pytest.raises(InternalCheckError, match=re.escape("the span of S is not b0*GF(3^2)")):
-        decomposition.rank_spectrum_check(c, 1, basis, "S", {2, 4})
-    # sampled, it needs no span check: the 5 draws of seed 0 rank as always
-    sampled = decomposition.rank_spectrum_check(c, 1, basis, "S", {2, 4}, sample_cap=5)
-    assert (sampled.mode, sampled.checked, sampled.rank_spectrum) == ("sampled", 5, {2: 1, 4: 4})
-    # three rows cannot span a subfield of GF(3^4), though span{1, theta, theta^2} holds GF(3)
-    with pytest.raises(InternalCheckError, match=re.escape("the span of T is not b0*GF(3^3)")):
-        decomposition.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64)[:3], "T", {2, 4})
-    # rows 1, 1 lie in GF(3^2) but span only GF(3), which has 2 nonzero elements, not 8
-    with pytest.raises(InternalCheckError, match=re.escape("the span of D is not b0*GF(3^2)")):
-        decomposition.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64)[[0, 0]], "D", {4})
-
-
-def test_an_empty_basis_fails_without_a_walk(ctx):
-    report = decomposition.rank_spectrum_check(ctx(3, 4), 1, np.zeros((0, 4), dtype=np.int64), "E", {4})
-    assert (report.checked, report.mode, report.rank_spectrum, report.passed) == (0, "exhaustive", {}, False)
 
 
 def test_an_exhaustive_spectrum_fails_when_an_identity_breaks(ctx, monkeypatch):

@@ -1,5 +1,6 @@
 """Component assembly and the theorem verifiers at small instances."""
 
+import re
 import subprocess
 import sys
 import types
@@ -10,7 +11,7 @@ import pytest
 from skewrank import decomposition as dec
 from skewrank import forms, galois
 from skewrank.arith import factorize
-from skewrank.errors import HypothesisViolation, NotInEigenspace, WrongShape
+from skewrank.errors import HypothesisViolation, InternalCheckError, NotInEigenspace, WrongShape
 from skewrank.fields import ExtensionContext
 
 from conftest import BIG_P, block_lengths, child_env, elements, first_generator, power_basis
@@ -137,14 +138,15 @@ def test_theorem_a_shapes_at_3_6(ctx):
 
 
 def test_theorem_a_v_equals_fixed_field(ctx):
-    # cross-theorem consistency: V is exactly the fixed field of sigma^k
+    # cross-theorem consistency: V = 1*GF(p^k) is exactly the fixed field of
+    # sigma^k, and U = j*GF(p^k) for the first non-degenerate j
     for (p, n) in [(3, 6), (3, 10)]:
         c = ctx(p, n)
-        u_space, v_space = dec.theorem_A_subspaces(c)
-        fixed = galois.fixed_field_basis(c, n // 2)
-        assert [b.coeffs for b in v_space.basis] == [b.coeffs for b in fixed.basis]
         j = dec.find_nondegenerate_b(c, 1)
-        assert [b.coeffs for b in u_space.basis] == [(j * v).coeffs for v in fixed.basis]
+        assert dec.theorem_A_subspaces(c) == [("U", j, n // 2, n), ("V", c.one(), n // 2, n - 2)]
+        fixed = galois.fixed_field_basis(c, n // 2)
+        assert np.array_equal(dec._span_rows(c, c.one(), n // 2), fixed)
+        assert [tuple(row) for row in dec._span_rows(c, j, n // 2)] == [(j * c.element(v)).coeffs for v in fixed]
 
 
 def test_theorem_a_hypothesis_gates(ctx):
@@ -154,6 +156,15 @@ def test_theorem_a_hypothesis_gates(ctx):
         dec.verify_theorem_A(ctx(3, 5))
     with pytest.raises(HypothesisViolation):
         dec.verify_theorem_A(ctx(3, 2))
+
+
+def test_theorem_c_checks_that_b0_is_an_eigenvector(ctx, monkeypatch):
+    # a +1 row handed out for a -1 piece has the right dimension, so only
+    # the exact check sigma^t(b0) = lam*b0 stands between it and the walk
+    real = dec.eigenspace
+    monkeypatch.setattr(dec, "eigenspace", lambda c, t, lam: real(c, t, 1))
+    with pytest.raises(InternalCheckError, match=re.escape("V2: sigma^1(b0) != -1*b0")):
+        dec.verify_theorem_C(ctx(3, 8))
 
 
 def test_theorem_c_at_3_4(ctx):
@@ -288,7 +299,7 @@ def test_corollary_odd_order(ctx):
     assert by_label["A^2"].passed
     assert by_label["A^2"].rank_spectrum == {4: 728}
     # sigma^4 = sigma^-2 has the same odd order 3
-    a4 = dec.rank_spectrum_check(c, 4, np.eye(6, dtype=np.int64), "A^4", allowed={4})
+    a4 = dec.rank_spectrum_check(c, 4, c.one(), 6, "A^4", allowed={4})
     assert a4.passed and a4.rank_spectrum == {4: 728} and a4.expected_rank == 4
     assert galois.order_of(c, 3) == 2  # sigma^3 is the involution, not an odd-order component
 
@@ -316,10 +327,8 @@ def test_oracle_degenerate_set_is_the_small_power_torsion(ctx):
 
 def test_sampled_mode_is_reproducible(ctx):
     c = ctx(3, 4)
-    a = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L",
-                                allowed={2, 4}, sample_cap=50)
-    b = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L",
-                                allowed={2, 4}, sample_cap=50)
+    a = dec.rank_spectrum_check(c, 1, c.one(), 4, "L", allowed={2, 4}, sample_cap=50)
+    b = dec.rank_spectrum_check(c, 1, c.one(), 4, "L", allowed={2, 4}, sample_cap=50)
     assert a.mode == "sampled" and a.rank_spectrum == b.rank_spectrum
     assert a.expected_rank is None
 
@@ -327,16 +336,30 @@ def test_sampled_mode_is_reproducible(ctx):
 def test_spectrum_pass_rule(ctx):
     # support inside the allowed set; an exhaustive run must attain all of it
     c = ctx(3, 4)
-    full = np.eye(4, dtype=np.int64)
-    exact = dec.rank_spectrum_check(c, 1, full, "L", allowed={2, 4})
+    one = c.one()
+    exact = dec.rank_spectrum_check(c, 1, one, 4, "L", allowed={2, 4})
     assert exact.mode == "exhaustive" and exact.passed
     assert exact.rank_spectrum == {2: 20, 4: 60}
-    assert not dec.rank_spectrum_check(c, 1, full, "L", allowed={0, 2, 4}).passed
-    assert not dec.rank_spectrum_check(c, 1, full, "L", allowed={4}).passed
+    assert not dec.rank_spectrum_check(c, 1, one, 4, "L", allowed={0, 2, 4}).passed
+    assert not dec.rank_spectrum_check(c, 1, one, 4, "L", allowed={4}).passed
     assert dec._spectrum_ok({4: 5}, {2, 4}, "sampled")
     assert not dec._spectrum_ok({4: 5}, {2, 4}, "exhaustive")
     assert not dec._spectrum_ok({}, {4}, "exhaustive")
     assert not dec._spectrum_ok({}, {4}, "sampled")
+
+
+@pytest.mark.parametrize("b0, t, why", [
+    ("theta", 0, "t = 0"), ("theta", 3, "t = 3"), ("theta", 8, "t = 8"), ("zero", 2, "b0 = <0 in GF(3^4)>"),
+])
+@pytest.mark.parametrize("sample_cap", [1, 10_000])
+def test_a_spectrum_needs_a_nonzero_b0_and_a_divisor_t(ctx, monkeypatch, b0, t, why, sample_cap):
+    # b0*GF(p^t) is a space of L only for t | n, and has p^t - 1 nonzero
+    # elements only for b0 != 0; neither walk starts on anything else
+    c = ctx(3, 4)
+    for walk in ("_coset_walk", "_sampled_blocks"):
+        monkeypatch.setattr(dec, walk, lambda *args: pytest.fail("walked"))
+    with pytest.raises(ValueError, match=re.escape(why)):
+        dec.rank_spectrum_check(c, 1, getattr(c, b0)(), t, "S", {2, 4}, sample_cap=sample_cap)
 
 
 @pytest.mark.parametrize("verify, p, n", [

@@ -4,8 +4,6 @@ attributes the benchmark's tracer reads from verifier results."""
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from skewrank import Report
 from skewrank import decomposition as dec
 
@@ -13,7 +11,7 @@ from skewrank import decomposition as dec
 def test_tracer_reads_checked_mode_and_components_and_no_condition_never_passes(ctx):
     # perfbench/tracer.py counts elements from exactly these attributes
     c = ctx(3, 4)
-    component = dec.rank_spectrum_check(c, 1, np.eye(4, dtype=np.int64), "L", allowed={2, 4})
+    component = dec.rank_spectrum_check(c, 1, c.one(), 4, "L", allowed={2, 4})
     assert (component.checked, component.mode) == (80, "exhaustive")
     survey = dec.oracle_survey(c)
     assert (survey.checked, survey.mode) == (80, "exhaustive")
