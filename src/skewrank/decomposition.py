@@ -5,15 +5,16 @@ rank spectra (component Reports) plus a direct-sum certificate, the
 oracle a whole-field rank census.  Every enumeration is either
 exhaustive or drawn from one seeded PCG64 stream (skewrank.stream), so
 reports are reproducible byte for byte.  Each GF(p) walk (by cosets or
-sampled, of a subspace, of L or of the RemarkC eigenspace) is a source of
-row blocks for one driver, _ranked_blocks, which ranks and spot-checks
-them; a walk keeps only its tallies and its own checks.
+sampled, of a space b0*GF(p^t): L, a subspace or a RemarkC eigenspace) is
+a source of row blocks for one driver, _ranked_blocks, which ranks and
+spot-checks them; a walk keeps only its tallies and its own checks.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -78,39 +79,37 @@ def _sampled_blocks(p: int, dim: int, n: int, count: int, rng: Stream):
             yield rows[offset : offset + size]
 
 
-def slice_generator(ctx: ExtensionContext, csize: int) -> FieldElement:
-    """The first x in counting order from index p whose image
-    u = x^((q-1)/csize) generates C, the cyclic subgroup of order csize
-    of L^x: u^(csize/r) != 1 for every prime r | csize.  Then for every
-    m | csize, x^((q-1)/m) has order m, so x^0 .. x^(m-1) lie in the m
-    distinct cosets of the m-th powers.  _coset_walk asks for the coset
-    index m of every exhaustive spectrum (rank_spectrum_check) and census
-    power (oracle_survey), remark_C_check for its slice of order 2(p^t - 1).
+def _coset_step(ctx: ExtensionContext, t: int, i: int) -> tuple[FieldElement, int]:
+    """(x, m) for the coset walk of b0*GF(p^t) at sigma^i: m = gcd(1+p^i,
+    p^t - 1) and x = g^((q-1)/(p^t-1)), g the first element in counting
+    order from index p (theta) with u = g^((q-1)/m) of order m: u^(m/r) != 1
+    for every prime r | m.  Then x lies in GF(p^t)^x and x^((p^t-1)/m) = u,
+    so x^0 .. x^(m-1) lie in the m distinct cosets of the m-th powers.
 
-    The scan is cached on (p, n, modulus, csize) and keeps only the index
-    of x, trying each x on a bare ring of the modulus, so it runs once
-    per field and csize in a process and keeps no context alive.  It
-    starts at theta, though a scalar serves whenever csize | p - 1.
-    csize is factored by trial division, at most sqrt(csize)/2 + 1
-    divisors.  Trip count: x -> u maps L^x onto C with fibres of one
-    size, so a share phi(csize)/csize of the units serve and at most
-    (q - 1)(1 - phi(csize)/csize) + 1 elements are tried.
+    The scan (_generator_index) is cached on (p, n, modulus, m) and tries
+    each g on a bare ring of the modulus, so it runs once per field and m
+    and keeps no context alive.  m, a coset index, is factored by trial
+    division.  A share phi(m)/m of the units serve, so at most
+    (q - 1)(1 - phi(m)/m) + 1 elements are tried.
     """
-    return ctx.from_index(_generator_index(ctx.p, ctx.n, ctx.modulus, csize))
+    units = ctx.p**t - 1
+    m = math.gcd(1 + ctx.p**i, units)
+    g = ctx.from_index(_generator_index(ctx.p, ctx.n, ctx.modulus, m))
+    return g ** ((ctx.order - 1) // units), m
 
 
 @lru_cache(maxsize=None)
-def _generator_index(p: int, n: int, modulus: tuple[int, ...], csize: int) -> int:
+def _generator_index(p: int, n: int, modulus: tuple[int, ...], m: int) -> int:
     q = p**n
-    if (q - 1) % csize != 0:
-        raise InternalCheckError(f"{csize} does not divide the unit group order {q - 1}")
-    primes = list(factorize(csize))
+    if (q - 1) % m != 0:
+        raise InternalCheckError(f"{m} does not divide the unit group order {q - 1}")
+    primes = list(factorize(m))
     ring, one = _QuotientRing(p, n, modulus), np.eye(n, dtype=np.int64)[0]
     for v in range(p, q):
-        u = ring._vpow(np.array([v // p**k % p for k in range(n)]), (q - 1) // csize)
-        if not any(np.array_equal(ring._vpow(u, csize // r), one) for r in primes):
+        u = ring._vpow(np.array([v // p**k % p for k in range(n)]), (q - 1) // m)
+        if not any(np.array_equal(ring._vpow(u, m // r), one) for r in primes):
             return v
-    raise InternalCheckError(f"no generator of the subgroup of order {csize}")  # unreachable
+    raise InternalCheckError(f"no generator of the subgroup of order {m}")  # unreachable
 
 
 def _power_blocks(ctx: ExtensionContext, g: FieldElement, count: int, start: FieldElement):
@@ -139,14 +138,12 @@ def _coset_walk(ctx: ExtensionContext, b0: FieldElement, t: int, i: int, predica
     at (x, y), so the rank at i is constant on b0 times each coset of the
     (1+p^i)-th powers in GF(p^t)^x.  That group is cyclic of order
     p^t - 1, so there are m = gcd(1+p^i, p^t - 1) cosets, and x^0 .. x^(m-1)
-    lie in distinct ones for x = g^((q-1)/(p^t-1)), g from slice_generator
-    for m.  The walk is _ranked_blocks over the rows b0*x^0 .. b0*x^(m-1)
-    at i, each of which stands for weight = (p^t - 1)/m elements.
+    lie in distinct ones for (x, m) = _coset_step(ctx, t, i).  The walk is
+    _ranked_blocks over the rows b0*x^j, j < m, at i, tagged with j, each
+    standing for weight = (p^t - 1)/m elements.
     """
-    units = ctx.p**t - 1
-    m = math.gcd(1 + ctx.p**i, units)
-    x = slice_generator(ctx, m) ** ((ctx.order - 1) // units)
-    return _ranked_blocks(ctx, _power_blocks(ctx, x, m, b0), [i], predicate_powers), units // m
+    x, m = _coset_step(ctx, t, i)
+    return _ranked_blocks(ctx, _power_blocks(ctx, x, m, b0), [i], predicate_powers), (ctx.p**t - 1) // m
 
 
 def _ranked_blocks(ctx: ExtensionContext, blocks, powers, predicate_powers=()):
@@ -471,36 +468,39 @@ def remark_C_check(
 ) -> Report:
     """Degeneracy pattern on E_{i_index}, where constant rank fails.
 
-    C = {b : b^(2(p^t - 1)) = 1}, t = n/2^i_index, is cyclic with a
-    deterministic generator u.  One exact check, sigma^t(u) = -u, puts
-    u^s in E_{i_index} exactly for odd s; u^2 generates GF(p^t)^x, so
-    E_{i_index} = u*GF(p^t) holds the odd powers u*(u^2)^j, s = 1 + 2j.
-    The form of u^s is degenerate exactly when l | s.  Rank and l | s
-    (l | p + 1) are constant on the cosets of the (1+p)-th powers
-    (_coset_walk), so the walk ranks and decides the norm predicate of
-    the m = gcd(1 + p, p^t - 1) = p + 1 rows u*(u^2)^j, j < m, each
-    standing for (p^t - 1)/m elements.  forms.degeneracy_witness decides
-    each block's first row again (InternalCheckError if it differs), and
-    _check_census_identities checks its last.  A slice with more than
-    sample_cap odd exponents raises HypothesisViolation (remark_C_slice).
+    E_{i_index} = {b : sigma^t(b) = -b}, t = n/2^i_index, is b0*GF(p^t)
+    for b0 the first row of eigenspace(ctx, t, -1), and the exact check
+    sigma^t(b0) = -b0 is the report's direct_sum_ok.  Each b in it is an
+    odd power u^s of a generator u of C = {b : b^(2(p^t - 1)) = 1}, and
+    its form is degenerate exactly when l | s, that is when b^e = 1 for
+    e = 2(p^t - 1)/l, whatever u.  The walk is _coset_walk(ctx, b0, t, 1,
+    [1]) over the m = p + 1 rows b0*x^j; since l | p + 1 the pattern is
+    constant on each coset, and row j is expected degenerate exactly when
+    b0^e * y^j = 1, y = x^e.  y^l = 1, so the l values are read at j mod l.
+    forms.degeneracy_witness decides each block's first row again
+    (InternalCheckError if it differs), _check_census_identities its last.
+    A slice with more than sample_cap odd exponents raises
+    HypothesisViolation (remark_C_slice).
     """
     p, n = ctx.p, ctx.n
     _, t = remark_C_slice(p, n, i_index, sample_cap)
     _, l = two_adic_shape(p + 1)
-    units, m = p**t - 1, math.gcd(1 + p, p**t - 1)
-    u = slice_generator(ctx, 2 * units) ** ((ctx.order - 1) // (2 * units))
-    membership_ok, pattern_ok = ctx.frobenius_power(u, t) == -u, True
-    blocks = ((rows, 1 + 2 * j) for rows, j in _power_blocks(ctx, u * u, m, u))
+    b0 = ctx.element(eigenspace(ctx, t, -1)[0])
+    membership_ok, pattern_ok = ctx.frobenius_power(b0, t) == -b0, True
+    e = 2 * (p**t - 1) // l
+    y = _coset_step(ctx, t, 1)[0] ** e  # the step of the walk below
+    expected = np.array([b == ctx.one() for b in accumulate(range(l - 1), lambda b, _: b * y, initial=b0**e)])
+    walk, weight = _coset_walk(ctx, b0, t, 1, [1])
     spectra: dict[bool, dict[int, int]] = {True: {}, False: {}}
-    for rows, s, rank_of, predicate_of in _ranked_blocks(ctx, blocks, [1], [1]):
-        ranks, degenerate, expect = rank_of[1], predicate_of[1], s % l == 0
+    for rows, j, rank_of, predicate_of in walk:
+        ranks, degenerate, expect = rank_of[1], predicate_of[1], expected[j % l]
         first = ctx.element(rows[0])  # a third decision: Remark C's eta^(2^i_index) = 1
         if degeneracy_witness(ctx, first, i_index).is_degenerate != degenerate[0]:
             raise InternalCheckError(f"degeneracy witness and norm predicate disagree for b={first}")
         _check_census_identities(ctx, rows[-1], 1, int(ranks[-1]), bool(degenerate[-1]))
         pattern_ok &= np.array_equal(degenerate, expect) and np.array_equal(ranks < n, degenerate)
-        _tally(spectra[True], ranks[expect], units // m)
-        _tally(spectra[False], ranks[~expect], units // m)
+        _tally(spectra[True], ranks[expect], weight)
+        _tally(spectra[False], ranks[~expect], weight)
     components = [
         Report(
             conditions={

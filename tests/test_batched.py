@@ -22,7 +22,7 @@ from sympy.polys.matrices import DomainMatrix
 from skewrank import decomposition, forms, linalg
 from skewrank.errors import InternalCheckError, ZeroElement
 from skewrank.fields import ExtensionContext
-from skewrank.galois import order_of
+from skewrank.galois import eigenspace, order_of
 from skewrank.linalg import matmul_mod, rank_mod, rank_mod_batch
 from skewrank.stream import Stream
 
@@ -543,16 +543,21 @@ def test_remark_c_checks_the_degeneracy_witness_once_per_block(ctx, monkeypatch)
     monkeypatch.setattr(decomposition, "degeneracy_witness", spy)
     monkeypatch.setattr(decomposition, "_check_census_identities",
                         lambda c, vec, i, *rest: checked.append(i) or identities(c, vec, i, *rest))
-    assert decomposition.remark_C_check(ctx(11, 16), 3).passed
-    # the 12 coset representatives u^s, s = 1, 3, .., 23, fit one block: the
-    # witness decides u^1, and the census identities are checked on u^23
-    assert [w.is_degenerate for w in calls] == [False] and checked == [1]
+    c = ctx(11, 16)
+    assert decomposition.remark_C_check(c, 3).passed
+    # the 12 coset representatives b0*x^j, j < 12, fit one block: the
+    # witness decides b0, and the census identities are checked on b0*x^11
+    b0, x = c.element(eigenspace(c, 2, -1)[0]), decomposition._coset_step(c, 2, 1)[0]
+    assert [w.is_degenerate for w in calls] == [rank_mod(forms.gram(c, b0, 1), 11) < 16]
+    assert checked == [1]
     calls.clear()
     checked.clear()
     monkeypatch.setattr(linalg, "STACK_BYTES", 1)  # one row per block
-    assert decomposition.remark_C_check(ctx(11, 16), 3).passed
-    # degenerate exactly when l = 3 divides s
-    assert [w.is_degenerate for w in calls] == [s % 3 == 0 for s in range(1, 24, 2)]
+    assert decomposition.remark_C_check(c, 3).passed
+    # in row order, and degenerate on (p + 1)/l = 12/3 rows
+    rows = [b0 * x**j for j in range(12)]
+    assert [w.is_degenerate for w in calls] == [rank_mod(forms.gram(c, b, 1), 11) < 16 for b in rows]
+    assert sum(w.is_degenerate for w in calls) == 4
     assert checked == [1] * 12
 
     def flipped(*args):

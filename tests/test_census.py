@@ -164,7 +164,7 @@ def test_census_matches_the_independent_reference(ctx, p, n):
 @pytest.mark.parametrize("stack_bytes", [None, 1])
 def test_every_unit_is_one_coset_representative_times_one_power(ctx, monkeypatch, p, n, stack_bytes):
     # at each i <= n/2 the census ranks x^0 .. x^(m_i - 1), m_i = gcd(1 + p^i,
-    # q - 1), x the generator slice_generator finds for m_i: every unit is
+    # q - 1), x the step _coset_step gives for m_i: every unit is
     # x^k * h for exactly one k < m_i and h in H_i, the (1 + p^i)-th powers
     c = ctx(p, n)
     if stack_bytes:
@@ -183,7 +183,7 @@ def test_every_unit_is_one_coset_representative_times_one_power(ctx, monkeypatch
     units = list(elements(c))
     for i, (x, count, start, ranked) in enumerate(walked, start=1):
         m = math.gcd(1 + p**i, p**n - 1)
-        assert (x, count, start) == (decomposition.slice_generator(c, m), m, c.one())
+        assert (x, count, start) == (decomposition._coset_step(c, n, i)[0], m, c.one())
         assert ranked == [(x**k).index() for k in range(m)]
         powers = {(h ** (1 + p**i)).index() for h in units}
         assert len(powers) * m == len(units)

@@ -1,5 +1,6 @@
 """Component assembly and the theorem verifiers at small instances."""
 
+import math
 import re
 import subprocess
 import sys
@@ -118,15 +119,46 @@ def test_find_nondegenerate_b_is_the_first_full_rank_element(ctx, p, n):
         assert dec.find_nondegenerate_b(c, i) == first
 
 
-@pytest.mark.parametrize("p,n,i_index", [(11, 16, 3), (5, 16, 2), (19, 16, 3)])
-def test_slice_generator_has_order_exactly_csize(ctx, p, n, i_index):
+@pytest.mark.parametrize("p,n", [(3, 8), (3, 16), (11, 16), (43, 16), (5, 16), (19, 16)])
+def test_coset_step_reaches_every_coset(ctx, monkeypatch, p, n):
+    # every (t, i) that a verifier or the census walks by cosets at (p, n):
+    # x lies in GF(p^t)^x, and its image modulo the m-th powers has order
+    # m, so x^0 .. x^(m - 1) lie in the m distinct cosets
     import sympy
 
-    c = ctx(p, n)
-    csize = 2 * (p ** (n >> i_index) - 1)
-    u = dec.slice_generator(c, csize) ** ((c.order - 1) // csize)
-    assert u ** csize == c.one()
-    assert all(u ** (csize // r) != c.one() for r in sympy.factorint(csize))
+    c, walked = ctx(p, n), set()
+    real = dec._coset_step
+    monkeypatch.setattr(dec, "_coset_step", lambda c, t, i: walked.add((t, i)) or real(c, t, i))
+    monkeypatch.setattr(dec, "_sampled_blocks", lambda *args: iter(()))  # only the coset walks count
+    verifiers = [dec.verify_direct_sum, dec.verify_theorem_A, dec.verify_theorem_C, dec.oracle_survey]
+    for verify in verifiers + [lambda c, i=i: dec.remark_C_check(c, i) for i in dec.remark_C_indices(p, n)]:
+        try:
+            verify(c)
+        except (HypothesisViolation, WrongShape):
+            pass
+    assert walked
+    for t, i in sorted(walked):
+        x, m = real(c, t, i)
+        assert m == math.gcd(1 + p**i, p**t - 1)
+        assert x ** (p**t - 1) == c.one()
+        assert all(x ** ((p**t - 1) // r) != c.one() for r in sympy.factorint(m)), (t, i)
+
+
+@pytest.mark.parametrize("p,n,i_index", [(11, 16, 3), (19, 16, 3), (5, 8, 2), (13, 8, 2), (43, 16, 3)])
+def test_remark_c_power_criterion_is_divisibility_of_the_exponent(ctx, p, n, i_index):
+    # remark_C_check decides l | s for b = u^s by b^(2(p^t - 1)/l) = 1, for
+    # u a generator of C = {b : b^(2(p^t - 1)) = 1}, found here by sympy
+    import sympy
+
+    c, t = ctx(p, n), n >> i_index
+    _, l = galois.two_adic_shape(p + 1)
+    csize = 2 * (p**t - 1)
+    u = next(u for u in (g ** ((c.order - 1) // csize) for g in elements(c))
+             if all(u ** (csize // r) != c.one() for r in sympy.factorint(csize)))
+    b, square = u, u * u
+    for s in range(1, csize, 2):
+        assert (b ** (csize // l) == c.one()) == (s % l == 0), s
+        b = b * square
 
 
 def test_theorem_a_shapes_at_3_6(ctx):
@@ -262,12 +294,12 @@ def test_remark_c_matches_the_scalar_walk(ctx, monkeypatch, p, n, i_index):
 
 
 def test_remark_c_checks_that_u_lies_in_its_eigenspace(ctx, monkeypatch):
-    # x^2 for the slice generator x makes u a square, of order p^t - 1, so
-    # sigma^t(u) = u != -u and the powers of u leave E_3.  The witness of the
-    # first row refuses u; with it stubbed out, the report's own exact check
-    # sigma^t(u) = -u fails under direct_sum_ok
-    real = dec.slice_generator
-    monkeypatch.setattr(dec, "slice_generator", lambda c, csize: real(c, csize) ** 2)
+    # a +1 row handed out for E_3 has the right dimension, so b0 is fixed by
+    # sigma^t and the walk b0*GF(p^t) leaves E_3.  The witness of the first
+    # row refuses b0; with it stubbed out, the report's own exact check
+    # sigma^t(b0) = -b0 fails under direct_sum_ok
+    real = dec.eigenspace
+    monkeypatch.setattr(dec, "eigenspace", lambda c, t, lam: real(c, t, 1))
     with pytest.raises(NotInEigenspace):
         dec.remark_C_check(ctx(11, 16), 3)
     monkeypatch.setattr(dec, "degeneracy_witness", lambda c, b, i: types.SimpleNamespace(

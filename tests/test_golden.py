@@ -8,8 +8,9 @@ write the run's stdout over the file:
     python -m skewrank verify --theorem TA --p 3 --n 6 > tests/golden/verify_--theorem_TA_--p_3_--n_6.out
 
 What the files freeze:
-- TA and RemarkC: these reports do not depend on which non-degenerate j or
-  which generator of the slice is chosen.
+- TA and RemarkC: these reports do not depend on which non-degenerate j,
+  eigenvector b0 or coset step is chosen.  RemarkC is recorded at
+  l = 3, 5, 7 and 11, the modulus of its expected pattern.
 - Sampled walks (TC (3, 8) at cap 1, oracle (3, 16) at cap 200, direct-sum
   (5, 6) at cap 2000) at several seeds: how rows are drawn and cut into
   blocks may change, the reports may not.  TC (3, 8) at cap 1 draws an
@@ -40,7 +41,7 @@ from skewrank.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # files recorded so far; pytest skips an empty parameter set, so a lost
 # directory or file has to fail here
-RECORDED = 43
+RECORDED = 45
 
 
 def test_golden_directory_holds_every_reference():
