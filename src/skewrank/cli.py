@@ -27,6 +27,7 @@ from . import __version__
 from .arith import is_prime
 from .decomposition import (
     EXHAUSTIVE_CEILING,
+    FULL_FIELD_CEILING,
     census_is_exhaustive,
     oracle_survey,
     remark_C_check,
@@ -228,8 +229,9 @@ def _run_section6(args) -> Report:
 def _run_report_all(args) -> Report:
     """Every check applicable at (p, n), each run tagged with its check
     name; passes when there is at least one run and every run passes.
-    A check whose instance has the wrong shape or violates its
-    hypotheses is listed as skipped; any other error ends the run."""
+    Every other check is listed as skipped with its reason (a wrong shape,
+    a violated hypothesis, RemarkC with no index, a sampled census); any
+    other error ends the run."""
     from . import cyclotomic
 
     _validate_instance(args.p, args.n)
@@ -249,10 +251,15 @@ def _run_report_all(args) -> Report:
     common = {"seed": args.seed, "sample_cap": args.sample_cap}
     for name in ("direct-sum", "TA", "TC"):
         attempt(name, lambda fn=VERIFIERS[name]: fn(ctx, **common))
-    for idx in remark_C_indices(args.p, args.n):
-        attempt(f"RemarkC[i={idx}]", lambda idx=idx: remark_C_check(ctx, idx, **common))
+    # with no index covered, remark_C_check(ctx, None) raises the hypothesis that fails
+    for idx in remark_C_indices(args.p, args.n) or [None]:
+        attempt("RemarkC" if idx is None else f"RemarkC[i={idx}]",
+                lambda idx=idx: remark_C_check(ctx, idx, **common))
     if census_is_exhaustive(ctx):
         attempt("oracle", lambda: oracle_survey(ctx, **common))
+    else:
+        reason = f"field size {ctx.order} exceeds {FULL_FIELD_CEILING}; the census would be sampled"
+        skipped.append({"check": "oracle", "reason": reason})
     attempt("section6", lambda: cyclotomic.verify_section6(grid=args.grid, samples=args.samples,
                                                            seed=args.seed))
     return Report(conditions={"runs": runs}, theorem="report-all", runs=runs, skipped=skipped)

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .arith import factorize
 from .errors import HypothesisViolation, InternalCheckError, WrongShape
-from .fields import ExtensionContext, FieldElement, _QuotientRing
+from .fields import ExtensionContext, FieldElement, _digits, _QuotientRing
 from .forms import degeneracy_witness, gram_entries, gram_stack, is_degenerate_by_norm, norm_predicates
 from .galois import eigenspace, fixed_field_basis, order_of, two_adic_shape
 from .linalg import block_rows, matmul_mod, rank_mod, rank_mod_batch, rref_mod
@@ -106,7 +106,7 @@ def _generator_index(p: int, n: int, modulus: tuple[int, ...], m: int) -> int:
     primes = list(factorize(m))
     ring, one = _QuotientRing(p, n, modulus), np.eye(n, dtype=np.int64)[0]
     for v in range(p, q):
-        u = ring._vpow(np.array([v // p**k % p for k in range(n)]), (q - 1) // m)
+        u = ring._vpow(_digits(v, p, n), (q - 1) // m)
         if not any(np.array_equal(ring._vpow(u, m // r), one) for r in primes):
             return v
     raise InternalCheckError(f"no generator of the subgroup of order {m}")  # unreachable
@@ -439,10 +439,10 @@ def remark_C_indices(p: int, n: int) -> range:
 def remark_C_slice(p: int, n: int, i_index: int | None, sample_cap: int) -> tuple[int, int]:
     """(i_index, t): the eigenspace index, the first of remark_C_indices
     when i_index is None, and t = n/2^i_index, the exponent of the slice
-    that remark_C_check walks at (p, n), once its hypotheses and the
-    sample cap hold; else raises HypothesisViolation.  Needs no context,
-    so a caller can reject an instance before paying for the modulus
-    search.
+    that remark_C_check walks at (p, n), once its hypotheses hold and its
+    walk, p + 1 Grams, is within min(sample_cap, EXHAUSTIVE_CEILING); else
+    raises HypothesisViolation.  Needs no context, so a caller can reject
+    an instance before paying for the modulus search.
     """
     indices = remark_C_indices(p, n)
     if not indices:  # name the hypothesis that fails
@@ -455,16 +455,15 @@ def remark_C_slice(p: int, n: int, i_index: int | None, sample_cap: int) -> tupl
         i_index = indices[0]
     elif i_index not in indices:
         raise HypothesisViolation(f"i_index must be in [{indices[0]}, {indices[-1]}], got {i_index}")
-    t = n >> i_index
-    if p**t - 1 > sample_cap:
+    if p + 1 > min(sample_cap, EXHAUSTIVE_CEILING):  # one Gram per coset: m = gcd(1 + p, p^t - 1), t even
         raise HypothesisViolation(
-            f"the E{i_index} slice has {p**t - 1} odd exponents, more than the sample cap {sample_cap}"
+            f"the E{i_index} walk ranks p + 1 = {p + 1} Grams, more than min(sample cap {sample_cap}, 2**20)"
         )
-    return i_index, t
+    return i_index, n >> i_index
 
 
 def remark_C_check(
-    ctx: ExtensionContext, i_index: int, seed: int = 0, sample_cap: int = 10_000
+    ctx: ExtensionContext, i_index: int | None, seed: int = 0, sample_cap: int = 10_000
 ) -> Report:
     """Degeneracy pattern on E_{i_index}, where constant rank fails.
 
@@ -479,11 +478,12 @@ def remark_C_check(
     b0^e * y^j = 1, y = x^e.  y^l = 1, so the l values are read at j mod l.
     forms.degeneracy_witness decides each block's first row again
     (InternalCheckError if it differs), _check_census_identities its last.
-    A slice with more than sample_cap odd exponents raises
-    HypothesisViolation (remark_C_slice).
+    i_index None takes the first of remark_C_indices.  An index outside
+    them, or a walk beyond the cap, raises HypothesisViolation
+    (remark_C_slice).
     """
     p, n = ctx.p, ctx.n
-    _, t = remark_C_slice(p, n, i_index, sample_cap)
+    i_index, t = remark_C_slice(p, n, i_index, sample_cap)
     _, l = two_adic_shape(p + 1)
     b0 = ctx.element(eigenspace(ctx, t, -1)[0])
     membership_ok, pattern_ok = ctx.frobenius_power(b0, t) == -b0, True
@@ -529,14 +529,11 @@ def _check_census_identities(
     predicate.  A difference raises InternalCheckError."""
     p, n = ctx.p, ctx.n
     b, c = ctx.element(vec), ctx.theta()
-    moves = {
-        "b*theta^(1+p^i)": ((b * c * ctx.frobenius_power(c, i)).vector(), i),
-        f"b at i={n - i}": (vec, n - i),
-    }
+    moves = {"b*theta^(1+p^i)": (b * c * ctx.frobenius_power(c, i), i), f"b at i={n - i}": (b, n - i)}
     for name, (moved, j) in moves.items():
-        same = rank_mod(gram_entries(ctx, moved, j), p) == rank
+        same = rank_mod(gram_entries(ctx, moved.vector(), j), p) == rank
         if predicate is not None:
-            same &= is_degenerate_by_norm(ctx, ctx.element(moved), j) == predicate
+            same &= is_degenerate_by_norm(ctx, moved, j) == predicate
         if not same:
             raise InternalCheckError(f"census identity fails for b={b}, i={i}: {name} differs")
 

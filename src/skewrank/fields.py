@@ -1,9 +1,10 @@
 """Exact arithmetic in the extension tower GF(p) <= GF(p^n).
 
-Elements live in L = GF(p)[x]/(modulus) and are stored as length-n int64
-coefficient vectors in the power basis {1, theta, ..., theta^(n-1)},
-theta a root of the monic irreducible modulus; their products are
-linalg.contract_mod contractions, exact for every p < 2^31.
+Elements live in L = GF(p)[x]/(modulus), each one read-only length-n
+int64 row of coefficients in the power basis {1, theta, ..., theta^(n-1)},
+theta a root of the monic irreducible modulus: the rows the stacked
+kernels take.  Sums are (a +- b) % p, products linalg.contract_mod
+contractions, exact for every p < 2^31.
 ExtensionContext builds its tables once, read-only: the n powers of
 x -> x^p as n x n matrices over GF(p) and the traces tr(theta^u), so
 automorphism powers, traces, norms and Gram matrices reduce to exact
@@ -19,8 +20,8 @@ Determinism contract: the modulus defaults to the lexicographically
 smallest monic irreducible polynomial (coefficients compared from the
 constant term up), and every element search scans in counting order
 (index v has coefficients equal to the base-p digits of v, constant
-term least significant), so identical parameters always reproduce
-identical bytes.
+term least significant: _digits), so identical parameters always
+reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _check_prime(p: int) -> None:
         raise InvalidPrime("characteristic two is not supported")
 
 
+def _digits(v: int, p: int, n: int) -> np.ndarray:
+    """The n base-p digits of v, least significant first: the counting order of every scan."""
+    digits = np.empty(n, dtype=np.int64)
+    for k in range(n):
+        v, digits[k] = divmod(v, p)
+    return digits
+
+
 @lru_cache(maxsize=None)
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over GF(p).
@@ -76,11 +85,11 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         raise InvalidDegree(f"extension degree must be >= 2, got {n}")
     _check_prime(p)
     # Candidate v has the base-p digits (c0, ..., c_{n-1}) of v, c0 most
-    # significant, so increasing v is increasing lexicographic order
-    # compared from c0.  Every candidate with c0 = 0 is divisible by x, so
-    # the scan starts at v = p^(n-1), where c0 = 1.
+    # significant (_digits reversed), so increasing v is increasing
+    # lexicographic order compared from c0.  Every candidate with c0 = 0 is
+    # divisible by x, so the scan starts at v = p^(n-1), where c0 = 1.
     for v in range(p ** (n - 1), p**n):
-        modulus = tuple(v // p**k % p for k in reversed(range(n))) + (1,)
+        modulus = tuple(_digits(v, p, n)[::-1].tolist()) + (1,)
         try:
             _QuotientRing(p, n, modulus)._frobenius_if_irreducible()
             return modulus
@@ -89,11 +98,14 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
 
 class FieldElement:
-    """Element of GF(p^n) as a coefficient vector in the power basis."""
+    """Element of GF(p^n): coeffs, its row of residues in [0, p) in the power
+    basis, is read-only.  The constructor freezes the array it is given, so
+    it takes only arrays that nothing else writes to: kernel outputs or copies."""
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: "ExtensionContext", coeffs: tuple[int, ...]):
+    def __init__(self, ctx: "ExtensionContext", coeffs: np.ndarray):
+        coeffs.flags.writeable = False
         self.ctx = ctx
         self.coeffs = coeffs
 
@@ -110,75 +122,68 @@ class FieldElement:
         return other
 
     def vector(self) -> np.ndarray:
-        """Coefficient vector as a fresh numpy array."""
-        return np.array(self.coeffs, dtype=np.int64)
+        """The coefficient row itself, read-only: copy it to write."""
+        return self.coeffs
 
     def index(self) -> int:
-        """Integer encoding: sum of coeffs[i] * p^i."""
+        """Integer encoding: sum of coeffs[i] * p^i, the inverse of from_index."""
         v = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs.tolist()):
             v = v * self.ctx.p + c
         return v
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = self._peer(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.ctx, (self.coeffs + self._peer(other).coeffs) % self.ctx.p)
 
     def __sub__(self, other):
-        other = self._peer(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.ctx, (self.coeffs - self._peer(other).coeffs) % self.ctx.p)
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        return FieldElement(self.ctx, -self.coeffs % self.ctx.p)
 
     def __mul__(self, other):
-        other = self._peer(other)
-        return self.ctx._wrap(self.ctx._vmul(self.vector(), other.vector()))
+        return FieldElement(self.ctx, self.ctx._vmul(self.coeffs, self._peer(other).coeffs))
 
     def __truediv__(self, other):
-        other = self._peer(other)
-        return self * other.inverse()
+        return self * self._peer(other).inverse()
 
     def __pow__(self, e: int):
-        return self.ctx._wrap(self.ctx._vpow(self.vector(), e))
+        return FieldElement(self.ctx, self.ctx._vpow(self.coeffs, e))
 
     def inverse(self) -> "FieldElement":
         if not self:
             raise DivisionByZero("inverse of zero")
-        return self.ctx._wrap(self.ctx._vinv(self.vector()))
+        return FieldElement(self.ctx, self.ctx._vinv(self.coeffs))
 
     # -- prime field ---------------------------------------------------------
 
     def in_prime_field(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not self.coeffs[1:].any()
 
     def scalar(self) -> int:
         """Value in GF(p) of a prime-field element."""
         if not self.in_prime_field():
             raise ValueError(f"{self} is not in the prime field")
-        return self.coeffs[0]
+        return int(self.coeffs[0])
 
     # -- dunder plumbing ------------------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.coeffs.any())
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx == other.ctx and self.coeffs == other.coeffs
+        return self.ctx == other.ctx and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n, self.coeffs))
+        return hash((self.ctx.p, self.ctx.n, self.coeffs.tobytes()))
 
     def __repr__(self):
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.coeffs.tolist()):
             if c == 0:
                 continue
             if i == 0:
@@ -365,38 +370,33 @@ class ExtensionContext(_QuotientRing):
         """Row-wise sigma^i: the rows times the transposed Frobenius power."""
         return matmul_mod(a, self.sigma_power_matrix(i).T, self.p)
 
-    def _wrap(self, vec: np.ndarray) -> FieldElement:
-        return FieldElement(self, tuple(int(c) for c in vec))
-
     # -- element constructors --------------------------------------------------
 
     def element(self, coeffs) -> FieldElement:
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"need {self.n} coefficients, got {len(coeffs)}")
-        return FieldElement(self, coeffs)
+        """Element of the n coefficients, reduced mod p into a fresh row,
+        so the caller may go on writing to its own."""
+        row = (np.array(coeffs, dtype=object) % self.p).astype(np.int64)  # any Python or numpy ints
+        if row.shape != (self.n,):
+            raise ValueError(f"need a row of {self.n} coefficients, got shape {row.shape}")
+        return FieldElement(self, row)
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.n)
+        return FieldElement(self, np.zeros(self.n, dtype=np.int64))
 
     def one(self) -> FieldElement:
         return self.scalar(1)
 
     def scalar(self, c: int) -> FieldElement:
-        return FieldElement(self, (c % self.p,) + (0,) * (self.n - 1))
+        return FieldElement(self, np.eye(1, self.n, dtype=np.int64)[0] * (c % self.p))
 
     def theta(self) -> FieldElement:
-        return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
+        return FieldElement(self, np.eye(1, self.n, 1, dtype=np.int64)[0])
 
     def from_index(self, v: int) -> FieldElement:
         """Element with coefficients the base-p digits of v (c0 least significant)."""
         if not 0 <= v < self.order:
             raise ValueError(f"index out of range: {v}")
-        coeffs = []
-        for _ in range(self.n):
-            v, d = divmod(v, self.p)
-            coeffs.append(d)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, _digits(v, self.p, self.n))
 
     # -- Galois operations -------------------------------------------------------
 
@@ -409,24 +409,19 @@ class ExtensionContext(_QuotientRing):
         if i < 0:
             raise ValueError(f"automorphism power must be >= 0, got {i}")
         self._own(b)
-        vec = matmul_mod(self.sigma_power_matrix(i), b.vector(), self.p)
-        return self._wrap(vec)
-
-    def _check_sub(self, sub: int) -> None:
-        if sub < 1 or self.n % sub != 0:
-            raise InvalidSubfield(f"{sub} does not divide the degree {self.n}")
+        return FieldElement(self, matmul_mod(self.sigma_power_matrix(i), b.coeffs, self.p))
 
     def norm(self, b: FieldElement, sub: int = 1) -> FieldElement:
         """Norm of b down to GF(p^sub): product of sigma^(sub*j) images."""
         self._own(b)
-        self._check_sub(sub)
+        if sub < 1 or self.n % sub != 0:
+            raise InvalidSubfield(f"{sub} does not divide the degree {self.n}")
         step = self.sigma_power_matrix(sub)
-        acc = b.vector()
-        cur = acc.copy()
+        acc = cur = b.coeffs
         for _ in range(self.n // sub - 1):
             cur = matmul_mod(step, cur, self.p)
             acc = self._vmul(acc, cur)
-        return self._wrap(acc)
+        return FieldElement(self, acc)
 
     def _own(self, b: FieldElement) -> None:
         if b.ctx != self:

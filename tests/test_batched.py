@@ -238,15 +238,15 @@ def test_stacked_field_arithmetic_on_whole_fields(ctx, p, n):
     shifted = np.roll(vecs, 1, axis=0)
     products = c.mul_stack(vecs, shifted)
     for j, b in enumerate(every):
-        assert tuple(products[j]) == (b * every[j - 1]).coeffs
+        assert np.array_equal(products[j], (b * every[j - 1]).coeffs)
     for sub in (d for d in range(1, n + 1) if n % d == 0):
         norms = vecs  # the product of the n/sub conjugates sigma^(sub*j)
         for j in range(1, n // sub):
             norms = c.mul_stack(norms, c.frobenius_stack(vecs, sub * j))
-        assert [tuple(v) for v in norms] == [c.norm(b, sub).coeffs for b in every]
+        assert np.array_equal(norms, [c.norm(b, sub).coeffs for b in every])
     for i in range(n):
         images = c.frobenius_stack(vecs, i)
-        assert [tuple(v) for v in images] == [c.frobenius_power(b, i).coeffs for b in every]
+        assert np.array_equal(images, [c.frobenius_power(b, i).coeffs for b in every])
 
 
 @pytest.fixture(scope="module", params=[(3, 6), (5, 4), (7, 6), (1000003, 3), (BIG_P, 2), (BIG_P, 3)],
@@ -289,12 +289,12 @@ def test_int64_kernels_match_the_object_dtype_reference(kernel_ctx, data):
         reference = object_product(c, coeffs[j], coeffs[-1 - j])
         assert np.array_equal(products[j], reference)
         assert np.array_equal(c._vmul(vecs[j], vecs[-1 - j]), reference)
-        assert tuple(products[j]) == (b * elements[-1 - j]).coeffs
-        assert tuple(conjugates[j]) == c.frobenius_power(b, 1).coeffs
+        assert np.array_equal(products[j], (b * elements[-1 - j]).coeffs)
+        assert np.array_equal(conjugates[j], c.frobenius_power(b, 1).coeffs)
     norms = c.mul_stack(vecs, conjugates)
     for i in range(2, n):
         norms = c.mul_stack(norms, c.frobenius_stack(vecs, i))
-    assert [tuple(v) for v in norms] == [c.norm(b).coeffs for b in elements]
+    assert np.array_equal(norms, [c.norm(b).coeffs for b in elements])
     for i in range(1, n):
         grams = forms.gram_stack(c, vecs, i)
         assert grams.dtype == np.int64
@@ -308,6 +308,40 @@ def test_int64_kernels_match_the_object_dtype_reference(kernel_ctx, data):
         if order_of(c, i) > 2:
             predicate = forms.norm_predicates(c, vecs, [i])[i]
             assert predicate.tolist() == [forms.is_degenerate_by_norm(c, b, i) for b in elements]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scalar_arithmetic_is_the_stacked_kernels_row_by_row(kernel_ctx, data):
+    """FieldElement holds its read-only int64 row: each scalar operation
+    gives, row by row, what the stacked kernels give on the whole stack."""
+    c = kernel_ctx
+    p, n = c.p, c.n
+    count, e, i = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6)), data.draw(st.integers(0, n - 1))
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    a, b = (np.array(data.draw(st.lists(row, min_size=count, max_size=count)), dtype=np.int64)
+            for _ in range(2))
+    one = c.one().vector()
+    powers = np.broadcast_to(one, a.shape)
+    for _ in range(e):
+        powers = c.mul_stack(powers, a)
+    for j, (x, y) in enumerate(zip(map(c.element, a), map(c.element, b))):
+        for got, want in ((x + y, (a[j] + b[j]) % p), (x - y, (a[j] - b[j]) % p), (-x, -a[j] % p),
+                          (x * y, c.mul_stack(a, b)[j]), (x**e, powers[j]),
+                          (c.frobenius_power(x, i), c.frobenius_stack(a, i)[j])):
+            assert got.vector().dtype == np.int64 and np.array_equal(got.vector(), want)
+        with pytest.raises(ValueError, match="read-only"):
+            x.vector()[0] = 1
+        # an element that differs only above the constant term hashes apart
+        assert hash(x + c.theta()) != hash(x)
+        if x:
+            inverse = x.inverse()
+            assert np.array_equal(c.mul_stack(inverse.vector()[None], a[j : j + 1])[0], one)
+            # _vinv's column of [M_x | e_0] is a strided view; its copy is contiguous
+            column = c._vinv(x.vector())
+            copy = c.element(column)
+            assert not column.flags.c_contiguous and copy.vector().flags.c_contiguous
+            assert inverse == copy and hash(inverse) == hash(copy)
 
 
 def scalar_norms(c, rows, sub):

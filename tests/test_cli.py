@@ -13,6 +13,7 @@ import pytest
 
 from skewrank import cli, cyclotomic, decomposition
 from skewrank.cli import main
+from skewrank.errors import HypothesisViolation
 
 from conftest import child_env, rescale_to
 
@@ -506,30 +507,62 @@ def test_sampled_oracle_text_says_so(capsys):
     ]
 
 
-# the E3 slice has p^t - 1 odd exponents, t = n/8
-@pytest.mark.parametrize("p, n, odd", [("11", "64", 11**8 - 1), ("1000003", "16", 1000003**2 - 1)])
-def test_remark_c_beyond_the_sample_cap_exits_one_naming_it(p, n, odd):
+# the walk of E_i ranks p + 1 Grams, one per coset, whatever the size of E_i
+@pytest.mark.parametrize("p, n, cap", [("11", "64", "11"), ("1000003", "16", "10000")])
+def test_remark_c_beyond_the_sample_cap_exits_one_naming_it(p, n, cap):
     # the walk covered the whole slice, 2(p^t - 1) elements, with no bound;
     # then the cap was checked only after the modulus search (3 s at (11, 64))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "skewrank", "verify", "--theorem", "RemarkC", "--p", p, "--n", n],
+        [sys.executable, "-m", "skewrank", "verify", "--theorem", "RemarkC", "--p", p, "--n", n,
+         "--sample-cap", cap],
         capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 1 and proc.stdout == ""
-    assert f"{odd} odd exponents, more than the sample cap 10000" in proc.stderr
+    assert f"ranks p + 1 = {int(p) + 1} Grams, more than min(sample cap {cap}, 2**20)" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
 def test_report_all_skips_a_remark_c_run_beyond_the_sample_cap(capsys):
-    code, out, _ = run_cli(capsys, "report-all", "--p", "11", "--n", "16", "--sample-cap", "100",
+    code, out, _ = run_cli(capsys, "report-all", "--p", "11", "--n", "16", "--sample-cap", "11",
                            "--grid", "1", "--samples", "5")
     doc = json.loads(out)
     assert code == 0 and doc["pass"] is True
     assert "RemarkC[i=3]" not in [r["check"] for r in doc["runs"]]
     reasons = {s["check"]: s["reason"] for s in doc["skipped"]}
-    assert "120 odd exponents, more than the sample cap 100" in reasons["RemarkC[i=3]"]
+    assert "ranks p + 1 = 12 Grams, more than min(sample cap 11, 2**20)" in reasons["RemarkC[i=3]"]
+
+
+def test_remark_c_gate_admits_every_walk_within_the_cap(capsys):
+    # (11, 32) has 14640 odd exponents in E3 but its walk ranks 12 Grams; at the
+    # default cap it reports what the run at a cap above 14640 reported
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "RemarkC", "--p", "11", "--n", "32")
+    golden = Path(__file__).parent / "golden" / (
+        "verify_--theorem_RemarkC_--p_11_--n_32_--i_3_--sample-cap_20000.out")
+    doc, recorded = json.loads(out), json.loads(golden.read_text())
+    assert code == 0 and doc.pop("config")["sample_cap"] == 10_000
+    assert doc == {key: value for key, value in recorded.items() if key != "config"}
+
+
+@pytest.mark.parametrize("p, n, runs, others", [
+    ("3", "16", ["direct-sum", "TC", "section6"], {"TA": "n/2 must be odd"}),
+    ("11", "16", ["direct-sum", "RemarkC[i=3]", "section6"],
+     {"TA": "n/2 must be odd",
+      "TC": "alpha=4 > a+1=3 with l=3 > 1: constant rank fails; use the cyclic-slice check instead"}),
+])
+def test_report_all_lists_every_check_it_does_not_run(capsys, p, n, runs, others):
+    code, out, _ = run_cli(capsys, "report-all", "--p", p, "--n", n, "--grid", "1", "--samples", "5")
+    doc = json.loads(out)
+    assert code == 0 and doc["pass"] is True
+    assert [r["check"] for r in doc["runs"]] == runs
+    order = int(p) ** int(n)
+    skipped = {**others, "oracle": f"field size {order} exceeds 16777216; the census would be sampled"}
+    if not decomposition.remark_C_indices(int(p), int(n)):
+        with pytest.raises(HypothesisViolation) as exc:
+            decomposition.remark_C_slice(int(p), int(n), None, 10_000)
+        skipped["RemarkC"] = str(exc.value)
+    assert {s["check"]: s["reason"] for s in doc["skipped"]} == skipped
 
 
 def test_ta_at_the_largest_prime_and_degree_62_within_its_budget():
